@@ -25,8 +25,17 @@ import itertools
 import os
 import random
 from fractions import Fraction
+from functools import partial
 
-from .linalg import TrackingEchelon, addmul_into, kernel_combos, rank_of
+from .linalg import (
+    CertificateError,
+    TrackingEchelon,
+    add_term,
+    addmul_into,
+    invariant_dim,
+    kernel_combos,
+    rank_of,
+)
 from .presets_io import CheckReport
 
 DEFAULT_SIZE_CAP = 10 ** 7
@@ -160,7 +169,7 @@ class FiniteDimAlgebra:
         (a list of coordinate vectors in the old basis)."""
         if len(new_basis) != self.dim:
             raise ValueError("basis size mismatch")
-        inv = _invert(new_basis, self.dim)
+        inv = _invert(new_basis)
         table = []
         for i in range(self.dim):
             row = []
@@ -205,44 +214,13 @@ def _columns_key(columns):
     return tuple(tuple(sorted(col.items())) for col in columns)
 
 
-def _invert(columns, dim):
-    """Inverse of a linear map given by columns, as columns (dense, exact)."""
-    # augmented elimination on [columns | identity]
-    rows = [
-        {j: columns[j].get(i, 0) for j in range(dim) if columns[j].get(i)}
-        for i in range(dim)
-    ]
-    aug = [{("id", i): ONE} for i in range(dim)]
-    for i in range(dim):
-        rows[i].update(aug[i])
-    ech = []
-    for r in rows:
-        r = dict(r)
-        for pivcol, prow in ech:
-            if pivcol in r:
-                addmul_into(r, prow, -r[pivcol] / prow[pivcol])
-        main = [c for c in r if not isinstance(c, tuple)]
-        if not main:
+def _invert(columns):
+    """Inverse of a linear map given by columns, as columns (exact)."""
+    ech = TrackingEchelon()
+    for j, col in enumerate(columns):
+        if ech.insert(col, j) is not None:
             raise ValueError("basis change matrix is singular")
-        piv = min(main)
-        ech.append((piv, r))
-    # back-substitute
-    ech.sort(key=lambda pr: pr[0])
-    for idx in range(dim - 1, -1, -1):
-        piv, row = ech[idx]
-        lead = row[piv]
-        for k in list(row):
-            row[k] = row[k] / lead
-        for jdx in range(idx):
-            _, other = ech[jdx]
-            if piv in other:
-                addmul_into(other, row, -other[piv])
-    inv_cols = [dict() for _ in range(dim)]
-    for piv, row in ech:
-        for key, v in row.items():
-            if isinstance(key, tuple):
-                inv_cols[key[1]][piv] = v
-    return inv_cols
+    return [ech.express({i: ONE})[1] for i in range(len(columns))]
 
 
 def tensor_power(A: FiniteDimAlgebra, n: int) -> FiniteDimAlgebra:
@@ -506,29 +484,16 @@ def _d_basis(B: FiniteDimAlgebra, M, key: tuple, k: int) -> dict:
     if k == 0:
         return out
     for m2, c in M.left_basis(legs[-1], mi).items():
-        _chain_add(out, legs[:-1] + (m2,), c)
+        add_term(out, legs[:-1] + (m2,), c)
     for i in range(1, k):
         pos = k - i - 1
         sign = -ONE if i % 2 else ONE
         for bmid, c in B.mul_basis(legs[pos], legs[pos + 1]).items():
-            _chain_add(out, legs[:pos] + (bmid,) + legs[pos + 2:] + (mi,), sign * c)
+            add_term(out, legs[:pos] + (bmid,) + legs[pos + 2:] + (mi,), sign * c)
     sign = -ONE if k % 2 else ONE
     for m2, c in M.right_basis(mi, legs[0]).items():
-        _chain_add(out, legs[1:] + (m2,), sign * c)
+        add_term(out, legs[1:] + (m2,), sign * c)
     return out
-
-
-def _chain_add(chain: dict, key: tuple, c) -> None:
-    cur = chain.get(key)
-    if cur is None:
-        if c:
-            chain[key] = c
-    else:
-        cur = cur + c
-        if cur:
-            chain[key] = cur
-        else:
-            del chain[key]
 
 
 def chain_keys(B: FiniteDimAlgebra, M, k: int):
@@ -618,7 +583,7 @@ def _random_cycles(B, M, level: int, count: int, rng: random.Random):
         for _ in range(rng.randint(1, 4)):
             legs = tuple(rng.randrange(B.dim) for _ in range(lv))
             key = legs + (rng.randrange(M.dim),)
-            _chain_add(chain, key, Fraction(rng.randint(-3, 3)))
+            add_term(chain, key, Fraction(rng.randint(-3, 3)))
         return chain
 
     if level == 0:
@@ -665,14 +630,14 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
     def s_op(chain: dict) -> dict:
         out: dict = {}
         for key, c in chain.items():
-            _chain_add(out, key[1:] + (rho[key[0]],), c)
+            add_term(out, key[1:] + (rho[key[0]],), c)
         return out
 
     def append_unit(chain: dict) -> dict:
         out: dict = {}
         for key, c in chain.items():
             for u, uc in unit_items:
-                _chain_add(out, key + (u,), c * uc)
+                add_term(out, key + (u,), c * uc)
         return out
 
     level = m - 1
@@ -680,7 +645,7 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
     checked = 0
     for cycle in _random_cycles(B, M, level, trials, rng):
         if level and bar_apply(B, M, cycle, level):
-            raise AssertionError("sampled chain is not a cycle")
+            raise CertificateError("sampled chain is not a cycle")
         lhs = dict(cycle)
         addmul_into(lhs, rotate(cycle), -ONE)
         arg: dict = {}
@@ -700,17 +665,31 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
     )
 
 
+def _act_on_chain(cols, chain: dict) -> dict:
+    """An algebra automorphism (as columns) applied to every chain slot."""
+    moved: dict = {}
+    for key, c in chain.items():
+        expanded = {(): c}
+        for x in key:
+            expanded = {
+                kk + (y,): cc * v
+                for kk, cc in expanded.items()
+                for y, v in cols[x].items()
+            }
+        for kk, cc in expanded.items():
+            add_term(moved, kk, cc)
+    return moved
+
+
 def _sector_invariant_dims(B: FiniteDimAlgebra, G: GroupAction, g: int,
                            max_level: int, cap: int) -> list[int]:
     """dims of the centralizer-invariant part of HH_i(B, Bg), i <= max_level.
 
-    Homology representatives come from a tracking echelon that absorbs
-    the boundaries first; the group then acts on representatives, and the
-    invariant dimension is the trace of the averaging projector.
+    The centralizer acts slotwise on chains; invariant_dim averages that
+    action over homology representatives.
     """
     M = AutoTwistedBimodule(B, G.elements[g])
-    cent = G.centralizer(g)
-    elems = [G.elements[h] for h in cent]
+    actions = [partial(_act_on_chain, G.elements[h]) for h in G.centralizer(g)]
     dims = []
     for i in range(max_level + 1):
         _check_cap(B.dim ** (i + 1) * M.dim, B.dim ** i * M.dim, cap,
@@ -719,54 +698,8 @@ def _sector_invariant_dims(B: FiniteDimAlgebra, G: GroupAction, g: int,
             cycles = [{key: ONE} for key in chain_keys(B, M, 0)]
         else:
             cycles = kernel_combos(bar_columns(B, M, i))
-        tracked = TrackingEchelon()
-        for idx, (_, img) in enumerate(bar_columns(B, M, i + 1)):
-            tracked.insert(img, ("b", idx))
-        reps = []
-        for ci, cyc in enumerate(cycles):
-            if tracked.insert(cyc, ("z", ci)) is None:
-                reps.append((ci, cyc))
-        if not reps:
-            dims.append(0)
-            continue
-        rep_index = {("z", ci): row for row, (ci, _) in enumerate(reps)}
-        h_dim = len(reps)
-        proj = [[Fraction(0)] * h_dim for _ in range(h_dim)]
-        for cols in elems:
-            for col, (_, cyc) in enumerate(reps):
-                moved: dict = {}
-                for key, c in cyc.items():
-                    vecs = [cols[x] for x in key]
-                    expanded = {(): c}
-                    for vec in vecs:
-                        expanded = {
-                            kk + (x,): cc * v
-                            for kk, cc in expanded.items()
-                            for x, v in vec.items()
-                        }
-                    for kk, cc in expanded.items():
-                        _chain_add(moved, kk, cc)
-                residual, combo = tracked.express(moved)
-                if residual:
-                    raise AssertionError("group image of a cycle left the cycle space")
-                for label, val in combo.items():
-                    row = rep_index.get(label)
-                    if row is not None:
-                        proj[row][col] += val
-        inv = Fraction(1, len(elems))
-        proj = [[v * inv for v in row] for row in proj]
-        # averaging operator must be idempotent; its trace is the rank
-        square = [
-            [sum(proj[r][k] * proj[k][c] for k in range(h_dim))
-             for c in range(h_dim)]
-            for r in range(h_dim)
-        ]
-        if square != proj:
-            raise AssertionError("averaging operator is not idempotent")
-        trace = sum(proj[r][r] for r in range(h_dim))
-        if trace.denominator != 1:
-            raise AssertionError("projector trace is not an integer")
-        dims.append(int(trace))
+        boundaries = (img for _, img in bar_columns(B, M, i + 1))
+        dims.append(invariant_dim(boundaries, cycles, actions))
     return dims
 
 

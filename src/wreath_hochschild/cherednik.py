@@ -26,6 +26,7 @@ from itertools import combinations, permutations, product
 from math import comb, factorial
 from typing import NamedTuple
 
+from .linalg import add_term
 from .presets_io import CheckReport
 
 KP_ZERO = ()
@@ -410,32 +411,24 @@ def crossed_weyl_normal_order(word, n: int) -> dict:
     terms = {NormalMonomial(zero, _identity(n), zero): Fraction(1)}
     for atom in atoms:
         nxt: dict = {}
-
-        def bump(mono, c):
-            acc = nxt.get(mono, Fraction(0)) + c
-            if acc:
-                nxt[mono] = acc
-            elif mono in nxt:
-                del nxt[mono]
-
         for (a, sigma, b), c in terms.items():
             if atom[0] == "x":
                 i = atom[1]
                 up = list(a)
                 up[sigma[i]] += 1
-                bump(NormalMonomial(tuple(up), sigma, b), c)
+                add_term(nxt, NormalMonomial(tuple(up), sigma, b), c)
                 if b[i]:
                     down = list(b)
                     down[i] -= 1
-                    bump(NormalMonomial(a, sigma, tuple(down)), -c * b[i])
+                    add_term(nxt, NormalMonomial(a, sigma, tuple(down)), -c * b[i])
             elif atom[0] == "p":
                 up = list(b)
                 up[atom[1]] += 1
-                bump(NormalMonomial(a, sigma, tuple(up)), c)
+                add_term(nxt, NormalMonomial(a, sigma, tuple(up)), c)
             else:
                 tau = atom[1]
                 moved = tuple(b[tau[j]] for j in range(n))
-                bump(NormalMonomial(a, _compose(sigma, tau), moved), c)
+                add_term(nxt, NormalMonomial(a, _compose(sigma, tau), moved), c)
         terms = nxt
     return terms
 
@@ -542,21 +535,8 @@ def pbw_dimension_check(n: int, max_deg: int) -> CheckReport:
     filtration with a k-free top part (so the associated graded algebra
     is the k = 0 crossed product on the same monomial basis).
     """
-    lines = []
-    ok = True
-
-    def record(flag: bool, text: str):
-        nonlocal ok
-        ok = ok and flag
-        lines.append(("[pass] " if flag else "[FAIL] ") + text)
-
     expected = factorial(n) * comb(2 * n + max_deg, max_deg)
     count = normal_monomial_count(n, max_deg)
-    record(
-        count == expected,
-        f"{count} normal monomials of degree <= {max_deg} "
-        f"(undeformed dimension n!*C(2n+D,D) = {expected})",
-    )
     filtered = graded = True
     for word in _all_words(n, max_deg):
         xp_len = sum(1 for g in word if g[0] in ("x", "p"))
@@ -565,13 +545,13 @@ def pbw_dimension_check(n: int, max_deg: int) -> CheckReport:
                 filtered = False
             elif mono.degree() == xp_len and len(c) > 1:
                 graded = False
-    record(
-        filtered,
-        "every reduced word lies in the span of normal monomials of degree "
-        "<= its x,p-length",
-    )
-    record(graded, "top-degree parts carry no k (associated graded is the crossed product)")
-    return CheckReport(f"cherednik pbw flatness n={n}", ok, tuple(lines))
+    return CheckReport.from_checks(f"cherednik pbw flatness n={n}", [
+        (count == expected, f"{count} normal monomials of degree <= {max_deg} "
+                            f"(undeformed dimension n!*C(2n+D,D) = {expected})"),
+        (filtered, "every reduced word lies in the span of normal monomials of degree "
+                   "<= its x,p-length"),
+        (graded, "top-degree parts carry no k (associated graded is the crossed product)"),
+    ])
 
 
 def associativity_check(n: int, trials: int = 100, seed: int = 0) -> CheckReport:
@@ -592,44 +572,30 @@ def associativity_check(n: int, trials: int = 100, seed: int = 0) -> CheckReport
         if multiply(multiply(a, b), c) != multiply(a, multiply(b, c)):
             bad = (a, b, c)
             break
-    if bad is None:
-        lines = (
-            f"[pass] {trials} random triples of degree <= 2 elements "
-            "associate exactly over Q[k]",
-        )
-    else:
-        lines = (f"[FAIL] associativity fails for {bad[0]!r}, {bad[1]!r}, {bad[2]!r}",)
-    return CheckReport(f"cherednik associativity n={n}", bad is None, lines)
+    text = (f"{trials} random triples of degree <= 2 elements associate exactly over Q[k]"
+            if bad is None else
+            f"associativity fails for {bad[0]!r}, {bad[1]!r}, {bad[2]!r}")
+    return CheckReport.from_checks(f"cherednik associativity n={n}", [(bad is None, text)])
 
 
 def spherical_check(n: int) -> CheckReport:
     """Symmetrizer identities: e^2 = e, sigma e = e sigma = e, bi-invariance."""
-    lines = []
-    ok = True
-
-    def record(flag: bool, text: str):
-        nonlocal ok
-        ok = ok and flag
-        lines.append(("[pass] " if flag else "[FAIL] ") + text)
-
     e = spherical_idempotent(n)
     zero = (0,) * n
     group = [
         CherednikElement(n, {NormalMonomial(zero, tuple(sig), zero): KP_ONE})
         for sig in permutations(range(n))
     ]
-    record(multiply(e, e) == e, "e is idempotent")
-    record(
-        all(multiply(g, e) == e and multiply(e, g) == e for g in group),
-        "sigma e = e sigma = e for every group element",
-    )
-    record(spherical_product(CherednikElement.one(n)) == e, "e 1 e = e")
     compressed = spherical_product(normal_order("x1 p1", n))
-    record(
-        all(multiply(g, compressed) == compressed == multiply(compressed, g) for g in group),
-        "e x1 p1 e is bi-invariant under the group",
-    )
-    return CheckReport(f"cherednik spherical n={n}", ok, tuple(lines))
+    return CheckReport.from_checks(f"cherednik spherical n={n}", [
+        (multiply(e, e) == e, "e is idempotent"),
+        (all(multiply(g, e) == e and multiply(e, g) == e for g in group),
+         "sigma e = e sigma = e for every group element"),
+        (spherical_product(CherednikElement.one(n)) == e, "e 1 e = e"),
+        (all(multiply(g, compressed) == compressed == multiply(compressed, g)
+             for g in group),
+         "e x1 p1 e is bi-invariant under the group"),
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ Subcommands
     cherednik  normal-order a word in the rational Cherednik algebra
     verify     run the verification suites, exit 0 iff everything passes
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Error
-messages go to standard error.  The brute-force size cap honours the
-HH_SIZE_CAP environment variable; randomized suites take --seed.
+Exit codes: 0 success, 1 verification failure (including an internal
+certificate that did not hold), 2 usage error.  Error messages go to
+standard error.  The brute-force size cap honours the HH_SIZE_CAP
+environment variable; randomized suites take --seed.
 """
 
 import argparse
@@ -104,24 +105,16 @@ def _cmd_cherednik(args) -> int:
 
 
 def verify_wreath(seed: int = 0) -> list:
-    reports = []
-
-    lines, ok = [], True
-
-    def record(flag: bool, text: str):
-        nonlocal ok
-        ok = ok and flag
-        lines.append(("[pass] " if flag else "[FAIL] ") + text)
-
+    checks = []
     for label in sorted(CLOSED_FORM_PRESETS):
         preset = load_preset(CLOSED_FORM_PRESETS[label])
         closed = closed_form(label, 8, 40)
         prod = generating_series_product(preset.betti, preset.d, 8, 40)
         sums = generating_series_sum(preset.betti, preset.d, 8, 40)
-        record(closed == prod == sums,
-               f"{label}: closed form == product == partition sum up to q^8 "
-               f"(preset {preset.name})")
-    reports.append(CheckReport("wreath closed forms", ok, tuple(lines)))
+        checks.append((closed == prod == sums,
+                       f"{label}: closed form == product == partition sum up to q^8 "
+                       f"(preset {preset.name})"))
+    reports = [CheckReport.from_checks("wreath closed forms", checks)]
 
     rng = random.Random(seed)
     bad = None
@@ -131,11 +124,11 @@ def verify_wreath(seed: int = 0) -> list:
         if generating_series_product(table, d, 6) != generating_series_sum(table, d, 6):
             bad = (table, d)
             break
-    line = ("[pass] product == partition sum up to q^6 for 50 random tables"
-            if bad is None else f"[FAIL] routes disagree for {bad[0]!r}, d={bad[1]}")
-    reports.append(CheckReport("wreath product vs sum property", bad is None, (line,)))
+    text = ("product == partition sum up to q^6 for 50 random tables"
+            if bad is None else f"routes disagree for {bad[0]!r}, d={bad[1]}")
+    reports.append(CheckReport.from_checks("wreath product vs sum property",
+                                           [(bad is None, text)]))
 
-    lines, ok = [], True
     pa = closed_form("PA", 12)
     stat = all(
         pa.q_coefficient(n).get(2 * (n - parts), 0) == count
@@ -146,32 +139,31 @@ def verify_wreath(seed: int = 0) -> list:
         sum(pa.q_coefficient(n).values()) == sum(count_by_length(n).values())
         for n in range(13)
     )
-    record(stat and total,
-           "q^n t^(2(n-l)) coefficients count partitions of n with l parts, n <= 12")
     point = BettiTable({0: 1})
-    record(
-        all(
+    reports.append(CheckReport.from_checks("wreath partition statistic", [
+        (stat and total,
+         "q^n t^(2(n-l)) coefficients count partitions of n with l parts, n <= 12"),
+        (all(
             hilb_poincare(point, n).dims()
             == {2 * (n - parts): c for parts, c in count_by_length(n).items()}
             for n in range(11)
-        ),
-        "one-point orbifold polynomials match the partition statistic, n <= 10",
-    )
-    reports.append(CheckReport("wreath partition statistic", ok, tuple(lines)))
+        ), "one-point orbifold polynomials match the partition statistic, n <= 10"),
+    ]))
 
-    lines, ok = [], True
+    checks = []
     for name, want in (("weyl", 1), ("trig", 2), ("qweyl", 3), ("z2_qweyl", 6)):
         preset = load_preset(name)
         got = deformation_parameter_count(preset.betti, preset.d, 2)
         dims = preset.betti.dims()
         b1, b2 = dims.get(1, 0), dims.get(2, 0)
         generic = b2 + b1 * (b1 - 1) // 2 + (1 if preset.d == 2 else 0)
-        record(got == generic, f"{name}: count {got} matches b2 + C(b1,2) + [d=2] = {generic}")
+        checks.append((got == generic,
+                       f"{name}: count {got} matches b2 + C(b1,2) + [d=2] = {generic}"))
         if name in ("weyl", "qweyl", "z2_qweyl"):
-            record(got == want, f"{name}: count is {want}")
-    record(deformation_parameter_count(BettiTable({0: 1}), 4, 2) == 0,
-           "rigid d=4 point table has no deformation parameters")
-    reports.append(CheckReport("wreath deformation counts", ok, tuple(lines)))
+            checks.append((got == want, f"{name}: count is {want}"))
+    checks.append((deformation_parameter_count(BettiTable({0: 1}), 4, 2) == 0,
+                   "rigid d=4 point table has no deformation parameters"))
+    reports.append(CheckReport.from_checks("wreath deformation counts", checks))
     return reports
 
 
@@ -207,29 +199,22 @@ _KOSZUL_CROSSED = {"weyl": (1, 0, 1), "trig": (1, 0, 2), "qweyl": (1, 0, 5)}
 
 
 def verify_koszul(seed: int = 0) -> list:
-    reports = []
-    lines, ok = [], True
-
-    def record(flag: bool, text: str):
-        nonlocal ok
-        ok = ok and flag
-        lines.append(("[pass] " if flag else "[FAIL] ") + text)
-
-    record(
+    checks = [(
         all(
             not any(build_cochain_complex(kind, twist, 6)[2].values())
             for kind in KINDS
             for twist in TWISTS
         ),
         "consecutive differentials compose to zero for every kind and twist",
-    )
+    )]
     for (kind, twist), want in sorted(_KOSZUL_TABLES.items()):
         dims = {hh_cohomology_rank_one(kind, twist, N) for N in (8, 10, 12)}
-        record(dims == {want}, f"{kind}/{twist}: dimensions {want} stable at windows 8, 10, 12")
+        checks.append((dims == {want},
+                       f"{kind}/{twist}: dimensions {want} stable at windows 8, 10, 12"))
     for kind, want in sorted(_KOSZUL_CROSSED.items()):
-        record(crossed_z2_cohomology(kind, 8) == want,
-               f"crossed {kind}: Z2-invariant totals {want}")
-    reports.append(CheckReport("koszul cohomology tables", ok, tuple(lines)))
+        checks.append((crossed_z2_cohomology(kind, 8) == want,
+                       f"crossed {kind}: Z2-invariant totals {want}"))
+    reports = [CheckReport.from_checks("koszul cohomology tables", checks)]
     reports.extend(duality_check(kind) for kind in KINDS)
     return reports
 

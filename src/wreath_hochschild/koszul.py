@@ -33,7 +33,14 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from .linalg import TrackingEchelon, kernel_combos, rank_of
+from .linalg import (
+    CertificateError,
+    add_term,
+    addmul_into,
+    invariant_dim,
+    kernel_combos,
+    rank_of,
+)
 from .presets_io import CheckReport
 from .ratfunc import RatFunc
 
@@ -141,12 +148,7 @@ class RankOneElement:
             raise ValueError("kind mismatch")
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            add_term(out, k, v)
         return RankOneElement(self.kind, out)
 
     def __neg__(self):
@@ -227,14 +229,7 @@ def multiply(x: RankOneElement, y: RankOneElement) -> RankOneElement:
     acc: dict = {}
     for (a, b), cx in x.terms.items():
         for (c, d), cy in y.terms.items():
-            cc = cx * cy
-            for key, coef in _mono_mul(x.kind, a, b, c, d).items():
-                cur = acc.get(key)
-                cur = cc * coef if cur is None else cur + cc * coef
-                if cur:
-                    acc[key] = cur
-                elif key in acc:
-                    del acc[key]
+            addmul_into(acc, _mono_mul(x.kind, a, b, c, d), cx * cy)
     return RankOneElement(x.kind, acc)
 
 
@@ -474,25 +469,25 @@ def _rho_on_level1(rho1, vec: dict, kind: str) -> dict:
 
 
 def _verify_involution(kind: str, twist: str, N: int) -> None:
-    """Assert the symmetry maps are involutive chain maps on the margin."""
+    """Certify the symmetry maps are involutive chain maps on the margin."""
     u, w = _build_operators(kind, twist)
     rho0, rho1, rho2 = _sector_involution(kind, twist)
     for key in window_keys(kind, N - 2):
         m = RankOneElement.monomial(kind, *key)
         # involution at each level
         if rho0(rho0(m)) != m or rho2(rho2(m)) != m:
-            raise RuntimeError(f"{kind}/{twist}: symmetry is not an involution")
+            raise CertificateError(f"{kind}/{twist}: symmetry is not an involution")
         if rho1[0](rho1[0](m)) != m or rho1[1](rho1[1](m)) != m:
-            raise RuntimeError(f"{kind}/{twist}: symmetry is not an involution")
+            raise CertificateError(f"{kind}/{twist}: symmetry is not an involution")
         # chain map at level 0 -> 1
         em = rho0(m)
         if rho1[0](u(m)) != u(em) or rho1[1](w(m)) != w(em):
-            raise RuntimeError(f"{kind}/{twist}: level-0 symmetry is not a chain map")
+            raise CertificateError(f"{kind}/{twist}: level-0 symmetry is not a chain map")
         # chain map at level 1 -> 2, on both slots
         if rho2(w(m)) != w(rho1[0](m)):
-            raise RuntimeError(f"{kind}/{twist}: level-1 symmetry is not a chain map")
+            raise CertificateError(f"{kind}/{twist}: level-1 symmetry is not a chain map")
         if rho2(-u(m)) != -u(rho1[1](m)):
-            raise RuntimeError(f"{kind}/{twist}: level-1 symmetry is not a chain map")
+            raise CertificateError(f"{kind}/{twist}: level-1 symmetry is not a chain map")
 
 
 def _invariant_sector_dims(kind: str, twist: str, N: int):
@@ -500,7 +495,6 @@ def _invariant_sector_dims(kind: str, twist: str, N: int):
     cohomology of one twisted sector."""
     one = _one(kind)
     _verify_involution(kind, twist, N)
-    u, w = _build_operators(kind, twist)
     rho0, rho1, rho2 = _sector_involution(kind, twist)
     d0, d1, full = _complex_columns(kind, twist, N)
     margin = [k for k in full if monomial_degree(kind, k) <= N - 2]
@@ -515,49 +509,17 @@ def _invariant_sector_dims(kind: str, twist: str, N: int):
     def rho_level2(vec):
         return _vec_of(rho2(RankOneElement(kind, vec)))
 
+    def identity(vec):
+        return vec
+
     levels = [
         (kernel_combos(((s, d0[s]) for s in margin), one), [], rho_level0),
         (kernel_combos(((key, d1[key]) for key in margin1), one),
          [d0[s] for s in full], rho_level1),
         ([{k: one} for k in margin], [d1[key] for key in d1], rho_level2),
     ]
-    dims = []
-    for cycles, boundaries, rho in levels:
-        tracked = TrackingEchelon(one)
-        for idx, img in enumerate(boundaries):
-            tracked.insert(img, ("b", idx))
-        reps = []
-        for ci, cyc in enumerate(cycles):
-            if tracked.insert(cyc, ("z", ci)) is None:
-                reps.append((ci, cyc))
-        if not reps:
-            dims.append(0)
-            continue
-        index = {("z", ci): row for row, (ci, _) in enumerate(reps)}
-        h = len(reps)
-        mat = [[_scalar(kind, 0) for _ in range(h)] for _ in range(h)]
-        for col, (_, cyc) in enumerate(reps):
-            residual, combo = tracked.express(rho(cyc))
-            if residual:
-                raise RuntimeError(
-                    f"{kind}/{twist}: symmetry image of a cocycle left the window span")
-            for label, val in combo.items():
-                row = index.get(label)
-                if row is not None:
-                    mat[row][col] = mat[row][col] + val
-        half = one / _scalar(kind, 2)
-        proj = [[(mat[r][c] + (one if r == c else _scalar(kind, 0))) * half
-                 for c in range(h)] for r in range(h)]
-        square = [[sum((proj[r][k] * proj[k][c] for k in range(h)),
-                       _scalar(kind, 0)) for c in range(h)] for r in range(h)]
-        if square != proj:
-            raise RuntimeError(f"{kind}/{twist}: averaging operator not idempotent")
-        trace = sum((proj[r][r] for r in range(h)), _scalar(kind, 0))
-        frac = trace.evaluate(Fraction(0)) if kind == "qweyl" else trace
-        if frac.denominator != 1:
-            raise RuntimeError(f"{kind}/{twist}: projector trace is not an integer")
-        dims.append(int(frac))
-    return tuple(dims)
+    return tuple(invariant_dim(boundaries, cycles, [identity, rho], one)
+                 for cycles, boundaries, rho in levels)
 
 
 def crossed_z2_cohomology(kind: str, window=10):
@@ -604,13 +566,7 @@ def _ae_mul(kind: str, f: dict, g: dict) -> dict:
             cc = cf * cg
             for a, va in left.terms.items():
                 for b, vb in right.terms.items():
-                    key = (a, b)
-                    cur = out.get(key)
-                    cur = cc * va * vb if cur is None else cur + cc * va * vb
-                    if cur:
-                        out[key] = cur
-                    elif key in out:
-                        del out[key]
+                    add_term(out, (a, b), cc * va * vb)
     return out
 
 
@@ -625,12 +581,7 @@ def _ae_scale(f: dict, c) -> dict:
 def _ae_sub(f: dict, g: dict) -> dict:
     out = dict(f)
     for k, v in g.items():
-        cur = out.get(k)
-        cur = -v if cur is None else cur - v
-        if cur:
-            out[k] = cur
-        elif k in out:
-            del out[k]
+        add_term(out, k, -v)
     return out
 
 
@@ -683,21 +634,13 @@ def duality_check(kind: str, window=None) -> CheckReport:
     N = win.N
     one = _one(kind)
     u, w, nu_u, nu_w = _ae_uw(kind)
-    lines = []
-    ok = True
-
-    def record(flag: bool, text: str):
-        nonlocal ok
-        ok = ok and flag
-        lines.append(("[pass] " if flag else "[FAIL] ") + text)
-
-    record(_ae_mul(kind, u, w) == _ae_mul(kind, w, u),
-           "u and w commute in the enveloping algebra")
+    checks = [(_ae_mul(kind, u, w) == _ae_mul(kind, w, u),
+               "u and w commute in the enveloping algebra")]
 
     su, sw = _ae_swap(u), _ae_swap(w)
-    record(su == _ae_scale(_ae_mul(kind, u, nu_u), -one)
-           and sw == _ae_scale(_ae_mul(kind, w, nu_w), -one),
-           "factor swap sends u, w to unit multiples of themselves")
+    checks.append((su == _ae_scale(_ae_mul(kind, u, nu_u), -one)
+                   and sw == _ae_scale(_ae_mul(kind, w, nu_w), -one),
+                   "factor swap sends u, w to unit multiples of themselves"))
 
     basis = _ae_window(kind, N)
     margin = [k for k in basis
@@ -713,7 +656,7 @@ def duality_check(kind: str, window=None) -> CheckReport:
         if comp:
             flag = False
             break
-    record(flag, "consecutive differentials compose to zero on the full window")
+    checks.append((flag, "consecutive differentials compose to zero on the full window"))
 
     # dual differential matrices = swap-transported Koszul matrices
     flag = True
@@ -727,7 +670,7 @@ def duality_check(kind: str, window=None) -> CheckReport:
                 break
         if not flag:
             break
-    record(flag, "dual differentials match the swap-transported Koszul matrices")
+    checks.append((flag, "dual differentials match the swap-transported Koszul matrices"))
 
     # windowed column sets
     d1cols = {}
@@ -750,8 +693,8 @@ def duality_check(kind: str, window=None) -> CheckReport:
     margin1 = [(i, xi) for i in (0, 1) for xi in margin]
 
     # exactness at the top exterior spot: d1 injective on the margin
-    record(len(margin) == rank_of(d1cols[xi] for xi in margin),
-           "second differential is injective on the margin")
+    checks.append((len(margin) == rank_of(d1cols[xi] for xi in margin),
+                   "second differential is injective on the margin"))
 
     # exactness in the middle: margin kernel of d0 = windowed image of d1
     n0 = len(margin1) - rank_of(d0cols[key] for key in margin1)
@@ -759,8 +702,8 @@ def duality_check(kind: str, window=None) -> CheckReport:
     aug = itertools.chain((d1cols[xi] for xi in basis),
                           ({key: one} for key in margin1))
     im1 = r_d1 + len(margin1) - rank_of(aug)
-    record(n0 == im1, "margin kernel of the first differential equals the "
-                      "windowed image of the second")
+    checks.append((n0 == im1, "margin kernel of the first differential equals the "
+                              "windowed image of the second"))
 
     # exactness at the algebra spot: margin kernel of the multiplication
     # map = windowed image of d0
@@ -769,8 +712,8 @@ def duality_check(kind: str, window=None) -> CheckReport:
     aug = itertools.chain((d0cols[key] for key in d0cols),
                           ({xi: one} for xi in margin))
     im0 = r_d0 + len(margin) - rank_of(aug)
-    record(nmu == im0, "margin kernel of the multiplication map equals the "
-                       "windowed image of the first differential")
+    checks.append((nmu == im0, "margin kernel of the multiplication map equals the "
+                               "windowed image of the first differential"))
 
     # top cohomology of the dual complex: left ideal (u, w) has margin
     # codimension equal to the windowed algebra dimension
@@ -783,8 +726,7 @@ def duality_check(kind: str, window=None) -> CheckReport:
     aug = itertools.chain(iter(lcols), ({xi: one} for xi in margin))
     codim = rank_of(aug) - r_l
     algebra_margin = len(window_keys(kind, N - 2))
-    record(codim == algebra_margin,
-           "top dual cohomology on the margin has the dimension of the "
-           "windowed algebra")
-
-    return CheckReport(f"koszul self-duality {kind}", ok, tuple(lines))
+    checks.append((codim == algebra_margin,
+                   "top dual cohomology on the margin has the dimension of the "
+                   "windowed algebra"))
+    return CheckReport.from_checks(f"koszul self-duality {kind}", checks)

@@ -10,11 +10,36 @@ results are reproducible across runs.
 TrackingEchelon needs the field's unit to seed dependency combos; it
 defaults to Fraction(1) and must be passed explicitly for other fields
 (int 1 is not safe: int/int division would leave the field).
+
+add_term is the single-entry form of addmul_into.  invariant_dim is the
+one averaging-projector certificate: the dimension of the part of a
+homology space fixed by a finite group.  An exact internal check that
+does not hold raises CertificateError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .ratfunc import RatFunc
+
+
+class CertificateError(RuntimeError):
+    """An exact internal certificate did not hold."""
+
+
+def add_term(target: dict, key, c) -> None:
+    """target[key] += c, dropping the entry if it cancels to zero."""
+    cur = target.get(key)
+    if cur is None:
+        if c:
+            target[key] = c
+    else:
+        cur = cur + c
+        if cur:
+            target[key] = cur
+        else:
+            del target[key]
 
 
 def addmul_into(target: dict, src: dict, factor) -> None:
@@ -146,3 +171,52 @@ def kernel_combos(pairs, one=Fraction(1)) -> list[dict]:
         if dep is not None:
             out.append(dep)
     return out
+
+
+def _integer_trace(trace) -> int:
+    """The trace as an int; anything but an integer constant is refused."""
+    if isinstance(trace, RatFunc):
+        if trace.den == (1,) and len(trace.num) <= 1:
+            return trace.num[0] if trace.num else 0
+    elif trace.denominator == 1:
+        return int(trace)
+    raise CertificateError(f"projector trace {trace} is not an integer")
+
+
+def invariant_dim(boundaries, cycles, actions, one=Fraction(1)) -> int:
+    """Dimension of the group-invariant part of span(cycles)/span(boundaries).
+
+    actions holds one chain-level map per group element, identity
+    included; each must send a cycle into span(cycles + boundaries).
+    Homology representatives are the cycles left independent once the
+    boundaries are absorbed; the answer is the trace of the averaging
+    projector (1/|G|) sum_g g on them, certified idempotent with an
+    integer trace.
+    """
+    tracked = TrackingEchelon(one)
+    for idx, img in enumerate(boundaries):
+        tracked.insert(img, ("b", idx))
+    reps = []
+    for cyc in cycles:
+        if tracked.insert(cyc, ("z", len(reps))) is None:
+            reps.append(cyc)
+    h = len(reps)
+    if not h:
+        return 0
+    zero = one - one
+    proj = [[zero] * h for _ in range(h)]
+    for act in actions:
+        for col, cyc in enumerate(reps):
+            residual, combo = tracked.express(act(cyc))
+            if residual:
+                raise CertificateError("group image of a cycle left the cycle space")
+            for (tag, row), val in combo.items():
+                if tag == "z":
+                    proj[row][col] = proj[row][col] + val
+    inv = one / len(actions)
+    proj = [[v * inv for v in row] for row in proj]
+    square = [[sum((proj[r][k] * proj[k][c] for k in range(h)), zero)
+               for c in range(h)] for r in range(h)]
+    if square != proj:
+        raise CertificateError("averaging operator is not idempotent")
+    return _integer_trace(sum((proj[r][r] for r in range(h)), zero))

@@ -32,6 +32,13 @@ class CheckReport:
         object.__setattr__(self, "lines", tuple(str(x) for x in self.lines))
 
     @classmethod
+    def from_checks(cls, name: str, checks) -> "CheckReport":
+        """One "[pass] " or "[FAIL] " line per (flag, text); passes iff all flags do."""
+        checks = list(checks)
+        lines = [("[pass] " if flag else "[FAIL] ") + text for flag, text in checks]
+        return cls(name, all(flag for flag, _ in checks), tuple(lines))
+
+    @classmethod
     def combine(cls, name: str, parts: list["CheckReport"]) -> "CheckReport":
         lines = []
         for p in parts:

@@ -46,6 +46,24 @@ def _validate(coh: BettiTable, d: int):
         raise ValueError("table support exceeds the duality dimension")
 
 
+def _partition_sum(table: BettiTable, shift: int, n: int) -> BettiTable:
+    """Sum over partitions of n; a part of size i, repeated p times,
+    contributes the p-th super symmetric power of table shifted up by
+    shift * (i - 1)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    powers: dict[int, list[BettiTable]] = {}
+    total = BettiTable({})
+    for lam in partitions(n):
+        term = BettiTable({0: 1})
+        for i, mult in lam.multiplicities().items():
+            if i not in powers:
+                powers[i] = super_sym_powers(table.shift(shift * (i - 1)), n // i)
+            term = term.tensor(powers[i][mult])
+        total = total.add(term)
+    return total
+
+
 def hh_homology_wreath(hom: BettiTable, n: int) -> BettiTable:
     """Homology table of the wreath product, from the homology table of A.
 
@@ -53,18 +71,7 @@ def hh_homology_wreath(hom: BettiTable, n: int) -> BettiTable:
     p-th super symmetric power of the table.  No degree shift appears in
     homology.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return BettiTable({0: 1})
-    powers = super_sym_powers(hom, n)
-    total = BettiTable({})
-    for lam in partitions(n):
-        term = BettiTable({0: 1})
-        for _, mult in lam.multiplicities().items():
-            term = term.tensor(powers[mult])
-        total = total.add(term)
-    return total
+    return _partition_sum(hom, 0, n)
 
 
 def hh_cohomology_wreath(coh: BettiTable, d: int, n: int) -> BettiTable:
@@ -74,20 +81,7 @@ def hh_cohomology_wreath(coh: BettiTable, d: int, n: int) -> BettiTable:
     shifted up by d(i-1).  The result is supported in [0, nd].
     """
     _validate(coh, d)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return BettiTable({0: 1})
-    cache: dict[int, list[BettiTable]] = {}
-    total = BettiTable({})
-    for lam in partitions(n):
-        term = BettiTable({0: 1})
-        for i, mult in lam.multiplicities().items():
-            if i not in cache:
-                cache[i] = super_sym_powers(coh.shift(d * (i - 1)), n // i)
-            term = term.tensor(cache[i][mult])
-        total = total.add(term)
-    return total
+    return _partition_sum(coh, d, n)
 
 
 def generating_series_sum(
@@ -110,6 +104,17 @@ def generating_series_sum(
     return out
 
 
+def _euler_product(factors, q_bound: int, t_bound: int) -> BiSeries:
+    """Expand prod_{m=1..q_bound} prod (1 + sign q^m t^{slope*m + offset})^power
+    over the (sign, slope, offset, power) factors, truncated at the bounds
+    (factors with m > q_bound cannot contribute)."""
+    out = BiSeries.one(q_bound, t_bound)
+    for m in range(1, q_bound + 1):
+        for sign, slope, offset, power in factors:
+            out = out.apply_factor(sign, m, slope * m + offset, power)
+    return out
+
+
 def generating_series_product(
     coh: BettiTable, d: int, q_bound: int, t_bound: int | None = None
 ) -> BiSeries:
@@ -117,22 +122,14 @@ def generating_series_product(
 
     prod_{m>=1} prod_k (1 - q^m t^{k+d(m-1)})^{-b_k}   for even k,
                 prod_k (1 + q^m t^{k+d(m-1)})^{+b_k}   for odd k,
-    truncated at q^q_bound (factors with m > q_bound cannot contribute).
+    truncated at q^q_bound.
     """
     _validate(coh, d)
     if t_bound is None:
         t_bound = d * q_bound
-    out = BiSeries.one(q_bound, t_bound)
-    dims = coh.dims()
-    for m in range(1, q_bound + 1):
-        for k in sorted(dims):
-            b = dims[k]
-            t_exp = k + d * (m - 1)
-            if k % 2 == 0:
-                out = out.apply_factor(-1, m, t_exp, -b)
-            else:
-                out = out.apply_factor(1, m, t_exp, b)
-    return out
+    factors = [(-1, d, k - d, -b) if k % 2 == 0 else (1, d, k - d, b)
+               for k, b in sorted(coh.dims().items())]
+    return _euler_product(factors, q_bound, t_bound)
 
 
 # The six classical series, transcribed literally as factor lists.
@@ -164,11 +161,7 @@ def closed_form(label: str, q_bound: int, t_bound: int | None = None) -> BiSerie
         raise ValueError(f"unknown closed form {label!r}")
     if t_bound is None:
         t_bound = 2 * q_bound
-    out = BiSeries.one(q_bound, t_bound)
-    for m in range(1, q_bound + 1):
-        for sign, slope, offset, power in _CLOSED_FORMS[label]:
-            out = out.apply_factor(sign, m, slope * m + offset, power)
-    return out
+    return _euler_product(_CLOSED_FORMS[label], q_bound, t_bound)
 
 
 def gamma_series(nu: int, q_bound: int, t_bound: int | None = None) -> BiSeries:
@@ -177,12 +170,7 @@ def gamma_series(nu: int, q_bound: int, t_bound: int | None = None) -> BiSeries:
         raise ValueError("nu must be a positive integer")
     if t_bound is None:
         t_bound = 2 * q_bound
-    out = BiSeries.one(q_bound, t_bound)
-    for m in range(1, q_bound + 1):
-        out = out.apply_factor(-1, m, 2 * (m - 1), -1)
-        if nu > 1:
-            out = out.apply_factor(-1, m, 2 * m, 1 - nu)
-    return out
+    return _euler_product([(-1, 2, -2, -1), (-1, 2, 0, 1 - nu)], q_bound, t_bound)
 
 
 def hilb_poincare(surface_coh: BettiTable, n: int) -> BettiTable:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wreath_hochschild import bruteforce, cli
 from wreath_hochschild.bruteforce import (
     AutoTwistedBimodule,
     FiniteDimAlgebra,
@@ -24,6 +25,8 @@ from wreath_hochschild.bruteforce import (
     tensor_power,
     verify_homolog_i,
 )
+from wreath_hochschild.linalg import CertificateError
+from wreath_hochschild.presets_io import CheckReport
 
 ONE = Fraction(1)
 
@@ -146,6 +149,24 @@ def test_hh_dims_basis_change_invariant():
         hh_dims(A, RegularBimodule(A), 2)
 
 
+def test_change_basis_singular():
+    A = FiniteDimAlgebra.truncated_polynomial(3)
+    cols = [{0: ONE}, {0: ONE, 1: ONE}, {1: Fraction(2), 0: Fraction(2)}]
+    with pytest.raises(ValueError, match="singular"):
+        A.change_basis(cols)
+    with pytest.raises(ValueError, match="singular"):
+        A.change_basis([{0: ONE}, {}, {2: ONE}])
+
+
+def test_change_basis_round_trip():
+    A = FiniteDimAlgebra.truncated_polynomial(3)
+    cols = [{0: ONE, 1: Fraction(2)}, {1: Fraction(-1), 2: ONE}, {0: ONE, 2: Fraction(3)}]
+    conj = A.change_basis(cols)
+    back = conj.change_basis(bruteforce._invert(cols))
+    assert back.table == A.table
+    assert back.unit == A.unit
+
+
 def test_size_cap(monkeypatch):
     A = z2_algebra()
     M = RegularBimodule(A)
@@ -265,3 +286,18 @@ def test_afls_sign_action_small_levels():
     G = GroupAction.generate(B, [sign_action(3)])
     rep = afls_check(B, G, max_level=1)
     assert rep.passed, rep.lines
+
+
+def test_non_cycle_sample_is_a_certificate_error(monkeypatch, capsys):
+    def not_cycles(B, M, level, count, rng):
+        # leg 1 is a non-unit group element, so d(1; 0) = e1 - rot(e1) != 0
+        return [{(1,) * level + (0,): ONE}]
+
+    monkeypatch.setattr(bruteforce, "_random_cycles", not_cycles)
+    with pytest.raises(CertificateError, match="not a cycle"):
+        homotopy_identity_check(z2_algebra(), 2, 2)
+    # the slow twisted-coefficient reductions are not under test here
+    monkeypatch.setattr(cli, "verify_homolog_i",
+                        lambda A, n, max_level: CheckReport("stub", True))
+    assert cli.main(["verify", "bruteforce"]) == 1
+    assert "error:" in capsys.readouterr().err

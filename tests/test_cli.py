@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from wreath_hochschild import cli
@@ -102,3 +104,11 @@ def test_verify_reports_failure_exit(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "cherednik")
     assert code == 1
     assert "FAIL stub" in out
+
+
+@pytest.mark.parametrize("suite", ["wreath", "cherednik"])
+def test_verify_report_text_is_pinned(capsys, suite):
+    code, out, _ = run(capsys, "verify", suite)
+    assert code == 0
+    golden = Path(__file__).parent / "data" / f"verify_{suite}.txt"
+    assert out.encode() == golden.read_bytes()

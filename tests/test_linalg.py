@@ -1,10 +1,16 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from wreath_hochschild.linalg import (
+    CertificateError,
     Echelon,
     TrackingEchelon,
+    _integer_trace,
+    add_term,
     addmul_into,
+    invariant_dim,
     kernel_combos,
     rank_of,
 )
@@ -51,6 +57,14 @@ def test_addmul_into():
     assert a == {1: Fraction(4), 2: Fraction(3)}
     addmul_into(a, {5: Fraction(1)}, Fraction(0))
     assert 5 not in a
+
+
+def test_add_term():
+    a = {0: Fraction(1)}
+    add_term(a, 1, Fraction(2))
+    add_term(a, 0, Fraction(-1))
+    add_term(a, 2, Fraction(0))
+    assert a == {1: Fraction(2)}
 
 
 def test_rank_against_dense():
@@ -151,3 +165,59 @@ def test_deterministic_pivoting():
         e1.insert(dict(r))
         e2.insert(dict(r))
     assert e1.pivots == e2.pivots
+
+
+ONE = Fraction(1)
+
+
+def identity(vec):
+    return vec
+
+
+def swap(vec):
+    return {1 - k: c for k, c in vec.items()}
+
+
+def test_invariant_dim_averages_the_action():
+    cycles = [{0: ONE}, {1: ONE}]
+    assert invariant_dim([], cycles, [identity]) == 2
+    assert invariant_dim([], cycles, [identity, swap]) == 1
+    # e0 + e1 is a boundary: one class left, on which the swap acts by -1
+    boundary = [{0: ONE, 1: ONE}]
+    assert invariant_dim(boundary, cycles, [identity]) == 1
+    assert invariant_dim(boundary, cycles, [identity, swap]) == 0
+
+
+def test_invariant_dim_rejects_action_leaving_cycle_span():
+    def shift_out(vec):
+        return {k + 1: c for k, c in vec.items()}
+
+    with pytest.raises(CertificateError):
+        invariant_dim([], [{0: ONE}], [identity, shift_out])
+
+
+def test_invariant_dim_over_rational_functions():
+    one = RatFunc.from_int(1)
+    q = RatFunc.variable()
+
+    def q_swap(vec):
+        # e0 -> q e1, e1 -> q^-1 e0: an involution fixing e0 + q e1
+        out = {}
+        if 0 in vec:
+            out[1] = vec[0] * q
+        if 1 in vec:
+            out[0] = vec[1] / q
+        return out
+
+    cycles = [{0: one}, {1: one}]
+    assert invariant_dim([], cycles, [identity, q_swap], one) == 1
+
+
+def test_trace_must_be_an_integer_constant():
+    q = RatFunc.variable()
+    assert _integer_trace(RatFunc.from_int(3)) == 3
+    assert _integer_trace(RatFunc.from_int(0)) == 0
+    assert _integer_trace(Fraction(2)) == 2
+    for bad in (q, RatFunc.from_int(1) / q, (q + 1) / 2, Fraction(1, 2)):
+        with pytest.raises(CertificateError):
+            _integer_trace(bad)
