@@ -10,8 +10,10 @@ Subcommands
 
 Exit codes: 0 success, 1 verification failure (including an internal
 certificate that did not hold), 2 usage error.  Error messages go to
-standard error.  The brute-force size cap honours the HH_SIZE_CAP
-environment variable; randomized suites take --seed.
+standard error.  A verification suite that raises is reported as a
+failed check, and the remaining suites still run.  The brute-force size
+cap honours the HH_SIZE_CAP environment variable; randomized suites take
+--seed.
 """
 
 import argparse
@@ -239,7 +241,14 @@ def _cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
-        for rep in _SUITES[name](args.seed):
+        try:
+            reports = _SUITES[name](args.seed)
+        except RuntimeError as exc:
+            # an internal certificate or size cap failed: record it, run the rest
+            print(f"error: {exc}", file=sys.stderr)
+            reports = [CheckReport.from_checks(
+                f"verify {name}", [(False, f"{type(exc).__name__}: {exc}")])]
+        for rep in reports:
             sys.stdout.buffer.write(emit(rep, "plain"))
             sys.stdout.buffer.flush()
             all_ok = all_ok and rep.passed

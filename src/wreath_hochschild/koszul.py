@@ -555,12 +555,13 @@ def crossed_z2_cohomology(kind: str, window=10):
 
 def _ae_mul(kind: str, f: dict, g: dict) -> dict:
     out: dict = {}
+    one = _one(kind)
     for (k1, k2), cf in f.items():
-        m1 = RankOneElement(kind, {k1: _one(kind)})
-        m2 = RankOneElement(kind, {k2: _one(kind)})
+        m1 = RankOneElement(kind, {k1: one})
+        m2 = RankOneElement(kind, {k2: one})
         for (l1, l2), cg in g.items():
-            n1 = RankOneElement(kind, {l1: _one(kind)})
-            n2 = RankOneElement(kind, {l2: _one(kind)})
+            n1 = RankOneElement(kind, {l1: one})
+            n2 = RankOneElement(kind, {l2: one})
             left = multiply(m1, n1)
             right = multiply(n2, m2)
             cc = cf * cg

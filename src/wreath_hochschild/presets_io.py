@@ -84,7 +84,9 @@ def emit(obj, format: str = "json") -> bytes:
     """Serialize a BiSeries, BettiTable, or CheckReport.
 
     Formats: json (round-trips via parse), csv (rows (n, i, dim) for a
-    series, (degree, dim) for a table), plain (human-readable).
+    series, (degree, dim) for a table; a series' truncation bounds are not
+    written, so parse recovers its terms but not its bounds), plain
+    (human-readable).
     """
     if format not in ("json", "csv", "plain"):
         raise ValueError(f"unknown format {format!r}")
@@ -154,7 +156,12 @@ def _json_bytes(doc: dict) -> bytes:
 
 
 def parse(data: bytes):
-    """Inverse of emit for the json and csv formats."""
+    """Inverse of emit for the json format; for csv, inverse up to bounds.
+
+    A csv table comes back equal.  A csv series comes back with the same
+    terms, but its q_bound and t_bound are the largest n and i among the
+    rows present (0 when there are none), not the bounds it was emitted with.
+    """
     text = data.decode()
     stripped = text.lstrip()
     if stripped.startswith("{"):

@@ -1,11 +1,20 @@
 """Exact rational functions in one variable q with integer coefficients.
 
-Scalars for the q-deformed computations.  Every value is kept fully
-reduced: numerator and denominator are integer polynomials with no
-common factor (computed by a primitive-part Euclidean gcd), the shared
-integer content is divided out, and the denominator has positive leading
-coefficient.  Reducing at construction keeps Gaussian elimination chains
-from blowing up in degree.
+Scalars for the q-deformed computations.  Every value is kept in one
+canonical form: numerator and denominator are integer polynomials with
+no common factor, the shared integer content is divided out, and the
+denominator has positive leading coefficient; zero is 0/1.  Reducing at
+construction keeps Gaussian elimination chains from blowing up in degree,
+and makes equality a comparison of tuples.
+
+`_reduce` reaches that form by the shortest exact route:
+
+* denominator 1: nothing can cancel, the pair is already canonical;
+* monomial denominator c*q^k: the polynomial gcd is q^min(k, v), v the
+  valuation of the numerator, so a slice removes it;
+* anything else: a primitive-part Euclidean gcd and exact division.
+
+The integer content and sign steps follow the last two routes.
 """
 
 from __future__ import annotations
@@ -39,6 +48,11 @@ def _neg(a):
 def _mul(a, b):
     if not a or not b:
         return ()
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else tuple(c * x for x in a)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -108,6 +122,33 @@ def _exact_div(a, b):
     return _strip(q)
 
 
+def _reduce(num, den):
+    """Canonical (num, den) of num/den, for stripped int tuples with den != ()."""
+    if not num:
+        return (), (1,)
+    if den == (1,):
+        return num, den
+    if not any(den[:-1]):
+        # den = c*q^k: the polynomial gcd is q^min(k, valuation of num)
+        m = 0
+        while m < len(den) - 1 and not num[m]:
+            m += 1
+        if m:
+            num, den = num[m:], den[m:]
+    else:
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            num = _exact_div(num, g)
+            den = _exact_div(den, g)
+    c = math.gcd(_content(num), _content(den))
+    if c > 1:
+        num = tuple(x // c for x in num)
+        den = tuple(x // c for x in den)
+    if den[-1] < 0:
+        num, den = _neg(num), _neg(den)
+    return num, den
+
+
 class RatFunc:
     """num/den as reduced integer polynomials in q."""
 
@@ -118,21 +159,7 @@ class RatFunc:
         den = _strip(tuple(int(c) for c in den))
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = (1,)
-        else:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _exact_div(num, g)
-                den = _exact_div(den, g)
-            c = math.gcd(_content(num), _content(den))
-            if c > 1:
-                num = tuple(x // c for x in num)
-                den = tuple(x // c for x in den)
-            if den[-1] < 0:
-                num, den = _neg(num), _neg(den)
-        self.num = num
-        self.den = den
+        self.num, self.den = _reduce(num, den)
 
     # -- constructors ------------------------------------------------
 
@@ -171,7 +198,10 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(
+        if self.den == o.den:
+            # still reduced: a/d + b/d can share a factor with d
+            return _new(_add(self.num, o.num), self.den)
+        return _new(
             _add(_mul(self.num, o.den), _mul(o.num, self.den)),
             _mul(self.den, o.den),
         )
@@ -200,7 +230,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(_mul(self.num, o.num), _mul(self.den, o.den))
+        return _new(_mul(self.num, o.num), _mul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -208,13 +238,17 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(_mul(self.num, o.den), _mul(self.den, o.num))
+        if not o.num:
+            raise ZeroDivisionError("division by zero")
+        return _new(_mul(self.num, o.den), _mul(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(_mul(o.num, self.den), _mul(o.den, self.num))
+        if not self.num:
+            raise ZeroDivisionError("division by zero")
+        return _new(_mul(o.num, self.den), _mul(o.den, self.num))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -250,6 +284,13 @@ class RatFunc:
     def __repr__(self):
         n, d = _poly_str(self.num), _poly_str(self.den)
         return n if self.den == (1,) else f"({n})/({d})"
+
+
+def _new(num, den) -> RatFunc:
+    """RatFunc from stripped int tuples (arithmetic results), skipping __init__."""
+    out = object.__new__(RatFunc)
+    out.num, out.den = _reduce(num, den)
+    return out
 
 
 def _poly_str(p) -> str:

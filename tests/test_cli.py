@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from wreath_hochschild import cli
+from wreath_hochschild.bruteforce import SizeCapExceeded
 from wreath_hochschild.presets_io import CheckReport, load_preset, parse
 from wreath_hochschild.wreath import generating_series_product
 
@@ -104,6 +105,26 @@ def test_verify_reports_failure_exit(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "cherednik")
     assert code == 1
     assert "FAIL stub" in out
+
+
+def test_verify_all_continues_past_a_raising_suite(monkeypatch, capsys):
+    def capped(seed):
+        raise SizeCapExceeded("bar level 3 needs 10^9 entries")
+
+    for name in list(cli._SUITES):
+        monkeypatch.setitem(cli._SUITES, name,
+                            lambda seed, name=name: [CheckReport(f"{name} stub", True)])
+    monkeypatch.setitem(cli._SUITES, "bruteforce", capped)
+    code, out, err = run(capsys, "verify", "all")
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS wreath stub",
+        "FAIL verify bruteforce",
+        "  [FAIL] SizeCapExceeded: bar level 3 needs 10^9 entries",
+        "PASS koszul stub",
+        "PASS cherednik stub",
+    ]
+    assert "error: bar level 3 needs 10^9 entries" in err
 
 
 @pytest.mark.parametrize("suite", ["wreath", "cherednik"])

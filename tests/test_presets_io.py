@@ -79,6 +79,17 @@ def test_csv_roundtrip_terms():
     assert parse(emit(table, "csv")) == table
 
 
+def test_csv_series_bounds_are_the_largest_degrees_present():
+    # csv carries terms only, and no term of PA up to q^3 reaches t^5 or t^6
+    series = closed_form("PA", 3)
+    assert (series.q_bound, series.t_bound) == (3, 6)
+    back = parse(emit(series, "csv"))
+    assert list(back.terms()) == list(series.terms())
+    assert (back.q_bound, back.t_bound) == (3, 4)
+    assert back != series
+    assert parse(emit(back, "csv")) == back
+
+
 def test_emit_deterministic():
     series = closed_form("PB_trig", 4)
     assert emit(series, "json") == emit(series, "json")

@@ -1,7 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
-from wreath_hochschild.ratfunc import RatFunc
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wreath_hochschild.ratfunc import RatFunc, _content, _exact_div, _pgcd, _strip
 
 
 def rand_ratfunc(rng, deg=3):
@@ -84,15 +89,142 @@ def test_evaluation_is_homomorphism():
 
 
 def test_zero_denominator_rejected():
-    try:
+    q = RatFunc.variable()
+    zero = RatFunc.from_int(0)
+    with pytest.raises(ZeroDivisionError):
         RatFunc((1,), ())
-    except ZeroDivisionError:
-        pass
-    else:
-        assert False
+    with pytest.raises(ZeroDivisionError):
+        q / 0
+    with pytest.raises(ZeroDivisionError):
+        q / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / zero
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
 
 
 def test_repr_readable():
     q = RatFunc.variable()
     assert repr(q + 1) == "1 + q"
     assert repr(1 / (1 - q)) in ("(1)/(1 - q)", "(-1)/(-1 + q)")
+
+
+# -- canonical form -----------------------------------------------------
+#
+# reference() is the generic reduction every value went through before the
+# denominator shortcuts: gcd of primitive parts, exact division, then the
+# integer content and sign steps.  The shortcuts must land on the same pair.
+
+
+def reference(num, den):
+    num, den = _strip(tuple(num)), _strip(tuple(den))
+    if not num:
+        return (), (1,)
+    g = _pgcd(num, den)
+    if len(g) > 1:
+        num, den = _exact_div(num, g), _exact_div(den, g)
+    c = math.gcd(_content(num), _content(den))
+    if c > 1:
+        num, den = tuple(x // c for x in num), tuple(x // c for x in den)
+    if den[-1] < 0:
+        num, den = tuple(-x for x in num), tuple(-x for x in den)
+    return num, den
+
+
+def pmul(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def padd(a, b):
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
+def pair(r):
+    return r.num, r.den
+
+
+coeffs = st.integers(-6, 6)
+polys = st.lists(coeffs, max_size=4)
+monomials = st.builds(lambda c, k: [0] * k + [c], coeffs.filter(bool), st.integers(0, 3))
+# unit, monomial and general denominators, each route of the reduction
+dens = st.one_of(st.just([1]), monomials, polys.filter(any))
+
+
+@st.composite
+def fractions_with_common_factor(draw):
+    shared = draw(dens)
+    return pmul(draw(polys), shared), pmul(draw(dens), shared)
+
+
+ratfuncs = fractions_with_common_factor().map(lambda nd: RatFunc(*nd))
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(fractions_with_common_factor())
+def test_construction_matches_reference(nd):
+    assert pair(RatFunc(*nd)) == reference(*nd)
+
+
+@PROPERTY
+@given(ratfuncs, ratfuncs)
+def test_arithmetic_matches_reference(a, b):
+    cross = pmul(a.den, b.den)
+    assert pair(a + b) == reference(padd(pmul(a.num, b.den), pmul(b.num, a.den)), cross)
+    assert pair(a - b) == reference(
+        padd(pmul(a.num, b.den), pmul([-x for x in b.num], a.den)), cross)
+    assert pair(a * b) == reference(pmul(a.num, b.num), cross)
+    if b:
+        assert pair(a / b) == reference(pmul(a.num, b.den), pmul(a.den, b.num))
+
+
+@PROPERTY
+@given(ratfuncs, ratfuncs, ratfuncs)
+def test_field_laws(a, b, c):
+    zero, one = RatFunc.from_int(0), RatFunc.from_int(1)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a + (-a) == zero and a - b == -(b - a)
+    if a:
+        assert a * (1 / a) == one and a / a == one
+        assert pair(1 / a) == reference(a.den, a.num)
+
+
+@pytest.mark.parametrize("num, den, want", [
+    # unit denominator: already canonical
+    ((0, 0, 5), (1,), ((0, 0, 5), (1,))),
+    # constant denominator: content and sign only
+    ((6, 3), (-3,), ((-2, -1), (1,))),
+    ((0, 1), (-3,), ((0, -1), (3,))),
+    # den = +-2 q^2; numerator valuation below, equal to and above k = 2
+    ((1, 2), (0, 0, 2), ((1, 2), (0, 0, 2))),
+    ((0, 0, 3, 1), (0, 0, 2), ((3, 1), (2,))),
+    ((0, 0, 0, 4), (0, 0, 2), ((0, 2), (1,))),
+    ((1, 2), (0, 0, -2), ((-1, -2), (0, 0, 2))),
+    ((0, 0, 3, 1), (0, 0, -2), ((-3, -1), (2,))),
+    ((0, 0, 0, 4), (0, 0, -2), ((0, -2), (1,))),
+])
+def test_monomial_and_unit_denominators(num, den, want):
+    assert pair(RatFunc(num, den)) == want == reference(num, den)
+    # the same values reached by arithmetic
+    assert pair(RatFunc(num) / RatFunc(den)) == want
+    assert pair(RatFunc(num) * (1 / RatFunc(den))) == want
+
+
+def test_same_denominator_sum_cancels():
+    q = RatFunc.variable()
+    total = q / (q + 1) + 1 / (q + 1)
+    assert pair(total) == ((1,), (1,))
+    assert total == 1
