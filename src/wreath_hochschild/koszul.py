@@ -28,8 +28,6 @@ occur.
 
 from __future__ import annotations
 
-import itertools
-import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -39,6 +37,7 @@ from .linalg import (
     addmul_into,
     invariant_dim,
     kernel_combos,
+    rank_modulo,
     rank_of,
 )
 from .presets_io import CheckReport
@@ -319,6 +318,21 @@ def _build_operators(kind: str, twist: str):
     return u, w
 
 
+def _join(e0: dict, e1: dict) -> dict:
+    """Level-1 vector {(slot, key): coeff} from the slot-0 and slot-1 parts."""
+    out = {(0, k): v for k, v in e0.items()}
+    out.update(((1, k), v) for k, v in e1.items())
+    return out
+
+
+def _split(kind: str, vec: dict):
+    """The two slot components of a level-1 vector, as elements."""
+    slots: tuple = ({}, {})
+    for (i, k), v in vec.items():
+        slots[i][k] = v
+    return RankOneElement(kind, slots[0]), RankOneElement(kind, slots[1])
+
+
 def _complex_columns(kind: str, twist: str, N: int):
     """Columns of d0 and d1 over the full window basis.
 
@@ -333,22 +347,10 @@ def _complex_columns(kind: str, twist: str, N: int):
     for s in full:
         m = RankOneElement.monomial(kind, *s)
         um, wm = u(m), w(m)
-        col = {}
-        for k, v in um.terms.items():
-            col[(0, k)] = v
-        for k, v in wm.terms.items():
-            col[(1, k)] = v
-        d0[s] = col
-        d1[(0, s)] = dict(wm.terms)
+        d0[s] = _join(um.terms, wm.terms)
+        d1[(0, s)] = wm.terms
         d1[(1, s)] = {k: -v for k, v in um.terms.items()}
     return d0, d1, full
-
-
-def _apply_level1(u, w, vec: dict, kind: str) -> dict:
-    """d1 on a level-1 vector {(slot, key): coeff}."""
-    m1 = RankOneElement(kind, {k: v for (i, k), v in vec.items() if i == 0})
-    m2 = RankOneElement(kind, {k: v for (i, k), v in vec.items() if i == 1})
-    return dict((w(m1) - u(m2)).terms)
 
 
 def build_cochain_complex(kind: str, twist: str, window):
@@ -361,7 +363,10 @@ def build_cochain_complex(kind: str, twist: str, window):
     win = _window(window)
     d0, d1, full = _complex_columns(kind, twist, win.N)
     u, w = _build_operators(kind, twist)
-    composite = {s: _apply_level1(u, w, d0[s], kind) for s in full}
+    composite = {}
+    for s in full:
+        m1, m2 = _split(kind, d0[s])
+        composite[s] = (w(m1) - u(m2)).terms
     return d0, d1, composite
 
 
@@ -378,17 +383,24 @@ def _windowed_dims(kind: str, twist: str, N: int):
     margin1 = [(i, s) for i in (0, 1) for s in margin]
     k1 = len(margin1) - rank_of(d1[key] for key in margin1)
     # boundaries from the full window that land inside the margin span
-    r_im = rank_of(d0[s] for s in full)
-    aug = itertools.chain((d0[s] for s in full),
-                          ({key: one} for key in margin1))
-    i1 = r_im + len(margin1) - rank_of(aug)
+    i1 = len(margin1) - rank_modulo((d0[s] for s in full), margin1, one)
     h1 = k1 - i1
 
-    r_d1 = rank_of(d1[key] for key in d1)
-    aug2 = itertools.chain((d1[key] for key in d1),
-                           ({k: one} for k in margin))
-    h2 = rank_of(aug2) - r_d1
+    h2 = rank_modulo(d1.values(), margin, one)
     return (h0, h1, h2)
+
+
+def _stable(label: str, dims_at, window):
+    """dims_at(N) on the window N, re-checked at N-2 when that window is
+    admissible; a mismatch raises WindowInstability."""
+    win = _window(window)
+    dims = dims_at(win.N)
+    if win.N - 2 >= 4:
+        inner = dims_at(win.N - 2)
+        if inner != dims:
+            raise WindowInstability(
+                f"{label}: dims {dims} at N={win.N} but {inner} at N={win.N - 2}")
+    return dims
 
 
 def hh_cohomology_rank_one(kind: str, twist: str = "id", window=10):
@@ -397,14 +409,8 @@ def hh_cohomology_rank_one(kind: str, twist: str = "id", window=10):
     Dimensions are computed at window N and re-checked at N-2 (when that
     window is admissible); a mismatch raises WindowInstability.
     """
-    win = _window(window)
-    dims = _windowed_dims(kind, twist, win.N)
-    if win.N - 2 >= 4:
-        inner = _windowed_dims(kind, twist, win.N - 2)
-        if inner != dims:
-            raise WindowInstability(
-                f"{kind}/{twist}: dims {dims} at N={win.N} but {inner} at N={win.N - 2}")
-    return dims
+    return _stable(f"{kind}/{twist}",
+                   lambda N: _windowed_dims(kind, twist, N), window)
 
 
 def _sector_involution(kind: str, twist: str):
@@ -449,25 +455,6 @@ def _sector_involution(kind: str, twist: str):
     return plain, (slot0, slot1), rho2
 
 
-def _vec_of(el: RankOneElement) -> dict:
-    return dict(el.terms)
-
-
-def _level1_vec(e0: RankOneElement, e1: RankOneElement) -> dict:
-    out = {}
-    for k, v in e0.terms.items():
-        out[(0, k)] = v
-    for k, v in e1.terms.items():
-        out[(1, k)] = v
-    return out
-
-
-def _rho_on_level1(rho1, vec: dict, kind: str) -> dict:
-    m1 = RankOneElement(kind, {k: v for (i, k), v in vec.items() if i == 0})
-    m2 = RankOneElement(kind, {k: v for (i, k), v in vec.items() if i == 1})
-    return _level1_vec(rho1[0](m1), rho1[1](m2))
-
-
 def _verify_involution(kind: str, twist: str, N: int) -> None:
     """Certify the symmetry maps are involutive chain maps on the margin."""
     u, w = _build_operators(kind, twist)
@@ -501,13 +488,14 @@ def _invariant_sector_dims(kind: str, twist: str, N: int):
     margin1 = [(i, s) for i in (0, 1) for s in margin]
 
     def rho_level0(vec):
-        return _vec_of(rho0(RankOneElement(kind, vec)))
+        return rho0(RankOneElement(kind, vec)).terms
 
     def rho_level1(vec):
-        return _rho_on_level1(rho1, vec, kind)
+        m1, m2 = _split(kind, vec)
+        return _join(rho1[0](m1).terms, rho1[1](m2).terms)
 
     def rho_level2(vec):
-        return _vec_of(rho2(RankOneElement(kind, vec)))
+        return rho2(RankOneElement(kind, vec)).terms
 
     def identity(vec):
         return vec
@@ -525,20 +513,13 @@ def _invariant_sector_dims(kind: str, twist: str, N: int):
 def crossed_z2_cohomology(kind: str, window=10):
     """Hochschild cohomology dimensions of the order-2 crossed product,
     assembled as invariants of the untwisted plus twisted sectors."""
-    win = _window(window)
 
     def total(N):
         a = _invariant_sector_dims(kind, "id", N)
         b = _invariant_sector_dims(kind, "eps", N)
         return tuple(x + y for x, y in zip(a, b))
 
-    dims = total(win.N)
-    if win.N - 2 >= 4:
-        inner = total(win.N - 2)
-        if inner != dims:
-            raise WindowInstability(
-                f"{kind} crossed: dims {dims} at N={win.N} but {inner} at N={win.N - 2}")
-    return dims
+    return _stable(f"{kind} crossed", total, window)
 
 
 # --- self-duality of the Koszul bimodule complex ---------------------------
@@ -555,18 +536,13 @@ def crossed_z2_cohomology(kind: str, window=10):
 
 def _ae_mul(kind: str, f: dict, g: dict) -> dict:
     out: dict = {}
-    one = _one(kind)
     for (k1, k2), cf in f.items():
-        m1 = RankOneElement(kind, {k1: one})
-        m2 = RankOneElement(kind, {k2: one})
         for (l1, l2), cg in g.items():
-            n1 = RankOneElement(kind, {l1: one})
-            n2 = RankOneElement(kind, {l2: one})
-            left = multiply(m1, n1)
-            right = multiply(n2, m2)
+            left = _mono_mul(kind, *k1, *l1)
+            right = _mono_mul(kind, *l2, *k2)
             cc = cf * cg
-            for a, va in left.terms.items():
-                for b, vb in right.terms.items():
+            for a, va in left.items():
+                for b, vb in right.items():
                     add_term(out, (a, b), cc * va * vb)
     return out
 
@@ -681,15 +657,10 @@ def duality_check(kind: str, window=None) -> CheckReport:
         el = {xi: one}
         xu = _ae_mul(kind, el, u)
         xw = _ae_mul(kind, el, w)
-        d1cols[xi] = {(0, k): v for k, v in xw.items()}
-        for k, v in xu.items():
-            d1cols[xi][(1, k)] = -v
+        d1cols[xi] = _join(xw, {k: -v for k, v in xu.items()})
         d0cols[(0, xi)] = xu
         d0cols[(1, xi)] = xw
-        m1, m2 = xi
-        prod = multiply(RankOneElement(kind, {m1: one}),
-                        RankOneElement(kind, {m2: one}))
-        mucols[xi] = dict(prod.terms)
+        mucols[xi] = _mono_mul(kind, *xi[0], *xi[1])
 
     margin1 = [(i, xi) for i in (0, 1) for xi in margin]
 
@@ -699,20 +670,14 @@ def duality_check(kind: str, window=None) -> CheckReport:
 
     # exactness in the middle: margin kernel of d0 = windowed image of d1
     n0 = len(margin1) - rank_of(d0cols[key] for key in margin1)
-    r_d1 = rank_of(d1cols[xi] for xi in basis)
-    aug = itertools.chain((d1cols[xi] for xi in basis),
-                          ({key: one} for key in margin1))
-    im1 = r_d1 + len(margin1) - rank_of(aug)
+    im1 = len(margin1) - rank_modulo(d1cols.values(), margin1, one)
     checks.append((n0 == im1, "margin kernel of the first differential equals the "
                               "windowed image of the second"))
 
     # exactness at the algebra spot: margin kernel of the multiplication
     # map = windowed image of d0
     nmu = len(margin) - rank_of(mucols[xi] for xi in margin)
-    r_d0 = rank_of(d0cols[key] for key in d0cols)
-    aug = itertools.chain((d0cols[key] for key in d0cols),
-                          ({xi: one} for xi in margin))
-    im0 = r_d0 + len(margin) - rank_of(aug)
+    im0 = len(margin) - rank_modulo(d0cols.values(), margin, one)
     checks.append((nmu == im0, "margin kernel of the multiplication map equals the "
                                "windowed image of the first differential"))
 
@@ -723,9 +688,7 @@ def duality_check(kind: str, window=None) -> CheckReport:
         el = {xi: one}
         lcols.append(_ae_mul(kind, u, el))
         lcols.append(_ae_mul(kind, w, el))
-    r_l = rank_of(iter(lcols))
-    aug = itertools.chain(iter(lcols), ({xi: one} for xi in margin))
-    codim = rank_of(aug) - r_l
+    codim = rank_modulo(lcols, margin, one)
     algebra_margin = len(window_keys(kind, N - 2))
     checks.append((codim == algebra_margin,
                    "top dual cohomology on the margin has the dimension of the "

@@ -11,10 +11,11 @@ TrackingEchelon needs the field's unit to seed dependency combos; it
 defaults to Fraction(1) and must be passed explicitly for other fields
 (int 1 is not safe: int/int division would leave the field).
 
-add_term is the single-entry form of addmul_into.  invariant_dim is the
-one averaging-projector certificate: the dimension of the part of a
-homology space fixed by a finite group.  An exact internal check that
-does not hold raises CertificateError.
+add_term is the single-entry form of addmul_into.  rank_modulo is the
+dimension of a span of unit vectors modulo a span of vectors, from one
+elimination.  invariant_dim is the one averaging-projector certificate:
+the dimension of the part of a homology space fixed by a finite group.
+An exact internal check that does not hold raises CertificateError.
 """
 
 from __future__ import annotations
@@ -99,6 +100,17 @@ def rank_of(vectors) -> int:
     for v in vectors:
         ech.insert(v)
     return ech.rank
+
+
+def rank_modulo(vectors, keys, one=Fraction(1)) -> int:
+    """dim of span{e_k : k in keys} modulo span(vectors)."""
+    ech = Echelon()
+    for v in vectors:
+        ech.insert(v)
+    base = ech.rank
+    for k in keys:
+        ech.insert({k: one})
+    return ech.rank - base
 
 
 class TrackingEchelon:

@@ -175,8 +175,8 @@ class RatFunc:
     def q_power(cls, k: int) -> "RatFunc":
         """q^k for any integer k (negative k gives 1/q^{-k})."""
         if k >= 0:
-            return cls((0,) * k + (1,))
-        return cls((1,), (0,) * (-k) + (1,))
+            return _new((0,) * k + (1,), (1,))
+        return _new((1,), (0,) * (-k) + (1,))
 
     @classmethod
     def variable(cls) -> "RatFunc":

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from wreath_hochschild import koszul
 from wreath_hochschild.koszul import (
     FilteredWindow,
     RankOneElement,
+    WindowInstability,
     build_cochain_complex,
     crossed_z2_cohomology,
     duality_check,
@@ -136,8 +138,47 @@ def test_crossed_product_dimensions():
     assert crossed_z2_cohomology("qweyl", 8) == (1, 0, 5)
 
 
+def test_window_instability(monkeypatch):
+    calls = []
+
+    def drifting(kind, twist, N):
+        calls.append(N)
+        return (N, 0, 0)
+
+    monkeypatch.setattr(koszul, "_windowed_dims", drifting)
+    monkeypatch.setattr(koszul, "_invariant_sector_dims", drifting)
+    with pytest.raises(WindowInstability) as err:
+        hh_cohomology_rank_one("weyl", "id", 6)
+    assert str(err.value) == "weyl/id: dims (6, 0, 0) at N=6 but (4, 0, 0) at N=4"
+    with pytest.raises(WindowInstability) as err:
+        crossed_z2_cohomology("weyl", 6)
+    assert str(err.value) == "weyl crossed: dims (12, 0, 0) at N=6 but (8, 0, 0) at N=4"
+    # windows 4 and 5 have no admissible N-2 window, so nothing is rechecked
+    for N in (4, 5):
+        calls.clear()
+        assert hh_cohomology_rank_one("weyl", "id", N) == (N, 0, 0)
+        assert calls == [N]
+        calls.clear()
+        assert crossed_z2_cohomology("weyl", N) == (2 * N, 0, 0)
+        assert calls == [N, N]
+
+
+DUALITY_LINES = (
+    "[pass] u and w commute in the enveloping algebra",
+    "[pass] factor swap sends u, w to unit multiples of themselves",
+    "[pass] consecutive differentials compose to zero on the full window",
+    "[pass] dual differentials match the swap-transported Koszul matrices",
+    "[pass] second differential is injective on the margin",
+    "[pass] margin kernel of the first differential equals the windowed image of the second",
+    "[pass] margin kernel of the multiplication map equals the windowed image of the "
+    "first differential",
+    "[pass] top dual cohomology on the margin has the dimension of the windowed algebra",
+)
+
+
 def test_duality_reports():
     for kind in ("weyl", "trig", "qweyl"):
         rep = duality_check(kind)
         assert rep.passed, (kind, rep.lines)
         assert rep.name == f"koszul self-duality {kind}"
+        assert rep.lines == DUALITY_LINES

@@ -12,6 +12,7 @@ from wreath_hochschild.linalg import (
     addmul_into,
     invariant_dim,
     kernel_combos,
+    rank_modulo,
     rank_of,
 )
 from wreath_hochschild.ratfunc import RatFunc
@@ -73,6 +74,32 @@ def test_rank_against_dense():
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
         rows = random_sparse(rng, nrows, ncols)
         assert rank_of(rows) == dense_rank(rows, ncols)
+
+
+def test_rank_modulo_against_rank_of():
+    rng = random.Random(37)
+    for _ in range(25):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        rows = random_sparse(rng, nrows, ncols)
+        keys = rng.sample(range(ncols), rng.randint(0, ncols))
+        units = [{k: Fraction(1)} for k in keys]
+        want = rank_of(rows + units) - rank_of(rows)
+        assert rank_modulo(rows, keys) == want
+        assert rank_modulo(iter(rows), keys) == want
+
+
+def test_rank_modulo_keys_in_span_give_zero():
+    rows = [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(3)}]
+    assert rank_modulo(rows, [0, 1]) == 0
+    assert rank_modulo((r for r in rows), [1, 2]) == 1
+
+
+def test_rank_modulo_over_rational_functions():
+    q = RatFunc.variable()
+    one = RatFunc.from_int(1)
+    # span{[1, q]} leaves one of e0, e1 free and all of e2
+    rows = [{0: one, 1: q}, {0: q, 1: q * q}]
+    assert rank_modulo(rows, [0, 1, 2], one) == 2
 
 
 def test_echelon_reduce_membership():

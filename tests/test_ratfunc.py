@@ -44,6 +44,10 @@ def test_q_power():
     assert RatFunc.q_power(3) == q * q * q
     assert RatFunc.q_power(-2) * q * q == 1
     assert RatFunc.q_power(0) == 1
+    for k in range(-4, 5):
+        got = RatFunc.q_power(k)
+        want = RatFunc((0,) * k + (1,)) if k >= 0 else RatFunc((1,), (0,) * -k + (1,))
+        assert (got.num, got.den) == (want.num, want.den)
 
 
 def test_pow():
