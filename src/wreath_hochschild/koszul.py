@@ -552,7 +552,7 @@ def _ae_swap(f: dict) -> dict:
 
 
 def _ae_scale(f: dict, c) -> dict:
-    return {k: v * c for k, v in f.items() if v * c}
+    return {k: p for k, v in f.items() if (p := v * c)}
 
 
 def _ae_sub(f: dict, g: dict) -> dict:

@@ -118,31 +118,61 @@ class BiSeries:
         sign must be +1 or -1.  A negative power with q_exp == 0 is
         rejected: the geometric expansion would not terminate in q.
         """
+        out = BiSeries(self.q_bound, self.t_bound, self.coeff)
+        out._apply_factor_in_place(sign, q_exp, t_exp, power)
+        return out
+
+    def _apply_factor_in_place(self, sign: int, q_exp: int, t_exp: int, power: int):
+        """The Euler-product kernel: apply_factor on self's own rows.
+
+        Each of the |power| passes multiplies or divides by one copy of
+        1 + sign * u with u = q^q_exp t^t_exp.  Multiplying updates
+        c[n][i] += sign * c[n - q_exp][i - t_exp] with n descending, so
+        every source row is read before it is changed; dividing solves
+        the same relation for the old row, c[n][i] -= sign * c[n - q_exp][i - t_exp],
+        with n ascending, so every source row is already divided.  A power
+        longer than the truncated expansion of the factor (only r terms u^r
+        fit in the bounds) is applied as that expansion in one descending
+        sweep instead, so the cost never grows with |power| beyond r.
+        """
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if q_exp < 0 or t_exp < 0:
             raise ValueError("exponents must be nonnegative")
-        if power == 0:
-            return BiSeries(self.q_bound, self.t_bound, self.coeff)
         if power < 0 and q_exp == 0:
             raise ValueError("negative power requires q_exp >= 1")
-        # expansion of (1 + s u)^e as a polynomial in u = q^a t^b
-        if q_exp > 0:
-            rmax = self.q_bound // q_exp
-        else:
-            rmax = self.t_bound // t_exp if t_exp > 0 else 0
-        factor = BiSeries(self.q_bound, self.t_bound)
-        for r in range(rmax + 1):
-            if power > 0:
-                if r > power:
-                    break
-                c = math.comb(power, r) * (sign ** r)
-            else:
-                c = math.comb(-power - 1 + r, r) * ((-sign) ** r)
-            n, i = r * q_exp, r * t_exp
-            if n <= self.q_bound and i <= self.t_bound:
-                factor.coeff[n][i] = c
-        return self * factor
+        if q_exp > self.q_bound or t_exp > self.t_bound:
+            return
+        c = self.coeff
+        if q_exp:
+            r_max = self.q_bound // q_exp
+            if t_exp:
+                r_max = min(r_max, self.t_bound // t_exp)
+            if abs(power) > r_max:
+                # (1 + s u)^e = sum_r comb(e, r) s^r u^r, and for e < 0
+                # comb(-e - 1 + r, r) (-s)^r u^r; here every r <= r_max < |e|
+                coef = [math.comb(power, r) * sign ** r if power > 0
+                        else math.comb(-power - 1 + r, r) * (-sign) ** r
+                        for r in range(r_max + 1)]
+                for n in range(self.q_bound, q_exp - 1, -1):
+                    dst = c[n]
+                    for r in range(1, min(r_max, n // q_exp) + 1):
+                        f, lo = coef[r], r * t_exp
+                        dst[lo:] = [x + f * y for x, y in zip(dst[lo:], c[n - r * q_exp])]
+                return
+        # target rows in update order; each new row is built before it is
+        # stored, so a pass with q_exp == 0 reads the row as it was
+        rows = range(q_exp, self.q_bound + 1)
+        if power > 0:
+            rows = rows[::-1]
+        add = (sign > 0) == (power > 0)
+        for _ in range(abs(power)):
+            for n in rows:
+                dst, src = c[n], c[n - q_exp]
+                if add:
+                    dst[t_exp:] = [x + y for x, y in zip(dst[t_exp:], src)]
+                else:
+                    dst[t_exp:] = [x - y for x, y in zip(dst[t_exp:], src)]
 
     def restrict(self, q_bound: int, t_bound: int) -> "BiSeries":
         """Truncate to smaller bounds."""

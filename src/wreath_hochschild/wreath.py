@@ -7,12 +7,20 @@ power, and in cohomology each part of size i is shifted up by d(i-1).
 Summing q^n times the Poincare polynomial over n produces a bivariate
 series with an infinite-product form; both routes are implemented and the
 named classical cases are additionally transcribed as literal products.
+
+The partition sum is a depth-first walk over (part size i, multiplicity p),
+largest part first.  The running tensor product travels down the walk as
+(degree, dim) pairs, parts of size 1 take whatever remains of n, and each
+finished term is added into one integer table.  Every partition is visited
+once and nothing is memoised, so the sum stays a literal enumeration and
+never regroups into the factor-by-factor shape of the product it checks.
+The product route runs the Euler-product kernel of BiSeries in place on
+one coefficient table.
 """
 
 from __future__ import annotations
 
 from .betti import AlgebraPreset, BettiTable, super_sym_powers
-from .partitions import partitions
 from .series import BiSeries
 
 PRESETS: dict[str, AlgebraPreset] = {
@@ -46,22 +54,50 @@ def _validate(coh: BettiTable, d: int):
         raise ValueError("table support exceeds the duality dimension")
 
 
-def _partition_sum(table: BettiTable, shift: int, n: int) -> BettiTable:
-    """Sum over partitions of n; a part of size i, repeated p times,
-    contributes the p-th super symmetric power of table shifted up by
-    shift * (i - 1)."""
+def _sym_power_terms(table: BettiTable, shift: int, n: int) -> dict[int, list[tuple]]:
+    """For each part size i in 1..n, the super symmetric powers S^0 .. S^(n//i)
+    of table shifted up by shift * (i - 1), each as (degree, dim) pairs."""
+    return {
+        i: [tuple(s.dims().items())
+            for s in super_sym_powers(table.shift(shift * (i - 1)), n // i)]
+        for i in range(1, n + 1)
+    }
+
+
+def _partition_sum(powers: dict[int, list[tuple]], n: int) -> BettiTable:
+    """Sum over partitions of n of the tensor product over part sizes i of
+    powers[i][p], p the multiplicity of i (powers as from _sym_power_terms,
+    for any bound >= n).
+
+    A depth-first walk chooses the multiplicity of each part size, largest
+    size first, and carries the running tensor product down; parts of size
+    1 take whatever remains, so every leaf is a partition of n and every
+    partition is one leaf.  No subtree is shared between partitions."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    powers: dict[int, list[BettiTable]] = {}
-    total = BettiTable({})
-    for lam in partitions(n):
-        term = BettiTable({0: 1})
-        for i, mult in lam.multiplicities().items():
-            if i not in powers:
-                powers[i] = super_sym_powers(table.shift(shift * (i - 1)), n // i)
-            term = term.tensor(powers[i][mult])
-        total = total.add(term)
-    return total
+    # a part of size i adds at most the top degree of powers[i][1]
+    top = n * max((k for row in powers.values() for k, _ in row[1]), default=0)
+    total = [0] * (top + 1)
+
+    def walk(rest: int, size: int, prod: tuple):
+        size = min(size, rest)
+        if size <= 1:
+            last = powers[1][rest] if rest else ((0, 1),)
+            for k1, v1 in prod:
+                for k2, v2 in last:
+                    total[k1 + k2] += v1 * v2
+            return
+        row = powers[size]
+        for p in range(rest // size, 0, -1):
+            out: dict[int, int] = {}
+            for k1, v1 in prod:
+                for k2, v2 in row[p]:
+                    out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
+            walk(rest - p * size, size - 1, tuple(out.items()))
+        walk(rest, size - 1, prod)
+
+    walk(n, n, ((0, 1),))
+    return BettiTable(dict(enumerate(total)))
 
 
 def hh_homology_wreath(hom: BettiTable, n: int) -> BettiTable:
@@ -71,7 +107,7 @@ def hh_homology_wreath(hom: BettiTable, n: int) -> BettiTable:
     p-th super symmetric power of the table.  No degree shift appears in
     homology.
     """
-    return _partition_sum(hom, 0, n)
+    return _partition_sum(_sym_power_terms(hom, 0, n), n)
 
 
 def hh_cohomology_wreath(coh: BettiTable, d: int, n: int) -> BettiTable:
@@ -81,7 +117,7 @@ def hh_cohomology_wreath(coh: BettiTable, d: int, n: int) -> BettiTable:
     shifted up by d(i-1).  The result is supported in [0, nd].
     """
     _validate(coh, d)
-    return _partition_sum(coh, d, n)
+    return _partition_sum(_sym_power_terms(coh, d, n), n)
 
 
 def generating_series_sum(
@@ -96,8 +132,9 @@ def generating_series_sum(
     if t_bound is None:
         t_bound = d * q_bound
     out = BiSeries(q_bound, t_bound)
+    powers = _sym_power_terms(coh, d, q_bound)
     for n in range(q_bound + 1):
-        table = hh_cohomology_wreath(coh, d, n)
+        table = _partition_sum(powers, n)
         for deg, dim in table.dims().items():
             if deg <= t_bound:
                 out.coeff[n][deg] = dim
@@ -111,7 +148,7 @@ def _euler_product(factors, q_bound: int, t_bound: int) -> BiSeries:
     out = BiSeries.one(q_bound, t_bound)
     for m in range(1, q_bound + 1):
         for sign, slope, offset, power in factors:
-            out = out.apply_factor(sign, m, slope * m + offset, power)
+            out._apply_factor_in_place(sign, m, slope * m + offset, power)
     return out
 
 

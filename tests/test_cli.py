@@ -3,8 +3,10 @@ from pathlib import Path
 import pytest
 
 from wreath_hochschild import cli
+from wreath_hochschild.betti import BettiTable
 from wreath_hochschild.bruteforce import SizeCapExceeded
 from wreath_hochschild.presets_io import CheckReport, load_preset, parse
+from wreath_hochschild.series import BiSeries
 from wreath_hochschild.wreath import generating_series_product
 
 
@@ -84,6 +86,50 @@ def test_unknown_preset(capsys):
     code, _, err = run(capsys, "betti", "--preset", "nope", "-n", "2")
     assert code == 2
     assert "error:" in err
+
+
+def test_size_caps_refuse_before_any_work(monkeypatch, capsys):
+    calls = []
+
+    def stub(result):
+        return lambda *args: calls.append(args) or result
+
+    monkeypatch.setattr(cli, "hh_cohomology_wreath", stub(BettiTable({0: 1})))
+    monkeypatch.setattr(cli, "hilb_poincare", stub(BettiTable({0: 1})))
+    monkeypatch.setattr(cli, "deformation_parameter_count", stub(1))
+    monkeypatch.setattr(cli, "generating_series_product", stub(BiSeries.one(1, 1)))
+    n_cap, q_cap, t_cap = cli.MAX_WREATH_N, cli.MAX_SERIES_Q, cli.MAX_SERIES_T
+    over = [
+        (("betti", "--preset", "qweyl", "-n", str(n_cap + 1)),
+         f"-n {n_cap + 1} is above the cap of {n_cap}"),
+        (("hilb", "--betti", "1,0,0", "-n", str(n_cap + 1)),
+         f"-n {n_cap + 1} is above the cap of {n_cap}"),
+        (("deform", "--preset", "qweyl", "-n", str(n_cap + 1)),
+         f"-n {n_cap + 1} is above the cap of {n_cap}"),
+        (("series", "--preset", "weyl", "--max-q", str(q_cap + 1), "--max-t", "2"),
+         f"--max-q {q_cap + 1} is above the cap of {q_cap}"),
+        (("series", "--preset", "weyl", "--max-q", "2", "--max-t", str(t_cap + 1)),
+         f"t bound {t_cap + 1} (--max-t, default d * max-q) is above the cap of {t_cap}"),
+        # the default t bound is d * max-q
+        (("series", "--preset", '{"name": "x", "d": 4, "betti": [1]}',
+          "--max-q", str(t_cap // 4 + 1)),
+         f"t bound {4 * (t_cap // 4 + 1)} (--max-t, default d * max-q) "
+         f"is above the cap of {t_cap}"),
+    ]
+    for argv, message in over:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+    assert calls == []
+    at_cap = [
+        ("betti", "--preset", "qweyl", "-n", str(n_cap)),
+        ("hilb", "--betti", "1,0,0", "-n", str(n_cap)),
+        ("deform", "--preset", "qweyl", "-n", str(n_cap)),
+        ("series", "--preset", "weyl", "--max-q", str(q_cap), "--max-t", str(t_cap)),
+        ("series", "--preset", "weyl", "--max-q", str(t_cap // 2)),
+    ]
+    for argv in at_cap:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert len(calls) == len(at_cap)
 
 
 def test_usage_error_exit_code():

@@ -113,3 +113,67 @@ def test_q_coefficient_and_terms_roundtrip():
         assert s.q_coefficient(n) == {
             i: c for (m, i), c in total.items() if m == n and c
         }
+
+
+def expanded_factor(q_bound, t_bound, sign, q_exp, t_exp, power):
+    # (1 + sign u)^power with u = q^q_exp t^t_exp, from dense products only
+    if q_exp == t_exp == 0:
+        base = BiSeries.from_terms(q_bound, t_bound, [(0, 0, 1 + sign)])
+    else:
+        # 1 + sign u, or its inverse sum_r (-sign)^r u^r
+        steps = range(2) if power > 0 else range(q_bound + t_bound + 1)
+        base = BiSeries.from_terms(q_bound, t_bound, [
+            (r * q_exp, r * t_exp, sign if power > 0 and r else (-sign) ** r)
+            for r in steps if r * q_exp <= q_bound and r * t_exp <= t_bound])
+    out = BiSeries.one(q_bound, t_bound)
+    for _ in range(abs(power)):
+        out = out * base
+    return out
+
+
+def test_apply_factor_matches_dense_product():
+    rng = random.Random(17)
+    cases = [(sign, q_exp, t_exp, power)
+             for sign in (1, -1)
+             for power in range(-5, 6)
+             for q_exp, t_exp in ((1, 0), (1, 1), (2, 3), (3, 1), (5, 0), (4, 2))]
+    # factors entirely outside the bounds (q_bound 5, t_bound 6) leave the series as it is
+    cases += [(sign, q_exp, t_exp, power)
+              for sign in (1, -1) for power in (-3, 2)
+              for q_exp, t_exp in ((1, 7), (6, 0), (9, 9))]
+    # q_exp == 0 is allowed for positive powers, (1 + sign)^power included
+    cases += [(sign, 0, t_exp, power)
+              for sign in (1, -1) for power in range(1, 6) for t_exp in (0, 1, 2, 7)]
+    for sign, q_exp, t_exp, power in cases:
+        s = BiSeries.from_terms(5, 6, [(rng.randrange(6), rng.randrange(7),
+                                        rng.randrange(-5, 6)) for _ in range(8)])
+        before = BiSeries(5, 6, s.coeff)
+        want = s * expanded_factor(5, 6, sign, q_exp, t_exp, power)
+        assert s.apply_factor(sign, q_exp, t_exp, power) == want, (sign, q_exp, t_exp, power)
+        assert s == before
+
+
+def test_apply_factor_long_power_matches_passes():
+    # a power longer than the truncated expansion takes the one-sweep route;
+    # splitting it into short powers takes the pass route
+    s = BiSeries.from_terms(6, 8, [(0, 0, 1), (1, 2, -3), (2, 1, 4)])
+    for sign in (1, -1):
+        for power in (9, -9, 40, -40):
+            short = s
+            for _ in range(abs(power)):
+                short = short.apply_factor(sign, 2, 1, 1 if power > 0 else -1)
+            assert s.apply_factor(sign, 2, 1, power) == short
+
+
+def test_apply_factor_error_checks():
+    one = BiSeries.one(4, 4)
+    for args in ((0, 1, 1, 1), (2, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1)):
+        try:
+            one.apply_factor(*args)
+        except ValueError:
+            pass
+        else:
+            assert False, args
+    # power 0 returns an equal copy, even with q_exp == 0
+    s = one.apply_factor(-1, 0, 2, 0)
+    assert s == one and s is not one and s.coeff[0] is not one.coeff[0]

@@ -1,7 +1,11 @@
 import random
 
-from wreath_hochschild.betti import AlgebraPreset, BettiTable
-from wreath_hochschild.partitions import count_by_length
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wreath_hochschild import wreath
+from wreath_hochschild.betti import AlgebraPreset, BettiTable, super_sym_powers
+from wreath_hochschild.partitions import count_by_length, partitions
 from wreath_hochschild.series import BiSeries
 from wreath_hochschild.wreath import (
     CLOSED_FORM_PRESETS,
@@ -205,3 +209,61 @@ def test_series_default_t_bound():
     assert s.t_bound == 6
     s4 = generating_series_product(BettiTable({0: 1, 4: 1}), 4, 2)
     assert s4.t_bound == 8
+
+
+def reference_partition_sum(table, shift, n):
+    # the literal definition: one tensor product per partition of n
+    total = BettiTable({})
+    for lam in partitions(n):
+        term = BettiTable({0: 1})
+        for i, mult in lam.multiplicities().items():
+            term = term.tensor(super_sym_powers(table.shift(shift * (i - 1)), mult)[mult])
+        total = total.add(term)
+    return total
+
+
+def test_partition_walk_matches_literal_sum():
+    rng = random.Random(53)
+    for d in (2, 4, 6):
+        for _ in range(2):
+            table = BettiTable({k: rng.randrange(3) for k in range(d + 1)})
+            for shift in (0, d):
+                # powers built once for the largest n serve every smaller n
+                shared = wreath._sym_power_terms(table, shift, 14)
+                for n in range(15):
+                    want = reference_partition_sum(table, shift, n)
+                    own = wreath._partition_sum(wreath._sym_power_terms(table, shift, n), n)
+                    assert own == want, (table, shift, n)
+                    assert wreath._partition_sum(shared, n) == want, (table, shift, n)
+            assert hh_homology_wreath(table, 9) == reference_partition_sum(table, 0, 9)
+            assert hh_cohomology_wreath(table, d, 9) == reference_partition_sum(table, d, 9)
+
+
+def test_partition_route_uses_no_product_code(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the partition sum reached product-route code")
+
+    for name in ("__mul__", "apply_factor", "_apply_factor_in_place"):
+        monkeypatch.setattr(BiSeries, name, forbidden)
+    for name in ("_euler_product", "generating_series_product"):
+        monkeypatch.setattr(wreath, name, forbidden)
+    qweyl = PRESETS["qweyl"]
+    assert hh_cohomology_wreath(qweyl.betti, 2, 6)[2] == 3
+    assert generating_series_sum(qweyl.betti, 2, 4).get(1, 1) == 2
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def tables_with_d(draw):
+    d = draw(st.sampled_from((2, 4, 6)))
+    dims = draw(st.lists(st.integers(0, 3), min_size=d + 1, max_size=d + 1))
+    return BettiTable(dict(enumerate(dims))), d
+
+
+@PROPERTY
+@given(tables_with_d())
+def test_product_equals_partition_sum_property(table_d):
+    table, d = table_d
+    assert generating_series_product(table, d, 5) == generating_series_sum(table, d, 5)
