@@ -13,10 +13,14 @@ side,
 a convention chosen so that the cyclic-rotation homotopy identity checked
 by homotopy_identity_check holds literally, with no stray signs.
 
-Matrices never use floats: ranks and kernels come from sparse Gaussian
-elimination over Fraction.  Complex sizes grow as dim(B)^level, so every
-rank computation is guarded by a size cap (dense-equivalent entry count
-of the largest matrix); HH_SIZE_CAP in the environment overrides it.
+Matrices never use floats: ranks and kernels come from the exact sparse
+elimination of linalg.  hh_dims works on the normalised complex, with
+legs in B/k.1; bar_columns, bar_differential and bar_apply keep the full
+complex, which the homotopy identity and the sector dimensions of
+afls_check use.  Complex sizes grow as dim(B)^level, so every rank
+computation is guarded by a size cap (dense-equivalent entry count of
+the largest matrix of the full complex); HH_SIZE_CAP in the environment
+overrides it.
 """
 
 from __future__ import annotations
@@ -478,7 +482,8 @@ def crossed_product(action: GroupAction) -> FiniteDimAlgebra:
 # -- bar complex ---------------------------------------------------------
 
 
-def _d_basis(B: FiniteDimAlgebra, M, key: tuple, k: int) -> dict:
+def _d_basis(table, M, key: tuple, k: int) -> dict:
+    """Differential of one basis chain; table[i][j] is the product of legs i, j."""
     legs, mi = key[:k], key[k]
     out: dict = {}
     if k == 0:
@@ -488,7 +493,7 @@ def _d_basis(B: FiniteDimAlgebra, M, key: tuple, k: int) -> dict:
     for i in range(1, k):
         pos = k - i - 1
         sign = -ONE if i % 2 else ONE
-        for bmid, c in B.mul_basis(legs[pos], legs[pos + 1]).items():
+        for bmid, c in table[legs[pos]][legs[pos + 1]].items():
             add_term(out, legs[:pos] + (bmid,) + legs[pos + 2:] + (mi,), sign * c)
     sign = -ONE if k % 2 else ONE
     for m2, c in M.right_basis(mi, legs[0]).items():
@@ -498,9 +503,13 @@ def _d_basis(B: FiniteDimAlgebra, M, key: tuple, k: int) -> dict:
 
 def chain_keys(B: FiniteDimAlgebra, M, k: int):
     """Deterministic enumeration of the level-k basis keys."""
-    for legs in itertools.product(range(B.dim), repeat=k):
+    return _keys(range(B.dim), M, k)
+
+
+def _keys(legs, M, k: int):
+    for ls in itertools.product(legs, repeat=k):
         for mi in range(M.dim):
-            yield legs + (mi,)
+            yield ls + (mi,)
 
 
 def bar_columns(B: FiniteDimAlgebra, M, k: int):
@@ -508,7 +517,7 @@ def bar_columns(B: FiniteDimAlgebra, M, k: int):
     if k < 1:
         raise ValueError("level must be >= 1")
     for key in chain_keys(B, M, k):
-        yield key, _d_basis(B, M, key, k)
+        yield key, _d_basis(B.table, M, key, k)
 
 
 def bar_differential(B: FiniteDimAlgebra, M, k: int) -> dict:
@@ -520,23 +529,52 @@ def bar_apply(B: FiniteDimAlgebra, M, chain: dict, k: int) -> dict:
     """Differential applied to an arbitrary level-k chain."""
     out: dict = {}
     for key, c in chain.items():
-        addmul_into(out, _d_basis(B, M, key, k), c)
+        addmul_into(out, _d_basis(B.table, M, key, k), c)
     return out
+
+
+def _unit_quotient(B: FiniteDimAlgebra):
+    """(legs, table) of the normalised complex: B/k.1 has the basis
+    indices other than u, the smallest index where the unit is nonzero,
+    and table[i][j] is the product e_i e_j projected along the unit."""
+    u = min(B.unit)
+    scale = B.unit[u]
+    legs = [i for i in range(B.dim) if i != u]
+    table = [None] * B.dim
+    for i in legs:
+        row = [None] * B.dim
+        for j in legs:
+            prod = B.table[i][j]
+            lam = prod.get(u)
+            if lam:
+                prod = dict(prod)
+                addmul_into(prod, B.unit, -lam / scale)
+            row[j] = prod
+        table[i] = row
+    return legs, table
 
 
 def hh_dims(B: FiniteDimAlgebra, M, max_level: int,
             size_cap: int | None = None) -> list[int]:
     """Hochschild homology dimensions HH_0 .. HH_max_level of B with
-    coefficients in M, by exact rank-nullity on the bar complex."""
+    coefficients in M, by exact rank-nullity on the normalised bar complex.
+
+    The level-k chains of the normalised complex are M tensor (B/k.1)^k
+    (Loday, Cyclic Homology, 1.1.14), so a level has (dim B - 1)^k * dim M
+    basis chains instead of dim(B)^k * dim M; it has the homology of the
+    full bar complex.  The size cap still applies to the full complex.
+    """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
     cap = _resolve_cap(size_cap)
-    cdims = [B.dim ** k * M.dim for k in range(max_level + 2)]
+    full = [B.dim ** k * M.dim for k in range(max_level + 2)]
     for k in range(1, max_level + 2):
-        _check_cap(cdims[k], cdims[k - 1], cap, f"bar differential at level {k}")
+        _check_cap(full[k], full[k - 1], cap, f"bar differential at level {k}")
+    legs, table = _unit_quotient(B)
+    cdims = [len(legs) ** k * M.dim for k in range(max_level + 2)]
     ranks = [0]
     for k in range(1, max_level + 2):
-        ranks.append(rank_of(img for _, img in bar_columns(B, M, k)))
+        ranks.append(rank_of(_d_basis(table, M, key, k) for key in _keys(legs, M, k)))
     return [cdims[k] - ranks[k] - ranks[k + 1] for k in range(max_level + 1)]
 
 
@@ -590,7 +628,7 @@ def _random_cycles(B, M, level: int, count: int, rng: random.Random):
         return [random_chain(0) for _ in range(count)]
     keys = list(chain_keys(B, M, level))
     rng.shuffle(keys)
-    slice_pairs = [(key, _d_basis(B, M, key, level)) for key in keys[:120]]
+    slice_pairs = [(key, _d_basis(B.table, M, key, level)) for key in keys[:120]]
     harvested = kernel_combos(slice_pairs)
     out = []
     for t in range(count):
@@ -710,7 +748,8 @@ def afls_check(B: FiniteDimAlgebra, G: GroupAction, max_level: int = 2,
     Left side: HH of C[G] crossed with B, brute-forced.  Right side: for
     each conjugacy class, the centralizer-invariant part of the twisted
     sector HH_i(B, Bg) at a class representative; summing over classes
-    must reproduce the left side level by level.
+    must reproduce the left side level by level.  The left side runs on
+    the normalised complex (hh_dims), the sectors on the full one.
     """
     cap = _resolve_cap(size_cap)
     cross = crossed_product(G)

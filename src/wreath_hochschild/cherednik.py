@@ -113,19 +113,26 @@ class NormalMonomial(NamedTuple):
 # words and rewriting
 
 
-_TOKEN = re.compile(r"^([xp])([1-9])$|^s([1-9])([1-9])$")
+_TOKEN = re.compile(r"^([xp])([1-9][0-9]*)$|^s([1-9][0-9]*),([1-9][0-9]*)$|^s([1-9])([1-9])$")
 
 
-def _tokenize(text: str) -> list:
+def _tokenize(text: str, n: int) -> list:
+    """Generator tokens: x<i>, p<i>, s<i>,<j>, and s<i><j> while n <= 9
+    (for n >= 10 the comma-less form is ambiguous and refused)."""
     atoms = []
     for tok in text.replace("*", " ").split():
         m = _TOKEN.match(tok)
         if m is None:
             raise ValueError(f"cannot parse generator {tok!r}")
+        if m.group(5) and n >= 10:
+            raise ValueError(f"ambiguous generator {tok!r} for n >= 10: "
+                             f"write s{m.group(5)},{m.group(6)}")
         if m.group(1):
             atoms.append((m.group(1), int(m.group(2))))
-        else:
+        elif m.group(3):
             atoms.append(("s", int(m.group(3)), int(m.group(4))))
+        else:
+            atoms.append(("s", int(m.group(5)), int(m.group(6))))
     return atoms
 
 
@@ -134,10 +141,11 @@ def _parse_atoms(word, n: int) -> tuple:
 
     Accepted letters: ("x", i), ("p", i), the transposition ("s", i, j),
     a full permutation ("perm", one_line) in 1-based one-line notation,
-    or a whitespace-separated string of tokens like "p1 x1 s12".
+    or a whitespace-separated string of tokens like "p1 x1 s12" (write
+    s1,10 for a transposition once n >= 10).
     """
     if isinstance(word, str):
-        word = _tokenize(word)
+        word = _tokenize(word, n)
     atoms = []
     for g in word:
         kind = g[0]
@@ -626,7 +634,7 @@ def _fmt_perm(perm: tuple) -> str:
         return ""
     if len(cycles) == 1 and len(cycles[0]) == 2:
         i, j = sorted(cycles[0])
-        return f"s{i + 1}{j + 1}"
+        return f"s{i + 1},{j + 1}" if len(perm) >= 10 else f"s{i + 1}{j + 1}"
     return "".join("(" + " ".join(str(v + 1) for v in cyc) + ")" for cyc in cycles)
 
 

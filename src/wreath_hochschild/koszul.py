@@ -536,6 +536,14 @@ def crossed_z2_cohomology(kind: str, window=10):
 
 def _ae_mul(kind: str, f: dict, g: dict) -> dict:
     out: dict = {}
+    if kind == "qweyl":
+        # both factors are bare q-powers (see _mono_mul): add the exponents
+        q_power = RatFunc.q_power
+        for ((a, b), (e, h)), cf in f.items():
+            for ((c, d), (x, y)), cg in g.items():
+                add_term(out, ((a + c, b + d), (x + e, y + h)),
+                         cf * cg * q_power(-b * c - y * e))
+        return out
     for (k1, k2), cf in f.items():
         for (l1, l2), cg in g.items():
             left = _mono_mul(kind, *k1, *l1)

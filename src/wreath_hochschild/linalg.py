@@ -1,15 +1,26 @@
-"""Sparse exact Gaussian elimination over an exact field.
+"""Sparse exact Gaussian elimination: one fraction-free kernel.
 
-Vectors are dicts {basis key: nonzero scalar}; scalars may be Fraction,
-rational functions, or anything with exact +, -, *, / and truthiness.
-No floating point and no modular arithmetic anywhere: every elimination
-step is performed in the exact field, with pivot rows normalized to a
-unit leading entry.  Pivot selection is deterministic (smallest key), so
-results are reproducible across runs.
+Vectors are dicts {basis key: nonzero scalar}; scalars may be int,
+Fraction, rational functions, or anything with exact +, -, *, / and
+truthiness.  No floating point and no modular arithmetic anywhere.
+
+Every elimination runs through one loop (_eliminate).  Rational vectors
+have their denominators cleared at the API edge and are eliminated over
+Z (Bareiss, Math. Comp. 22, 1968, in its gcd form): a step against a
+pivot row p with leading entry l turns r into a*r - b*p, with a = l/g,
+b = r[key]/g and g = gcd(l, r[key]); stored pivot rows have their
+content stripped and a positive leading entry, kept apart from the row
+so that a step drops the entry it cancels instead of computing the zero.
+The scale a row picks up is tracked and divided out once, so results are
+exact and identical to field elimination with monic pivots: ranks,
+residuals, dependency combos and express combos are unique, and the
+integer pivots differ from the monic ones only by nonzero scalars.
+Vectors over other fields (rational functions in q) take the same loop
+with monic pivot rows.  Pivot selection is deterministic (smallest key),
+so results are reproducible across runs.
 
 TrackingEchelon needs the field's unit to seed dependency combos; it
-defaults to Fraction(1) and must be passed explicitly for other fields
-(int 1 is not safe: int/int division would leave the field).
+defaults to Fraction(1) and must be passed explicitly for other fields.
 
 add_term is the single-entry form of addmul_into.  rank_modulo is the
 dimension of a span of unit vectors modulo a span of vectors, from one
@@ -21,8 +32,12 @@ An exact internal check that does not hold raises CertificateError.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .ratfunc import RatFunc
+
+
+_RATIONAL = (int, Fraction)
 
 
 class CertificateError(RuntimeError):
@@ -61,13 +76,110 @@ def addmul_into(target: dict, src: dict, factor) -> None:
                 del target[k]
 
 
+def _scaled_out(vec: dict, scale) -> dict:
+    """vec divided by an integer scale, as Fractions; a field vector
+    (scale None) is returned as it is."""
+    if scale is None:
+        return vec
+    return {k: Fraction(v, scale) for k, v in vec.items()}
+
+
+def _eliminate(pivots: dict, vec: dict, sign: int, label=None, one=None):
+    """The one elimination loop: reduce vec until its leading key is no pivot.
+
+    At the API edge, rational entries (int or Fraction) are cleared of
+    denominators, so the working row holds ints and scale starts at the
+    lcm of the denominators; entries of any other field are copied as
+    they are, with scale None.  A pivot is (tail, combo, lead): its row
+    without the leading entry, which is lead, or 1 when lead is None.  A
+    step pops b = r[key], whose cancellation is known, and subtracts
+    b * tail: that is r -= r[key] * row against a monic row, the only step
+    field rows take.  An integer row with lead > 1 gives the fraction-free
+    step r = a*r - b*row with a = lead/g, b = r[key]/g and
+    g = gcd(lead, r[key]), and scale is multiplied by a.
+
+    sign selects the combo c carried along, c = a*c + sign*b*combo: none
+    for 0, an express combo starting empty for +1, and for -1 the
+    dependency combo of the new input label, starting at scale (one for
+    field rows).  Returns (r, c, scale): r and c are scale times their
+    field values.
+    """
+    for v in vec.values():
+        break
+    else:
+        v = None
+    # an exact type test: isinstance would go through the Fraction ABC
+    if type(v) in _RATIONAL:
+        scale = 1
+        for v in vec.values():
+            d = v.denominator
+            if scale % d:
+                scale = scale // gcd(scale, d) * d
+        r = {k: v.numerator * (scale // v.denominator) for k, v in vec.items()}
+    else:
+        scale = None
+        r = dict(vec)
+    if not sign:
+        c = None
+    elif sign > 0:
+        c = {}
+    else:
+        c = {label: one if scale is None else scale}
+    while r:
+        key = min(r)
+        hit = pivots.get(key)
+        if hit is None:
+            break
+        tail, combo, lead = hit
+        b = r.pop(key)
+        if lead is not None:
+            g = gcd(lead, b)
+            a = lead // g
+            b //= g
+            if a != 1:
+                scale *= a
+                r = {k: v * a for k, v in r.items()}
+                if c is not None:
+                    c = {k: v * a for k, v in c.items()}
+        addmul_into(r, tail, -b)
+        if c is not None:
+            addmul_into(c, combo, sign * b)
+    return r, c, scale
+
+
+def _store(pivots: dict, r: dict, c) -> None:
+    """Make the nonzero residual r (with its combo c) a pivot.
+
+    An integer row is divided by its content (taken jointly with the
+    combo's) and given a positive leading entry; a field row is made monic.
+    The leading entry is kept apart from the tail (see _eliminate).
+    """
+    key = min(r)
+    lead = r.pop(key)
+    if type(lead) is int:
+        g = gcd(lead, *r.values(), *(c.values() if c is not None else ()))
+        if lead < 0:
+            g = -g
+        if g != 1:
+            r = {k: v // g for k, v in r.items()}
+            if c is not None:
+                c = {k: v // g for k, v in c.items()}
+        lead //= g
+        pivots[key] = (r, c, None if lead == 1 else lead)
+        return
+    r = {k: v / lead for k, v in r.items()}
+    if c is not None:
+        c = {k: v / lead for k, v in c.items()}
+    pivots[key] = (r, c, None)
+
+
 class Echelon:
     """Incremental row-echelon accumulator; tracks rank only."""
 
     __slots__ = ("pivots",)
 
     def __init__(self):
-        self.pivots: dict = {}  # pivot key -> monic vector
+        self.pivots: dict = {}  # pivot key -> (tail, combo, lead)
 
     @property
     def rank(self) -> int:
@@ -75,23 +187,15 @@ class Echelon:
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec after elimination against all pivots."""
-        r = dict(vec)
-        while r:
-            key = min(r)
-            piv = self.pivots.get(key)
-            if piv is None:
-                return r
-            addmul_into(r, piv, -r[key])
-        return r
+        r, _, scale = _eliminate(self.pivots, vec, 0)
+        return _scaled_out(r, scale)
 
     def insert(self, vec: dict) -> bool:
         """Add vec; returns True if it increased the rank."""
-        r = self.reduce(vec)
+        r = _eliminate(self.pivots, vec, 0)[0]
         if not r:
             return False
-        key = min(r)
-        lead = r[key]
-        self.pivots[key] = {k: v / lead for k, v in r.items()}
+        _store(self.pivots, r, None)
         return True
 
 
@@ -113,7 +217,7 @@ def rank_modulo(vectors, keys, one=Fraction(1)) -> int:
     return ech.rank - base
 
 
-class TrackingEchelon:
+class TrackingEchelon(Echelon):
     """Echelon that remembers how each pivot decomposes over the inputs.
 
     insert() returns None when the vector is independent, otherwise a
@@ -122,47 +226,24 @@ class TrackingEchelon:
     over the inserted inputs, returning (residual, combo).
     """
 
-    __slots__ = ("pivots", "one")
+    __slots__ = ("one",)
 
     def __init__(self, one=Fraction(1)):
-        self.pivots: dict = {}  # pivot key -> (monic vector, combo)
+        super().__init__()
         self.one = one
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def _eliminate(self, r: dict, c: dict, combo_sign: int):
-        while r:
-            key = min(r)
-            hit = self.pivots.get(key)
-            if hit is None:
-                return key
-            pvec, pcombo = hit
-            f = r[key]
-            addmul_into(r, pvec, -f)
-            addmul_into(c, pcombo, combo_sign * f)
-        return None
-
     def insert(self, vec: dict, label):
-        r = dict(vec)
-        c = {label: self.one}
-        key = self._eliminate(r, c, -1)
-        if key is None:
-            return c  # dependency: sum over labels is the zero vector
-        inv = self.one / r[key]
-        self.pivots[key] = (
-            {k: v * inv for k, v in r.items()},
-            {k: v * inv for k, v in c.items()},
-        )
-        return None
+        r, c, scale = _eliminate(self.pivots, vec, -1, label, self.one)
+        if r:
+            _store(self.pivots, r, c)
+            return None
+        # dependency: sum over labels is the zero vector, c[label] = scale
+        return _scaled_out(c, scale)
 
     def express(self, vec: dict):
         """(residual, combo) with vec = sum(combo * input) + residual."""
-        r = dict(vec)
-        c: dict = {}
-        self._eliminate(r, c, +1)
-        return r, c
+        r, c, scale = _eliminate(self.pivots, vec, +1)
+        return _scaled_out(r, scale), _scaled_out(c, scale)
 
     def in_span(self, vec: dict):
         """Combo expressing vec over the inputs, or None if outside the span."""

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wreath_hochschild import bruteforce, cli
 from wreath_hochschild.bruteforce import (
@@ -13,6 +15,7 @@ from wreath_hochschild.bruteforce import (
     TwistedBimodule,
     afls_check,
     bar_apply,
+    bar_columns,
     bar_differential,
     chain_keys,
     crossed_product,
@@ -25,7 +28,7 @@ from wreath_hochschild.bruteforce import (
     tensor_power,
     verify_homolog_i,
 )
-from wreath_hochschild.linalg import CertificateError
+from wreath_hochschild.linalg import CertificateError, rank_of
 from wreath_hochschild.presets_io import CheckReport
 
 ONE = Fraction(1)
@@ -301,3 +304,90 @@ def test_non_cycle_sample_is_a_certificate_error(monkeypatch, capsys):
                         lambda A, n, max_level: CheckReport("stub", True))
     assert cli.main(["verify", "bruteforce"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def full_complex_dims(B, M, max_level):
+    """HH dims by rank-nullity on the unnormalised bar complex."""
+    cdims = [B.dim ** k * M.dim for k in range(max_level + 2)]
+    ranks = [0] + [rank_of(img for _, img in bar_columns(B, M, k))
+                   for k in range(1, max_level + 2)]
+    return [cdims[k] - ranks[k] - ranks[k + 1] for k in range(max_level + 1)]
+
+
+def shifted_unit_algebra():
+    """Q[x]/(x^3) in the basis 1 + x, x + x^2, 1 + x^2: the unit is not a
+    basis vector, and products of the legs have components along it."""
+    A = FiniteDimAlgebra.truncated_polynomial(3)
+    B = A.change_basis([{0: ONE, 1: ONE}, {1: ONE, 2: ONE}, {0: ONE, 2: ONE}])
+    assert len(B.unit) > 1 and 0 in B.unit
+    assert 0 in B.table[2][2]
+    return B
+
+
+# x -> -x written in the basis of shifted_unit_algebra
+SHIFTED_SIGN = [{1: -ONE, 2: ONE}, {0: -ONE, 2: ONE}, {2: ONE}]
+
+
+def normalisation_cases():
+    dual = FiniteDimAlgebra.truncated_polynomial(2)
+    cube = FiniteDimAlgebra.truncated_polynomial(3)
+    Z2 = z2_algebra()
+    field = FiniteDimAlgebra.truncated_polynomial(1)
+    shifted = shifted_unit_algebra()
+    pair = tensor_power(dual, 2)
+    swap = AutoTwistedBimodule(pair, [{p: ONE} for p in rotation_permutation(dual, 2)])
+    sign = GroupAction.generate(dual, [sign_action(2)])
+    cross = crossed_product(sign)
+    return [
+        ("dual numbers", dual, RegularBimodule(dual), 3),
+        ("Z/2", Z2, RegularBimodule(Z2), 3),
+        ("k[x]/x^3", cube, RegularBimodule(cube), 3),
+        ("ground field", field, RegularBimodule(field), 2),
+        ("non-basis unit", shifted, RegularBimodule(shifted), 3),
+        ("non-basis unit, twisted", shifted,
+         AutoTwistedBimodule(shifted, SHIFTED_SIGN), 3),
+        ("TwistedBimodule", pair, TwistedBimodule(dual, 2), 2),
+        ("TwistedBimodule Z/2", tensor_power(Z2, 2), TwistedBimodule(Z2, 2), 2),
+        ("TwistedBimodule, non-basis unit", tensor_power(shifted, 2),
+         TwistedBimodule(shifted, 2), 1),
+        ("AutoTwistedBimodule", pair, swap, 2),
+        ("crossed product", cross, RegularBimodule(cross), 2),
+    ]
+
+
+@pytest.mark.parametrize("label, B, M, top", normalisation_cases(),
+                         ids=[c[0] for c in normalisation_cases()])
+def test_normalised_hh_dims_match_full_bar_complex(label, B, M, top):
+    assert hh_dims(B, M, top) == full_complex_dims(B, M, top)
+
+
+def test_twist_of_shifted_unit_algebra_is_an_automorphism():
+    B = shifted_unit_algebra()
+    assert B.is_automorphism(SHIFTED_SIGN)
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3]), st.lists(st.integers(-2, 2), min_size=9, max_size=9),
+       st.booleans())
+def test_normalised_hh_dims_under_random_basis_change(k, entries, twist):
+    """k[x]/x^k in a random basis: the unit is in general no basis vector."""
+    A = FiniteDimAlgebra.truncated_polynomial(k)
+    cols = [{i: Fraction(entries[j * 3 + i]) for i in range(k) if entries[j * 3 + i]}
+            for j in range(k)]
+    try:
+        B = A.change_basis(cols)
+    except ValueError:
+        assume(False)
+    M = RegularBimodule(B)
+    if twist:
+        # x -> -x, carried to the new basis
+        back = bruteforce._invert(cols)
+        act = [bruteforce._apply_columns(back, bruteforce._apply_columns(sign_action(k), col))
+               for col in cols]
+        assert B.is_automorphism(act)
+        M = AutoTwistedBimodule(B, act)
+    top = 3 if k == 2 else 2
+    assert hh_dims(B, M, top) == full_complex_dims(B, M, top)

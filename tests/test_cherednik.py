@@ -156,3 +156,37 @@ def test_formatting():
     assert str(-normal_order("x1", 2)) == "-x1"
     combined = normal_order("x1", 2).scale((Fraction(1), Fraction(-1)))
     assert str(combined) == "(1 - k) x1"
+
+
+def test_generators_with_two_digit_indices():
+    assert str(normal_order("x10 p10", 11)) == "x10 p10"
+    assert normal_order("s1,10", 11) == normal_order([("s", 1, 10)], 11)
+    assert str(normal_order([("s", 1, 10)], 11)) == "s1,10"
+    assert str(normal_order([("s", 10, 11)], 11)) == "s10,11"
+    # the comma form is written for every transposition once n >= 10
+    assert str(normal_order([("s", 1, 2)], 10)) == "s1,2"
+    # up to n = 9 the comma-less form is read and written as before
+    assert normal_order("s12", 9) == normal_order("s1,2", 9)
+    assert str(normal_order("s12", 9)) == "s12"
+    with pytest.raises(ValueError, match="ambiguous generator 's12'"):
+        normal_order("s12", 11)
+    with pytest.raises(ValueError, match="cannot parse generator 's110'"):
+        normal_order("s110", 11)
+    with pytest.raises(ValueError, match="out of range"):
+        normal_order("x12", 11)
+
+
+def test_format_round_trip_at_n_11():
+    rng = random.Random(5)
+    n = 11
+    for _ in range(60):
+        xs = sorted(rng.sample(range(1, n + 1), rng.randint(1, 3)))
+        ps = sorted(rng.sample(range(1, n + 1), rng.randint(0, 3)))
+        word = [f"x{i}" for i in xs]
+        if rng.random() < 0.7:
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
+            word.append(f"s{i},{j}")
+        word += [f"p{i}" for i in ps]
+        elem = normal_order(" ".join(word), n)
+        assert len(elem.terms) == 1
+        assert normal_order(str(elem), n) == elem

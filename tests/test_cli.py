@@ -173,9 +173,17 @@ def test_verify_all_continues_past_a_raising_suite(monkeypatch, capsys):
     assert "error: bar level 3 needs 10^9 entries" in err
 
 
-@pytest.mark.parametrize("suite", ["wreath", "cherednik"])
+@pytest.mark.parametrize("suite", ["wreath", "bruteforce", "koszul", "cherednik"])
 def test_verify_report_text_is_pinned(capsys, suite):
     code, out, _ = run(capsys, "verify", suite)
     assert code == 0
     golden = Path(__file__).parent / "data" / f"verify_{suite}.txt"
     assert out.encode() == golden.read_bytes()
+
+
+def test_cherednik_reduce_two_digit_indices(capsys):
+    code, out, _ = run(capsys, "cherednik", "reduce", "-n", "11", "x10 p10")
+    assert (code, out) == (0, "x10 p10\n")
+    code, out, err = run(capsys, "cherednik", "reduce", "-n", "11", "s12")
+    assert code == 2
+    assert "ambiguous generator 's12'" in err

@@ -182,3 +182,36 @@ def test_duality_reports():
         assert rep.passed, (kind, rep.lines)
         assert rep.name == f"koszul self-duality {kind}"
         assert rep.lines == DUALITY_LINES
+
+
+def test_enveloping_product_over_q_adds_q_exponents():
+    # reference: the term-by-term product through the monomial products
+    def reference(f, g):
+        out = {}
+        for (k1, k2), cf in f.items():
+            for (l1, l2), cg in g.items():
+                left = koszul._mono_mul("qweyl", *k1, *l1)
+                right = koszul._mono_mul("qweyl", *l2, *k2)
+                for a, va in left.items():
+                    for b, vb in right.items():
+                        koszul.add_term(out, (a, b), cf * cg * va * vb)
+        return out
+
+    rng = random.Random(17)
+
+    def element():
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            key = tuple((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(2))
+            num = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+            value = RatFunc(num, [rng.randint(1, 2), rng.randint(0, 1)])
+            if value:
+                terms[key] = value
+        return terms
+
+    for _ in range(40):
+        f, g = element(), element()
+        got = koszul._ae_mul("qweyl", f, g)
+        want = reference(f, g)
+        assert {k: (v.num, v.den) for k, v in got.items()} == \
+            {k: (v.num, v.den) for k, v in want.items()}

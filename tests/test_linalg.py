@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreath_hochschild.linalg import (
     CertificateError,
@@ -248,3 +251,137 @@ def test_trace_must_be_an_integer_constant():
     for bad in (q, RatFunc.from_int(1) / q, (q + 1) / 2, Fraction(1, 2)):
         with pytest.raises(CertificateError):
             _integer_trace(bad)
+
+
+# -- the integer kernel against monic field elimination -----------------------
+
+
+class MonicElimination:
+    """Reference: elimination over the field with monic pivot rows.
+
+    This is the literal definition the integer kernel must reproduce:
+    insert() gives None or the dependency combo with 1 on the new label,
+    express() gives (residual, combo) with vec = sum(combo * input) + residual.
+    """
+
+    def __init__(self, one=Fraction(1)):
+        self.one = one
+        self.pivots = {}
+
+    @staticmethod
+    def _axpy(target, src, factor):
+        for k, v in src.items():
+            val = target.get(k, 0) + factor * v
+            if val:
+                target[k] = val
+            else:
+                target.pop(k, None)
+
+    def _eliminate(self, r, c, sign):
+        while r:
+            key = min(r)
+            if key not in self.pivots:
+                return
+            row, combo = self.pivots[key]
+            f = r[key]
+            self._axpy(r, row, -f)
+            self._axpy(c, combo, sign * f)
+
+    def _field(self, vec):
+        return {k: self.one * v for k, v in vec.items()}
+
+    def insert(self, vec, label):
+        r, c = self._field(vec), {label: self.one}
+        self._eliminate(r, c, -1)
+        if not r:
+            return c
+        lead = r[min(r)]
+        self.pivots[min(r)] = ({k: v / lead for k, v in r.items()},
+                               {k: v / lead for k, v in c.items()})
+        return None
+
+    def express(self, vec):
+        r, c = self._field(vec), {}
+        self._eliminate(r, c, +1)
+        return r, c
+
+
+def assert_primitive_pivots(ech):
+    """Integer pivot rows: content 1 (jointly with the combo), positive
+    leading entry, kept as lead (None for 1) apart from the tail."""
+    for key, (tail, combo, lead) in ech.pivots.items():
+        assert all(k > key for k in tail)
+        lead_value = 1 if lead is None else lead
+        assert lead_value > 0 and lead != 1
+        values = [lead_value, *tail.values(), *(combo or {}).values()]
+        assert all(type(v) is int for v in values)
+        assert math.gcd(*values) == 1
+
+
+def all_fractions(vec):
+    return all(type(v) is Fraction for v in vec.values())
+
+
+ENTRY = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12)),
+    st.integers(-4, 4).filter(bool),
+)
+VECTOR = st.dictionaries(st.integers(0, 6), ENTRY, max_size=5)
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(st.lists(VECTOR, max_size=9), VECTOR,
+       st.lists(st.integers(-3, 3), min_size=9, max_size=9))
+def test_kernel_matches_monic_field_elimination(vecs, extra, coeffs):
+    ref = MonicElimination()
+    ech, tracked = Echelon(), TrackingEchelon()
+    deps = []
+    for i, v in enumerate(vecs):
+        want = ref.insert(v, i)
+        assert ech.insert(v) is (want is None)
+        got = tracked.insert(v, i)
+        assert got == want
+        if got is not None:
+            assert all_fractions(got)
+            deps.append(got)
+    assert ech.rank == tracked.rank == len(ref.pivots)
+    assert kernel_combos(enumerate(vecs)) == deps
+    assert_primitive_pivots(ech)
+    assert_primitive_pivots(tracked)
+    # probes inside the span and off it
+    probe = dict(extra)
+    for v, c in zip(vecs, coeffs):
+        addmul_into(probe, v, Fraction(c, 3))
+    for vec in (probe, extra):
+        want_r, want_c = ref.express(vec)
+        assert ech.reduce(vec) == want_r
+        got_r, got_c = tracked.express(vec)
+        assert (got_r, got_c) == (want_r, want_c)
+        assert all_fractions(got_r) and all_fractions(got_c)
+
+
+def test_kernel_over_rational_functions_matches_monic_elimination():
+    rng = random.Random(61)
+    one = RatFunc.from_int(1)
+
+    def entry():
+        num = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+        den = [rng.randint(1, 3)] + [rng.randint(-2, 2) for _ in range(rng.randint(0, 1))]
+        return RatFunc(num, den)
+
+    for _ in range(25):
+        vecs = []
+        for _ in range(rng.randint(1, 6)):
+            vec = {k: entry() for k in rng.sample(range(5), rng.randint(0, 4))}
+            vecs.append({k: v for k, v in vec.items() if v})
+        ref = MonicElimination(one)
+        ech, tracked = Echelon(), TrackingEchelon(one)
+        for i, v in enumerate(vecs):
+            want = ref.insert(v, i)
+            assert ech.insert(v) is (want is None)
+            assert tracked.insert(v, i) == want
+        probe = {k: entry() for k in range(5)}
+        probe = {k: v for k, v in probe.items() if v}
+        assert ech.reduce(probe) == ref.express(probe)[0]
+        assert tracked.express(probe) == ref.express(probe)
