@@ -7,17 +7,25 @@ The algebras are presented by two generators with a single relation:
     qweyl  X^{±1}, P^{±1}  with  X P = q P X       (scalars: rational
                                                     functions in q)
 
-Each has a length-two Koszul bimodule resolution built from the two
-commuting elements of the enveloping algebra
+Each has a length-two Koszul bimodule resolution built from two
+commuting elements of the enveloping algebra,
 
     u = 1⊗x - x⊗1   (weyl),     u = X⊗X^{-1} - 1   (trig, qweyl),
-    w = 1⊗p - p⊗1   (weyl, trig),   w = P⊗P^{-1} - 1   (qweyl).
+    w = 1⊗p - p⊗1   (weyl, trig),   w = P⊗P^{-1} - 1   (qweyl),
+
+and two units nu_u, nu_w with swap(u) = -u nu_u and swap(w) = -w nu_w
+under the factor swap a⊗b -> b⊗a.  These four elements are written in
+one table (_ae_uw); every map below is derived from it.
 
 Applying Hom(-, M) for M the algebra itself, or its twist by the order-2
 automorphism eps (x,p -> -x,-p resp. X,P -> inverses), gives a cochain
 complex 0 -> M -> M^2 -> M -> 0 with d0(m) = (u.m, w.m) and
-d1(m1, m2) = w.m1 - u.m2, where (a⊗b).m = a m tau(b) for the sector
-twist tau.  The algebras are infinite dimensional, so all ranks are
+d1(m1, m2) = w.m1 - u.m2, where the one action _act gives
+(a⊗b).m = a m tau(b) for the sector twist tau.  The order-2 symmetry of
+a sector complex is eps after conjugation by the units: eps on M,
+(m1, m2) -> (-eps(nu_u.m1), -eps(nu_w.m2)) on M^2 and
+m -> eps(nu_u nu_w.m) on the top M.  The algebras are infinite
+dimensional, so all ranks are
 computed on a filtration window (total degree <= N) and reported only on
 the safe margin (degree <= N-2); both differentials move total degree by
 at most 2, so margin kernels and margin-supported images are exact.
@@ -232,20 +240,19 @@ def multiply(x: RankOneElement, y: RankOneElement) -> RankOneElement:
     return RankOneElement(x.kind, acc)
 
 
+def _eps(kind: str, terms: dict) -> dict:
+    """The order-2 automorphism on a terms dict."""
+    if kind == "weyl":
+        return {(a, b): -v if (a + b) % 2 else v for (a, b), v in terms.items()}
+    if kind == "trig":
+        return {(-a, b): -v if b % 2 else v for (a, b), v in terms.items()}
+    return {(-a, -b): v for (a, b), v in terms.items()}
+
+
 def epsilon(el: RankOneElement) -> RankOneElement:
     """Order-2 automorphism: sign flip of x,p (weyl) or inversion of the
     invertible generators (trig, qweyl)."""
-    out = {}
-    if el.kind == "weyl":
-        for (a, b), v in el.terms.items():
-            out[(a, b)] = -v if (a + b) % 2 else v
-    elif el.kind == "trig":
-        for (a, b), v in el.terms.items():
-            out[(-a, b)] = -v if b % 2 else v
-    else:
-        for (a, b), v in el.terms.items():
-            out[(-a, -b)] = v
-    return RankOneElement(el.kind, out)
+    return RankOneElement(el.kind, _eps(el.kind, el.terms))
 
 
 def window_keys(kind: str, N: int) -> list:
@@ -268,54 +275,47 @@ def window_keys(kind: str, N: int) -> list:
     return sorted(keys)
 
 
-def _twist_map(kind: str, twist: str):
-    if twist not in TWISTS:
-        raise ValueError(f"unknown twist {twist!r}")
-    if twist == "id":
-        return lambda el: el
-    return epsilon
-
-
-def _build_operators(kind: str, twist: str):
-    """The commuting operators m -> u.m and m -> w.m on the twisted module.
-
-    (a⊗b).m = a m tau(b), so u = 1⊗x - x⊗1 acts as m tau(x) - x m, and
-    u = X⊗X^{-1} - 1 acts as X m tau(X^{-1}) - m; same pattern for w.
-    """
-    _check_kind(kind)
-    tau = _twist_map(kind, twist)
-    mono = RankOneElement.monomial
+def _ae_uw(kind: str):
+    """The Koszul elements u, w and the units nu_u, nu_w, as enveloping-
+    algebra dicts {(left key, right key): coeff}: the one table per kind."""
+    one = _one(kind)
     if kind == "weyl":
-        x, p = mono(kind, 1, 0), mono(kind, 0, 1)
-        tx, tp = tau(x), tau(p)
-
-        def u(m):
-            return multiply(m, tx) - multiply(x, m)
-
-        def w(m):
-            return multiply(m, tp) - multiply(p, m)
-
-        return u, w
-    X, Xi = mono(kind, 1, 0), mono(kind, -1, 0)
-    tXi = tau(Xi)
-
-    def u(m):
-        return multiply(multiply(X, m), tXi) - m
-
-    if kind == "trig":
-        p = mono(kind, 0, 1)
-        tp = tau(p)
-
-        def w(m):
-            return multiply(m, tp) - multiply(p, m)
+        u = {((0, 0), (1, 0)): one, ((1, 0), (0, 0)): -one}
+        w = {((0, 0), (0, 1)): one, ((0, 1), (0, 0)): -one}
+        nu_u = nu_w = {((0, 0), (0, 0)): one}
+    elif kind == "trig":
+        u = {((1, 0), (-1, 0)): one, ((0, 0), (0, 0)): -one}
+        w = {((0, 0), (0, 1)): one, ((0, 1), (0, 0)): -one}
+        nu_u = {((-1, 0), (1, 0)): one}
+        nu_w = {((0, 0), (0, 0)): one}
     else:
-        P, Pi = mono(kind, 0, 1), mono(kind, 0, -1)
-        tPi = tau(Pi)
+        u = {((1, 0), (-1, 0)): one, ((0, 0), (0, 0)): -one}
+        w = {((0, 1), (0, -1)): one, ((0, 0), (0, 0)): -one}
+        nu_u = {((-1, 0), (1, 0)): one}
+        nu_w = {((0, -1), (0, 1)): one}
+    return u, w, nu_u, nu_w
 
-        def w(m):
-            return multiply(multiply(P, m), tPi) - m
 
-    return u, w
+def _act(kind: str, f: dict, m: dict, twist: str) -> dict:
+    """(a⊗b).m = a m tau(b), extended linearly over the enveloping-algebra
+    dict f and the terms dict m; tau is the identity or eps."""
+    if twist == "eps":
+        f = {(k1, k3): c for (k1, k2), cf in f.items()
+             for k3, c in _eps(kind, {k2: cf}).items()}
+    out: dict = {}
+    if kind == "qweyl":
+        # X^a P^b X^c P^d X^e P^h = q^{-bc-(b+d)e} X^{a+c+e} P^{b+d+h}
+        q_power = RatFunc.q_power
+        for ((a, b), (e, h)), cf in f.items():
+            for (c, d), cm in m.items():
+                add_term(out, (a + c + e, b + d + h),
+                         cf * cm * q_power(-b * c - (b + d) * e))
+        return out
+    for (k1, k3), cf in f.items():
+        for k, cm in m.items():
+            for key, v in _mono_mul(kind, *k1, *k).items():
+                addmul_into(out, _mono_mul(kind, *key, *k3), cf * cm * v)
+    return out
 
 
 def _join(e0: dict, e1: dict) -> dict:
@@ -325,12 +325,12 @@ def _join(e0: dict, e1: dict) -> dict:
     return out
 
 
-def _split(kind: str, vec: dict):
-    """The two slot components of a level-1 vector, as elements."""
+def _split(vec: dict):
+    """The slot-0 and slot-1 parts of a level-1 vector."""
     slots: tuple = ({}, {})
     for (i, k), v in vec.items():
         slots[i][k] = v
-    return RankOneElement(kind, slots[0]), RankOneElement(kind, slots[1])
+    return slots
 
 
 def _complex_columns(kind: str, twist: str, N: int):
@@ -340,16 +340,18 @@ def _complex_columns(kind: str, twist: str, N: int):
     w-component; columns are exact (operator images are never truncated,
     so the composite vanishes identically).
     """
-    u, w = _build_operators(kind, twist)
+    if twist not in TWISTS:
+        raise ValueError(f"unknown twist {twist!r}")
     full = window_keys(kind, N)
+    one = _one(kind)
+    u, w, _, _ = _ae_uw(kind)
     d0: dict = {}
     d1: dict = {}
     for s in full:
-        m = RankOneElement.monomial(kind, *s)
-        um, wm = u(m), w(m)
-        d0[s] = _join(um.terms, wm.terms)
-        d1[(0, s)] = wm.terms
-        d1[(1, s)] = {k: -v for k, v in um.terms.items()}
+        um, wm = _act(kind, u, {s: one}, twist), _act(kind, w, {s: one}, twist)
+        d0[s] = _join(um, wm)
+        d1[(0, s)] = wm
+        d1[(1, s)] = {k: -v for k, v in um.items()}
     return d0, d1, full
 
 
@@ -362,11 +364,11 @@ def build_cochain_complex(kind: str, twist: str, window):
     """
     win = _window(window)
     d0, d1, full = _complex_columns(kind, twist, win.N)
-    u, w = _build_operators(kind, twist)
+    u, w, _, _ = _ae_uw(kind)
     composite = {}
     for s in full:
-        m1, m2 = _split(kind, d0[s])
-        composite[s] = (w(m1) - u(m2)).terms
+        m1, m2 = _split(d0[s])
+        composite[s] = _ae_sub(_act(kind, w, m1, twist), _act(kind, u, m2, twist))
     return d0, d1, composite
 
 
@@ -414,97 +416,69 @@ def hh_cohomology_rank_one(kind: str, twist: str = "id", window=10):
 
 
 def _sector_involution(kind: str, twist: str):
-    """Chain maps (rho0, rho1, rho2) realizing the order-2 symmetry on the
-    twisted-sector complex.  rho1 acts slotwise; the trig and qweyl cases
-    conjugate by the invertible generators before applying epsilon so the
-    maps commute with the differentials (verified by the caller)."""
-    tau = _twist_map(kind, twist)
-    mono = RankOneElement.monomial
+    """Maps (rho0, rho1, rho2) on term dicts realizing the order-2 symmetry
+    on the twisted-sector complex: eps after conjugation by the units of
+    the table, rho0 = eps, rho1 = (-eps(nu_u.m1), -eps(nu_w.m2)) slotwise
+    and rho2 = eps(nu_u nu_w.m).  _verify_involution certifies that they
+    are involutive chain maps."""
+    _, _, nu_u, nu_w = _ae_uw(kind)
+    minus = -_one(kind)
 
-    def plain(m):
-        return epsilon(m)
+    def conjugated(f):
+        return lambda vec: _eps(kind, _act(kind, f, vec, twist))
 
-    if kind == "weyl":
-        slot0 = slot1 = lambda m: -epsilon(m)
-        rho2 = plain
-        return plain, (slot0, slot1), rho2
-    X, Xi = mono(kind, 1, 0), mono(kind, -1, 0)
-    tX = tau(X)
+    slot0, slot1 = conjugated(_ae_scale(nu_u, minus)), conjugated(_ae_scale(nu_w, minus))
 
-    def slot0(m):
-        return -epsilon(multiply(multiply(Xi, m), tX))
+    def rho1(vec):
+        m1, m2 = _split(vec)
+        return _join(slot0(m1), slot1(m2))
 
-    if kind == "trig":
-        def slot1(m):
-            return -epsilon(m)
-
-        def rho2(m):
-            return epsilon(multiply(multiply(Xi, m), tX))
-    else:
-        P, Pi = mono(kind, 0, 1), mono(kind, 0, -1)
-        tP = tau(P)
-        XiPi = multiply(Xi, Pi)
-        tPX = tau(multiply(P, X))
-
-        def slot1(m):
-            return -epsilon(multiply(multiply(Pi, m), tP))
-
-        def rho2(m):
-            return epsilon(multiply(multiply(XiPi, m), tPX))
-
-    return plain, (slot0, slot1), rho2
+    return (lambda vec: _eps(kind, vec)), rho1, conjugated(_ae_mul(kind, nu_u, nu_w))
 
 
-def _verify_involution(kind: str, twist: str, N: int) -> None:
-    """Certify the symmetry maps are involutive chain maps on the margin."""
-    u, w = _build_operators(kind, twist)
-    rho0, rho1, rho2 = _sector_involution(kind, twist)
+def _verify_involution(kind: str, twist: str, N: int, rhos, d0: dict, d1: dict) -> None:
+    """Certify on the margin that the symmetry maps are involutions and
+    commute with the differentials, read off their window columns."""
+    rho0, rho1, rho2 = rhos
+    one = _one(kind)
+
+    def image(cols, vec):
+        out: dict = {}
+        for k, v in vec.items():
+            addmul_into(out, cols[k], v)
+        return out
+
     for key in window_keys(kind, N - 2):
-        m = RankOneElement.monomial(kind, *key)
-        # involution at each level
-        if rho0(rho0(m)) != m or rho2(rho2(m)) != m:
+        m = {key: one}
+        slot0, slot1 = _join(m, {}), _join({}, m)
+        if (rho0(rho0(m)) != m or rho2(rho2(m)) != m
+                or rho1(rho1(slot0)) != slot0 or rho1(rho1(slot1)) != slot1):
             raise CertificateError(f"{kind}/{twist}: symmetry is not an involution")
-        if rho1[0](rho1[0](m)) != m or rho1[1](rho1[1](m)) != m:
-            raise CertificateError(f"{kind}/{twist}: symmetry is not an involution")
-        # chain map at level 0 -> 1
-        em = rho0(m)
-        if rho1[0](u(m)) != u(em) or rho1[1](w(m)) != w(em):
+        if rho1(d0[key]) != image(d0, rho0(m)):
             raise CertificateError(f"{kind}/{twist}: level-0 symmetry is not a chain map")
-        # chain map at level 1 -> 2, on both slots
-        if rho2(w(m)) != w(rho1[0](m)):
-            raise CertificateError(f"{kind}/{twist}: level-1 symmetry is not a chain map")
-        if rho2(-u(m)) != -u(rho1[1](m)):
-            raise CertificateError(f"{kind}/{twist}: level-1 symmetry is not a chain map")
+        for vec in (slot0, slot1):
+            if rho2(image(d1, vec)) != image(d1, rho1(vec)):
+                raise CertificateError(f"{kind}/{twist}: level-1 symmetry is not a chain map")
 
 
 def _invariant_sector_dims(kind: str, twist: str, N: int):
     """Dimensions of the symmetry-invariant part of the windowed
     cohomology of one twisted sector."""
     one = _one(kind)
-    _verify_involution(kind, twist, N)
-    rho0, rho1, rho2 = _sector_involution(kind, twist)
     d0, d1, full = _complex_columns(kind, twist, N)
+    rho0, rho1, rho2 = rhos = _sector_involution(kind, twist)
+    _verify_involution(kind, twist, N, rhos, d0, d1)
     margin = [k for k in full if monomial_degree(kind, k) <= N - 2]
     margin1 = [(i, s) for i in (0, 1) for s in margin]
-
-    def rho_level0(vec):
-        return rho0(RankOneElement(kind, vec)).terms
-
-    def rho_level1(vec):
-        m1, m2 = _split(kind, vec)
-        return _join(rho1[0](m1).terms, rho1[1](m2).terms)
-
-    def rho_level2(vec):
-        return rho2(RankOneElement(kind, vec)).terms
 
     def identity(vec):
         return vec
 
     levels = [
-        (kernel_combos(((s, d0[s]) for s in margin), one), [], rho_level0),
+        (kernel_combos(((s, d0[s]) for s in margin), one), [], rho0),
         (kernel_combos(((key, d1[key]) for key in margin1), one),
-         [d0[s] for s in full], rho_level1),
-        ([{k: one} for k in margin], [d1[key] for key in d1], rho_level2),
+         [d0[s] for s in full], rho1),
+        ([{k: one} for k in margin], [d1[key] for key in d1], rho2),
     ]
     return tuple(invariant_dim(boundaries, cycles, [identity, rho], one)
                  for cycles, boundaries, rho in levels)
@@ -568,25 +542,6 @@ def _ae_sub(f: dict, g: dict) -> dict:
     for k, v in g.items():
         add_term(out, k, -v)
     return out
-
-
-def _ae_uw(kind: str):
-    one = _one(kind)
-    if kind == "weyl":
-        u = {((0, 0), (1, 0)): one, ((1, 0), (0, 0)): -one}
-        w = {((0, 0), (0, 1)): one, ((0, 1), (0, 0)): -one}
-        nu_u = nu_w = {((0, 0), (0, 0)): one}
-    elif kind == "trig":
-        u = {((1, 0), (-1, 0)): one, ((0, 0), (0, 0)): -one}
-        w = {((0, 0), (0, 1)): one, ((0, 1), (0, 0)): -one}
-        nu_u = {((-1, 0), (1, 0)): one}
-        nu_w = {((0, 0), (0, 0)): one}
-    else:
-        u = {((1, 0), (-1, 0)): one, ((0, 0), (0, 0)): -one}
-        w = {((0, 1), (0, -1)): one, ((0, 0), (0, 0)): -one}
-        nu_u = {((-1, 0), (1, 0)): one}
-        nu_w = {((0, -1), (0, 1)): one}
-    return u, w, nu_u, nu_w
 
 
 def _ae_window(kind: str, N: int) -> list:

@@ -1,8 +1,9 @@
 """Sparse exact Gaussian elimination: one fraction-free kernel.
 
-Vectors are dicts {basis key: nonzero scalar}; scalars may be int,
-Fraction, rational functions, or anything with exact +, -, *, / and
-truthiness.  No floating point and no modular arithmetic anywhere.
+Vectors are dicts {basis key: scalar}; scalars may be int, Fraction,
+rational functions, or anything with exact +, -, *, / and truthiness.
+Explicit zero entries are dropped where a vector enters elimination.
+No floating point and no modular arithmetic anywhere.
 
 Every elimination runs through one loop (_eliminate).  Rational vectors
 have their denominators cleared at the API edge and are eliminated over
@@ -87,16 +88,17 @@ def _scaled_out(vec: dict, scale) -> dict:
 def _eliminate(pivots: dict, vec: dict, sign: int, label=None, one=None):
     """The one elimination loop: reduce vec until its leading key is no pivot.
 
-    At the API edge, rational entries (int or Fraction) are cleared of
-    denominators, so the working row holds ints and scale starts at the
-    lcm of the denominators; entries of any other field are copied as
-    they are, with scale None.  A pivot is (tail, combo, lead): its row
-    without the leading entry, which is lead, or 1 when lead is None.  A
-    step pops b = r[key], whose cancellation is known, and subtracts
-    b * tail: that is r -= r[key] * row against a monic row, the only step
-    field rows take.  An integer row with lead > 1 gives the fraction-free
-    step r = a*r - b*row with a = lead/g, b = r[key]/g and
-    g = gcd(lead, r[key]), and scale is multiplied by a.
+    At the API edge, zero entries are dropped and rational entries (int
+    or Fraction) are cleared of denominators, so the working row holds
+    ints and scale starts at the lcm of the denominators; entries of any
+    other field are copied as they are, with scale None.  A pivot is
+    (tail, combo, lead): its row without the leading entry, which is lead,
+    or 1 when lead is None.  A step pops b = r[key], whose cancellation is
+    known, and subtracts b * tail: that is r -= r[key] * row against a
+    monic row, the only step field rows take.  An integer row with
+    lead > 1 gives the fraction-free step r = a*r - b*row with
+    a = lead/g, b = r[key]/g and g = gcd(lead, r[key]), and scale is
+    multiplied by a.
 
     sign selects the combo c carried along, c = a*c + sign*b*combo: none
     for 0, an express combo starting empty for +1, and for -1 the
@@ -115,10 +117,10 @@ def _eliminate(pivots: dict, vec: dict, sign: int, label=None, one=None):
             d = v.denominator
             if scale % d:
                 scale = scale // gcd(scale, d) * d
-        r = {k: v.numerator * (scale // v.denominator) for k, v in vec.items()}
+        r = {k: v.numerator * (scale // v.denominator) for k, v in vec.items() if v}
     else:
         scale = None
-        r = dict(vec)
+        r = {k: v for k, v in vec.items() if v}
     if not sign:
         c = None
     elif sign > 0:

@@ -38,14 +38,6 @@ class CheckReport:
         lines = [("[pass] " if flag else "[FAIL] ") + text for flag, text in checks]
         return cls(name, all(flag for flag, _ in checks), tuple(lines))
 
-    @classmethod
-    def combine(cls, name: str, parts: list["CheckReport"]) -> "CheckReport":
-        lines = []
-        for p in parts:
-            lines.append(f"[{'pass' if p.passed else 'FAIL'}] {p.name}")
-            lines.extend("  " + ln for ln in p.lines)
-        return cls(name, all(p.passed for p in parts), tuple(lines))
-
 
 def load_preset(name: str) -> AlgebraPreset:
     """Resolve a preset by catalog name, gamma:<nu>, or a JSON file/string.

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreath_hochschild.cherednik import (
     CherednikElement,
@@ -190,3 +192,25 @@ def test_format_round_trip_at_n_11():
         elem = normal_order(" ".join(word), n)
         assert len(elem.terms) == 1
         assert normal_order(str(elem), n) == elem
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def words(draw):
+    n = draw(st.sampled_from((2, 3)))
+    index = st.integers(1, n)
+    atom = st.one_of(
+        st.tuples(st.sampled_from(("x", "p")), index),
+        st.lists(index, min_size=2, max_size=2, unique=True).map(lambda ij: ("s", *ij)))
+    return n, draw(st.lists(atom, max_size=5 if n == 2 else 4))
+
+
+@PROPERTY
+@given(words())
+def test_rewriting_is_confluent_and_specializes_to_the_crossed_product(case):
+    n, word = case
+    left = normal_order(word, n, "leftmost")
+    assert normal_order(word, n, "rightmost") == left
+    assert left.specialize(0) == crossed_weyl_normal_order(word, n)

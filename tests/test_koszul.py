@@ -16,6 +16,7 @@ from wreath_hochschild.koszul import (
     multiply,
     window_keys,
 )
+from wreath_hochschild.linalg import CertificateError
 from wreath_hochschild.ratfunc import RatFunc
 
 M = RankOneElement.monomial
@@ -161,6 +162,22 @@ def test_window_instability(monkeypatch):
         calls.clear()
         assert crossed_z2_cohomology("weyl", N) == (2 * N, 0, 0)
         assert calls == [N, N]
+
+
+def test_involution_certificate_guards_the_unit_table(monkeypatch):
+    # the sector symmetry is derived from nu_u, nu_w; a wrong unit for trig
+    # (1⊗1 instead of X^{-1}⊗X) must fail the chain-map certificate
+    table = koszul._ae_uw
+
+    def wrong_nu_u(kind):
+        u, w, nu_u, nu_w = table(kind)
+        if kind == "trig":
+            nu_u = {((0, 0), (0, 0)): Fraction(1)}
+        return u, w, nu_u, nu_w
+
+    monkeypatch.setattr(koszul, "_ae_uw", wrong_nu_u)
+    with pytest.raises(CertificateError, match="symmetry is not a chain map"):
+        crossed_z2_cohomology("trig", 6)
 
 
 DUALITY_LINES = (

@@ -105,6 +105,28 @@ def test_rank_modulo_over_rational_functions():
     assert rank_modulo(rows, [0, 1, 2], one) == 2
 
 
+@pytest.mark.parametrize("zero, one", [
+    (Fraction(0), Fraction(1)),
+    (0, 1),
+    (RatFunc.from_int(0), RatFunc.from_int(1)),
+], ids=["fraction", "int", "ratfunc"])
+def test_explicit_zero_entries_are_dropped(zero, one):
+    # a stored zero lead once counted as a pivot (rank 2) or divided by zero
+    assert rank_of([{1: one}, {0: zero, 1: one}]) == 1
+    assert rank_of([{0: zero}]) == 0
+    assert rank_of([{0: one}, {0: zero, 1: one}]) == 2
+    assert rank_modulo([{0: zero, 1: one}], [0, 1], one) == 1
+    ech = Echelon()
+    assert not ech.insert({0: zero})
+    assert ech.insert({0: zero, 1: one})
+    assert ech.reduce({0: zero, 1: one, 2: zero}) == {}
+    deps = kernel_combos([("a", {0: zero}), ("b", {1: one}), ("c", {0: zero, 1: one})], one)
+    assert deps == [{"a": one}, {"b": -one, "c": one}]
+    tracked = TrackingEchelon(one)
+    tracked.insert({0: one, 1: zero}, "a")
+    assert tracked.express({0: one + one, 1: zero}) == ({}, {"a": one + one})
+
+
 def test_echelon_reduce_membership():
     ech = Echelon()
     ech.insert({0: Fraction(1), 1: Fraction(1)})

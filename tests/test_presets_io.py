@@ -1,5 +1,8 @@
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from wreath_hochschild.betti import BettiTable
 from wreath_hochschild.presets_io import CheckReport, emit, load_preset, parse
 from wreath_hochschild.series import BiSeries
@@ -103,19 +106,6 @@ def test_plain_format():
     assert table.strip() == "1 + 2*t^2"
 
 
-def test_report_emit():
-    rep = CheckReport.combine("all", [
-        CheckReport("one", True, ("detail",)),
-        CheckReport("two", False),
-    ])
-    assert not rep.passed
-    plain = emit(rep, "plain").decode()
-    assert plain.startswith("FAIL all")
-    assert "[pass] one" in plain and "[FAIL] two" in plain
-    ok = CheckReport.combine("all", [CheckReport("one", True)])
-    assert emit(ok, "plain").decode().startswith("PASS all")
-
-
 def test_emit_rejects_unknown():
     try:
         emit(BettiTable({}), "xml")
@@ -129,3 +119,42 @@ def test_emit_rejects_unknown():
         pass
     else:
         assert False
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def series(draw):
+    qb, tb = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    terms = draw(st.lists(st.tuples(st.integers(0, qb), st.integers(0, tb),
+                                    st.integers(-50, 50)), max_size=12))
+    return BiSeries.from_terms(qb, tb, terms)
+
+
+tables = st.dictionaries(st.integers(0, 12), st.integers(0, 40), max_size=6).map(BettiTable)
+reports = st.builds(CheckReport, st.text(max_size=12), st.booleans(),
+                    st.lists(st.text(max_size=20), max_size=4).map(tuple))
+
+
+@PROPERTY
+@given(st.one_of(series(), tables, reports))
+def test_json_round_trip_property(value):
+    assert parse(emit(value, "json")) == value
+
+
+@PROPERTY
+@given(tables)
+def test_csv_table_round_trip_property(table):
+    assert parse(emit(table, "csv")) == table
+
+
+@PROPERTY
+@given(series())
+def test_csv_series_round_trip_up_to_bounds_property(s):
+    back = parse(emit(s, "csv"))
+    terms = list(s.terms())
+    assert list(back.terms()) == terms
+    assert back.q_bound == max((n for n, _, _ in terms), default=0)
+    assert back.t_bound == max((i for _, i, _ in terms), default=0)
+    assert emit(back, "csv") == emit(s, "csv")
