@@ -53,6 +53,15 @@ def _kp_add(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+def _kp_add_into(target: dict, key, c: tuple) -> None:
+    """target[key] += c for k-polynomials; drops the entry if it cancels."""
+    acc = _kp_add(target.get(key, KP_ZERO), c)
+    if acc:
+        target[key] = acc
+    else:
+        target.pop(key, None)
+
+
 def _kp_mul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return KP_ZERO
@@ -249,19 +258,10 @@ def _reduce_words(pending: dict, n: int, rightmost: bool) -> dict:
             continue
         t = _find_redex(word, rightmost)
         if t is None:
-            mono = _monomial_of(word, n)
-            acc = _kp_add(out.get(mono, KP_ZERO), coeff)
-            if acc:
-                out[mono] = acc
-            elif mono in out:
-                del out[mono]
+            _kp_add_into(out, _monomial_of(word, n), coeff)
             continue
         for nxt, c in _rewrite(word, t, n):
-            acc = _kp_add(work.get(nxt, KP_ZERO), _kp_mul(coeff, c))
-            if acc:
-                work[nxt] = acc
-            elif nxt in work:
-                del work[nxt]
+            _kp_add_into(work, nxt, _kp_mul(coeff, c))
     return out
 
 
@@ -286,11 +286,7 @@ class CherednikElement:
                 or min(mono.xexp + mono.pexp, default=0) < 0
             ):
                 raise ValueError(f"bad monomial {mono!r}")
-            acc = _kp_add(clean.get(mono, KP_ZERO), _kp(coeff))
-            if acc:
-                clean[mono] = acc
-            elif mono in clean:
-                del clean[mono]
+            _kp_add_into(clean, mono, _kp(coeff))
         self.terms = clean
 
     @classmethod
@@ -386,20 +382,10 @@ def multiply(a: CherednikElement, b: CherednikElement) -> CherednikElement:
         w1 = _monomial_word(m1, n)
         for m2, c2 in b.terms.items():
             c = _kp_mul(c1, c2)
-            for mono, red in _junction_product(n, w1 + _monomial_word(m2, n)):
+            junction = {w1 + _monomial_word(m2, n): KP_ONE}
+            for mono, red in _reduce_words(junction, n, False).items():
                 pairs.append((mono, _kp_mul(c, red)))
     return CherednikElement(n, pairs)
-
-
-_PRODUCT_CACHE: dict = {}
-
-
-def _junction_product(n: int, word: tuple) -> tuple:
-    hit = _PRODUCT_CACHE.get((n, word))
-    if hit is None:
-        hit = tuple(_reduce_words({word: KP_ONE}, n, False).items())
-        _PRODUCT_CACHE[(n, word)] = hit
-    return hit
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,12 @@ d1(m1, m2) = w.m1 - u.m2, where the one action _act gives
 a sector complex is eps after conjugation by the units: eps on M,
 (m1, m2) -> (-eps(nu_u.m1), -eps(nu_w.m2)) on M^2 and
 m -> eps(nu_u nu_w.m) on the top M.  The algebras are infinite
-dimensional, so all ranks are
-computed on a filtration window (total degree <= N) and reported only on
-the safe margin (degree <= N-2); both differentials move total degree by
-at most 2, so margin kernels and margin-supported images are exact.
+dimensional, so all ranks are computed on a filtration window (total
+degree <= N) and reported only on the safe margin (degree <= N-2); both
+differentials move total degree by at most 2, so margin kernels and
+margin-supported images are exact.  One routine, _margin_dims, reads
+this margin homology: for the sector complexes, and for the Koszul
+resolution in duality_check, whose exactness it certifies.
 Working over the rational function field keeps qweyl generic: every
 pivot is a nonzero element of Q(q), so no root-of-unity collapse can
 occur.
@@ -372,24 +374,26 @@ def build_cochain_complex(kind: str, twist: str, window):
     return d0, d1, composite
 
 
-def _windowed_dims(kind: str, twist: str, N: int):
-    """(h0, h1, h2) from ranks on the window N with margin N-2."""
-    one = _one(kind)
-    d0, d1, full = _complex_columns(kind, twist, N)
-    margin = [k for k in full if monomial_degree(kind, k) <= N - 2]
-    mset = set(margin)
+def _margin_dims(d0: dict, d1: dict, margin: list, one):
+    """(h0, h1, h2) of a windowed two-step complex, read on its margin.
 
+    d0 and d1 hold the columns over the full window, level-1 keys being
+    (slot, key) with slot 0 or 1: margin-supported cycles modulo the
+    images of the full window that land in the margin span.
+    """
     h0 = len(margin) - rank_of(d0[s] for s in margin)
-
-    # cycles at level 1 with margin support
     margin1 = [(i, s) for i in (0, 1) for s in margin]
     k1 = len(margin1) - rank_of(d1[key] for key in margin1)
-    # boundaries from the full window that land inside the margin span
-    i1 = len(margin1) - rank_modulo((d0[s] for s in full), margin1, one)
-    h1 = k1 - i1
-
+    i1 = len(margin1) - rank_modulo(d0.values(), margin1, one)
     h2 = rank_modulo(d1.values(), margin, one)
-    return (h0, h1, h2)
+    return (h0, k1 - i1, h2)
+
+
+def _windowed_dims(kind: str, twist: str, N: int):
+    """(h0, h1, h2) from ranks on the window N with margin N-2."""
+    d0, d1, full = _complex_columns(kind, twist, N)
+    margin = [k for k in full if monomial_degree(kind, k) <= N - 2]
+    return _margin_dims(d0, d1, margin, _one(kind))
 
 
 def _stable(label: str, dims_at, window):
@@ -562,96 +566,62 @@ def duality_check(kind: str, window=None) -> CheckReport:
     differentials compose to zero; the factor swap sends u, w to unit
     multiples of themselves, so the matrices of the dual (left
     multiplication) differentials agree with the swap-transported, unit-
-    rescaled Koszul matrices on the margin; the windowed complex is exact
-    away from the top spot; and the top cokernel on the margin has
-    exactly the dimension of the windowed algebra, identifying the only
-    surviving cohomology with the algebra itself.
+    rescaled Koszul matrices on the margin; the margin homology of the
+    resolution, computed by _margin_dims as for the sectors, vanishes
+    except at the end, where it is the image of the multiplication map;
+    and the top cokernel on the margin has exactly the dimension of the
+    windowed algebra, identifying the only surviving cohomology with the
+    algebra itself.
     """
     _check_kind(kind)
     if window is None:
         window = 8 if kind == "weyl" else 6
-    win = _window(window)
-    N = win.N
+    N = _window(window).N
     one = _one(kind)
     u, w, nu_u, nu_w = _ae_uw(kind)
     checks = [(_ae_mul(kind, u, w) == _ae_mul(kind, w, u),
-               "u and w commute in the enveloping algebra")]
+               "u and w commute in the enveloping algebra"),
+              (_ae_swap(u) == _ae_scale(_ae_mul(kind, u, nu_u), -one)
+               and _ae_swap(w) == _ae_scale(_ae_mul(kind, w, nu_w), -one),
+               "factor swap sends u, w to unit multiples of themselves")]
 
-    su, sw = _ae_swap(u), _ae_swap(w)
-    checks.append((su == _ae_scale(_ae_mul(kind, u, nu_u), -one)
-                   and sw == _ae_scale(_ae_mul(kind, w, nu_w), -one),
-                   "factor swap sends u, w to unit multiples of themselves"))
+    basis, margin = _ae_window(kind, N), _ae_window(kind, N - 2)
 
-    basis = _ae_window(kind, N)
-    margin = [k for k in basis
-              if monomial_degree(kind, k[0]) + monomial_degree(kind, k[1]) <= N - 2]
-
-    # composite d0 ∘ d1 vanishes identically on the full window
-    flag = True
+    # E -> E^2 -> E is xi -> (xi.w, -xi.u) (first), then (xi1, xi2) ->
+    # xi1.u + xi2.w (second; the report counts from the algebra end).  Every
+    # check reads these once-computed multiples xi.u, xi.w, u.xi and w.xi
+    first, second, left = {}, {}, {}
     for xi in basis:
         el = {xi: one}
-        pair = (_ae_mul(kind, el, w), _ae_scale(_ae_mul(kind, el, u), -one))
-        comp = _ae_sub(_ae_mul(kind, pair[0], u),
-                       _ae_scale(_ae_mul(kind, pair[1], w), -one))
-        if comp:
-            flag = False
-            break
+        xu, xw = _ae_mul(kind, el, u), _ae_mul(kind, el, w)
+        first[xi] = _join(xw, {k: -v for k, v in xu.items()})
+        second[(0, xi)], second[(1, xi)] = xu, xw
+        left[xi] = (_ae_mul(kind, u, el), _ae_mul(kind, w, el))
+
+    # composite xi.w.u - xi.u.w vanishes identically on the full window
+    flag = all(_ae_mul(kind, second[(1, xi)], u) == _ae_mul(kind, second[(0, xi)], w)
+               for xi in basis)
     checks.append((flag, "consecutive differentials compose to zero on the full window"))
 
-    # dual differential matrices = swap-transported Koszul matrices
-    flag = True
-    for xi in margin:
-        el = {xi: one}
-        for elem, nu in ((u, nu_u), (w, nu_w)):
-            dual_col = _ae_swap(_ae_mul(kind, elem, _ae_swap(el)))
-            koszul_col = _ae_scale(_ae_mul(kind, _ae_mul(kind, el, elem), nu), -one)
-            if dual_col != koszul_col:
-                flag = False
-                break
-        if not flag:
-            break
+    # dual differential matrices = swap-transported Koszul matrices; the
+    # window and the margin are closed under the factor swap
+    flag = all(_ae_swap(left[(k2, k1)][i])
+               == _ae_scale(_ae_mul(kind, second[(i, (k1, k2))], nu), -one)
+               for k1, k2 in margin for i, nu in ((0, nu_u), (1, nu_w)))
     checks.append((flag, "dual differentials match the swap-transported Koszul matrices"))
 
-    # windowed column sets
-    d1cols = {}
-    d0cols = {}
-    mucols = {}
-    for xi in basis:
-        el = {xi: one}
-        xu = _ae_mul(kind, el, u)
-        xw = _ae_mul(kind, el, w)
-        d1cols[xi] = _join(xw, {k: -v for k, v in xu.items()})
-        d0cols[(0, xi)] = xu
-        d0cols[(1, xi)] = xw
-        mucols[xi] = _mono_mul(kind, *xi[0], *xi[1])
-
-    margin1 = [(i, xi) for i in (0, 1) for xi in margin]
-
-    # exactness at the top exterior spot: d1 injective on the margin
-    checks.append((len(margin) == rank_of(d1cols[xi] for xi in margin),
-                   "second differential is injective on the margin"))
-
-    # exactness in the middle: margin kernel of d0 = windowed image of d1
-    n0 = len(margin1) - rank_of(d0cols[key] for key in margin1)
-    im1 = len(margin1) - rank_modulo(d1cols.values(), margin1, one)
-    checks.append((n0 == im1, "margin kernel of the first differential equals the "
-                              "windowed image of the second"))
-
-    # exactness at the algebra spot: margin kernel of the multiplication
-    # map = windowed image of d0
-    nmu = len(margin) - rank_of(mucols[xi] for xi in margin)
-    im0 = len(margin) - rank_modulo(d0cols.values(), margin, one)
-    checks.append((nmu == im0, "margin kernel of the multiplication map equals the "
-                               "windowed image of the first differential"))
+    # windowed exactness: the margin homology is (0, 0, rank of mu on the margin)
+    h0, h1, h2 = _margin_dims(first, second, margin, one)
+    mu_rank = rank_of(_mono_mul(kind, *k1, *k2) for k1, k2 in margin)
+    checks.append((h0 == 0, "second differential is injective on the margin"))
+    checks.append((h1 == 0, "margin kernel of the first differential equals the "
+                            "windowed image of the second"))
+    checks.append((h2 == mu_rank, "margin kernel of the multiplication map equals the "
+                                  "windowed image of the first differential"))
 
     # top cohomology of the dual complex: left ideal (u, w) has margin
     # codimension equal to the windowed algebra dimension
-    lcols = []
-    for xi in basis:
-        el = {xi: one}
-        lcols.append(_ae_mul(kind, u, el))
-        lcols.append(_ae_mul(kind, w, el))
-    codim = rank_modulo(lcols, margin, one)
+    codim = rank_modulo((col for pair in left.values() for col in pair), margin, one)
     algebra_margin = len(window_keys(kind, N - 2))
     checks.append((codim == algebra_margin,
                    "top dual cohomology on the margin has the dimension of the "

@@ -63,13 +63,15 @@ def load_preset(name: str) -> AlgebraPreset:
         raise ValueError(f"unknown preset {name!r} (known: {known}, gamma:<nu>, or JSON)")
     if not isinstance(data, dict) or not {"name", "d", "betti"} <= set(data):
         raise ValueError("preset JSON needs keys name, d, betti")
-    betti = data["betti"]
-    if not isinstance(betti, list) or not all(isinstance(b, int) for b in betti):
+    # type(), not isinstance: JSON true/false load as bool, an int subclass
+    betti, d = data["betti"], data["d"]
+    if not isinstance(betti, list) or not all(type(b) is int for b in betti):
         raise ValueError("betti must be a list of integers")
+    if type(d) is not int:
+        raise ValueError("d must be an even integer")
     # BettiTable rejects negative dims; AlgebraPreset rejects odd d and
     # support outside [0, d]
-    return AlgebraPreset(str(data["name"]), int(data["d"]),
-                         BettiTable(dict(enumerate(betti))))
+    return AlgebraPreset(str(data["name"]), d, BettiTable(dict(enumerate(betti))))
 
 
 def emit(obj, format: str = "json") -> bytes:

@@ -201,6 +201,26 @@ def test_duality_reports():
         assert rep.lines == DUALITY_LINES
 
 
+@pytest.mark.parametrize("kind, patch, expect", [
+    # trig with nu_u = 1⊗1: the swap and the dual-differential lines fail
+    ("trig", lambda u, w, nu_u, nu_w: (u, w, {((0, 0), (0, 0)): Fraction(1)}, nu_w),
+     [True, False, True, False, True, True, True, True]),
+    # weyl with w = u: the resolution is no longer exact
+    ("weyl", lambda u, w, nu_u, nu_w: (u, u, nu_u, nu_u), [True] * 5 + [False] * 3),
+    # weyl with w = 1⊗p: u and w no longer commute
+    ("weyl", lambda u, w, nu_u, nu_w: (u, {((0, 0), (0, 1)): Fraction(1)}, nu_u, nu_w),
+     [False] * 4 + [True] + [False] * 3),
+], ids=["trig-unit-nu_u", "weyl-w-equals-u", "weyl-w-one-sided"])
+def test_duality_check_fails_on_a_corrupted_table(monkeypatch, kind, patch, expect):
+    table = koszul._ae_uw
+    monkeypatch.setattr(koszul, "_ae_uw", lambda k: patch(*table(k)))
+    rep = duality_check(kind)
+    assert not rep.passed
+    assert [line.startswith("[pass] ") for line in rep.lines] == expect
+    assert [line.split("] ", 1)[1] for line in rep.lines] == \
+        [line.split("] ", 1)[1] for line in DUALITY_LINES]
+
+
 def test_enveloping_product_over_q_adds_q_exponents():
     # reference: the term-by-term product through the monomial products
     def reference(f, g):

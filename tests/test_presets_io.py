@@ -44,6 +44,9 @@ def test_load_rejects_bad_input():
         '{"name": "u", "d": 2, "betti": [1, -1]}',  # negative dim
         '{"name": "u", "d": 2}',                    # missing key
         '{"name": "u", "d": 2, "betti": "xy"}',
+        '{"name": "u", "d": 2.9, "betti": [1, 0, 1]}',  # d not an integer
+        '{"name": "u", "d": "2", "betti": [1, 0, 1]}',
+        '{"name": "u", "d": 2, "betti": [true, false, true]}',  # bools
     ]
     for name in bad:
         try:
