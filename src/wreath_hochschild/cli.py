@@ -13,7 +13,8 @@ certificate that did not hold), 2 usage error.  Error messages go to
 standard error.  A verification suite that raises is reported as a
 failed check, and the remaining suites still run.  The brute-force size
 cap honours the HH_SIZE_CAP environment variable; randomized suites take
---seed.  betti, hilb and deform refuse -n above MAX_WREATH_N, and series
+--seed.  betti, hilb and deform refuse an -n whose work estimate
+p(n) * (n*d + 1)^2 is above that of n = MAX_WREATH_N at d = 2, and series
 refuses q and t bounds above MAX_SERIES_Q and MAX_SERIES_T, with exit 2
 before any work.
 """
@@ -63,18 +64,41 @@ from .wreath import (
 Z2_COMPANIONS = {"weyl": "z2_weyl", "trig": "z2_trig", "qweyl": "z2_qweyl"}
 
 # Size caps, refused before any work; timings on a 2-vCPU machine.  The
-# partition sum grows with the number of partitions of n: betti --preset
-# qweyl takes about 9 s at n = 52 and 14 s at n = 54.  The product route
-# costs about q^2 * t per factor: series --preset qweyl takes about 6 s at
-# q^300 (t^600) and 15 s at q^400.
+# partition sum walks the p(n) partitions of n and convolves tables of
+# degree support up to n*d + 1, so its work is about p(n) * (n*d + 1)^2.
+# betti --preset qweyl (d = 2) takes about 11 s at n = 52; JSON presets
+# with all-ones tables take 11 s at d = 4, n = 45, 12 s at d = 8, n = 39
+# (17 s at n = 40), and 0.75, 4.0 and 12.9 s at d = 20, n = 20, 26 and 31
+# (about half an hour at n = 52, by extrapolation).  The budget is the
+# estimate at n = MAX_WREATH_N for d = 2, so every d = 2 table (each
+# catalogue preset, and hilb) keeps the cap MAX_WREATH_N, and a larger d
+# gets a smaller one (45 at d = 4, 39 at d = 8, 31 at d = 20).  The
+# product route costs about q^2 * t per factor: series --preset qweyl
+# takes about 6 s at q^300 (t^600) and 15 s at q^400.
 MAX_WREATH_N = 52
 MAX_SERIES_Q = 300
 MAX_SERIES_T = 600
 
 
-def _check_wreath_n(n: int):
-    if n > MAX_WREATH_N:
-        raise ValueError(f"-n {n} is above the cap of {MAX_WREATH_N}")
+def _partition_counts(top: int) -> list:
+    counts = [1] + [0] * top
+    for part in range(1, top + 1):
+        for m in range(part, top + 1):
+            counts[m] += counts[m - part]
+    return counts
+
+
+_PARTITION_COUNTS = _partition_counts(MAX_WREATH_N)
+_WREATH_BUDGET = _PARTITION_COUNTS[MAX_WREATH_N] * (2 * MAX_WREATH_N + 1) ** 2
+
+
+def _check_wreath_n(n: int, d: int):
+    # the estimate grows with n and d, and d >= 2, so no cap exceeds MAX_WREATH_N
+    cap = max(m for m, count in enumerate(_PARTITION_COUNTS)
+              if count * (m * d + 1) ** 2 <= _WREATH_BUDGET)
+    if n > cap:
+        raise ValueError(f"-n {n} is above the cap of {cap}"
+                         + (f" for d = {d}" if cap < MAX_WREATH_N else ""))
 
 
 def _cmd_series(args) -> int:
@@ -97,8 +121,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_betti(args) -> int:
-    _check_wreath_n(args.n)
     preset = load_preset(args.preset)
+    _check_wreath_n(args.n, preset.d)
     table = hh_cohomology_wreath(preset.betti, preset.d, args.n)
     sys.stdout.buffer.write(emit(table, args.format))
     return 0
@@ -109,15 +133,15 @@ def _cmd_hilb(args) -> int:
         dims = [int(v) for v in args.betti.split(",")]
     except ValueError:
         raise ValueError(f"--betti expects comma-separated integers, got {args.betti!r}")
-    _check_wreath_n(args.n)
+    _check_wreath_n(args.n, 2)
     table = hilb_poincare(BettiTable(dict(enumerate(dims))), args.n)
     sys.stdout.buffer.write(emit(table, args.format))
     return 0
 
 
 def _cmd_deform(args) -> int:
-    _check_wreath_n(args.n)
     preset = load_preset(args.preset)
+    _check_wreath_n(args.n, preset.d)
     print(deformation_parameter_count(preset.betti, preset.d, args.n))
     return 0
 

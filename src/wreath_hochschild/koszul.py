@@ -30,7 +30,11 @@ degree <= N) and reported only on the safe margin (degree <= N-2); both
 differentials move total degree by at most 2, so margin kernels and
 margin-supported images are exact.  One routine, _margin_dims, reads
 this margin homology: for the sector complexes, and for the Koszul
-resolution in duality_check, whose exactness it certifies.
+resolution in duality_check, whose exactness it certifies.  It runs over
+a chain of nested windows, each the margin of the next, and eliminates
+each differential once: operator images are never truncated, so window
+N-2 is a sub-window of window N, and the stability re-check at N-2 is
+read off the columns of window N.
 Working over the rational function field keeps qweyl generic: every
 pivot is a nonzero element of Q(q), so no root-of-unity collapse can
 occur.
@@ -43,6 +47,7 @@ from math import comb, factorial
 
 from .linalg import (
     CertificateError,
+    Echelon,
     add_term,
     addmul_into,
     invariant_dim,
@@ -55,6 +60,18 @@ from .ratfunc import RatFunc
 
 KINDS = ("weyl", "trig", "qweyl")
 TWISTS = ("id", "eps")
+
+
+# Window caps, refused with ValueError before any column is built;
+# timings on a 2-vCPU machine.  Sector windows (hh_cohomology_rank_one,
+# crossed_z2_cohomology, build_cochain_complex): crossed_z2_cohomology
+# ("qweyl") takes 0.5 s at N = 8, 1.0 s at 10, 3.1 s at 12 and 6.2 s at
+# 14; hh_cohomology_rank_one("qweyl", "eps") 0.22 s at 12, 0.47 s at 14,
+# 0.79 s at 16 and 2.1 s at 20.  Enveloping-algebra windows
+# (duality_check): "qweyl" takes 0.52 s at N = 6, 2.0 s at 8 and 5.5 s at
+# 10; "weyl" 0.33 s at 8 and 0.78 s at 10.
+MAX_SECTOR_WINDOW = 14
+MAX_DUALITY_WINDOW = 10
 
 
 class WindowInstability(RuntimeError):
@@ -80,8 +97,11 @@ class FilteredWindow:
         return f"FilteredWindow({self.N})"
 
 
-def _window(window) -> FilteredWindow:
-    return window if isinstance(window, FilteredWindow) else FilteredWindow(window)
+def _window(window, cap: int) -> FilteredWindow:
+    win = window if isinstance(window, FilteredWindow) else FilteredWindow(window)
+    if win.N > cap:
+        raise ValueError(f"window {win.N} is above the cap of {cap}")
+    return win
 
 
 def _check_kind(kind: str) -> None:
@@ -364,7 +384,7 @@ def build_cochain_complex(kind: str, twist: str, window):
     applied to each d0 column and is identically zero, returned as the
     certificate that consecutive differentials compose to zero.
     """
-    win = _window(window)
+    win = _window(window, MAX_SECTOR_WINDOW)
     d0, d1, full = _complex_columns(kind, twist, win.N)
     u, w, _, _ = _ae_uw(kind)
     composite = {}
@@ -374,38 +394,64 @@ def build_cochain_complex(kind: str, twist: str, window):
     return d0, d1, composite
 
 
-def _margin_dims(d0: dict, d1: dict, margin: list, one):
-    """(h0, h1, h2) of a windowed two-step complex, read on its margin.
+def _margin_dims(d0: dict, d1: dict, chain: list, one) -> list:
+    """(h0, h1, h2) of a windowed two-step complex on each window of a
+    nested chain C0 ⊂ C1 ⊂ ... ⊂ Ck of level-0 key lists, window C_i read
+    on its margin C_{i-1}; one tuple per window C1 .. Ck.
 
-    d0 and d1 hold the columns over the full window, level-1 keys being
-    (slot, key) with slot 0 or 1: margin-supported cycles modulo the
-    images of the full window that land in the margin span.
+    d0 and d1 hold the columns over Ck, level-1 keys being (slot, key)
+    with slot 0 or 1: margin-supported cycles modulo the images of the
+    window that land in the margin span.  Operator images are never
+    truncated, so the columns over C_i are those of the window C_i, and
+    each differential is eliminated once: its columns enter one Echelon
+    in chain order, the rank after each prefix is a margin rank, and the
+    margin unit vectors of each window are inserted right after its
+    columns, on a fork for the inner windows.
     """
-    h0 = len(margin) - rank_of(d0[s] for s in margin)
-    margin1 = [(i, s) for i in (0, 1) for s in margin]
-    k1 = len(margin1) - rank_of(d1[key] for key in margin1)
-    i1 = len(margin1) - rank_modulo(d0.values(), margin1, one)
-    h2 = rank_modulo(d1.values(), margin, one)
-    return (h0, k1 - i1, h2)
+    def level1(keys):
+        return [(j, s) for j in (0, 1) for s in keys]
+
+    def sweep(cols: dict, lift, units_of):
+        ech, ranks, modulo, inner = Echelon(), [], [], set()
+        for i, keys in enumerate(chain):
+            for key in lift([s for s in keys if s not in inner]):
+                ech.insert(cols[key])
+            inner.update(keys)
+            ranks.append(ech.rank)
+            if i:
+                target = ech.fork() if i < len(chain) - 1 else ech
+                for key in units_of(chain[i - 1]):
+                    target.insert({key: one})
+                modulo.append(target.rank - ranks[i])
+        return ranks, modulo
+
+    rank0, mod0 = sweep(d0, list, level1)
+    rank1, mod1 = sweep(d1, level1, list)
+    # h0 = margin kernel of d0; h1 = (2|margin| - rank1) - (2|margin| - mod0)
+    return [(len(chain[i]) - rank0[i], mod0[i] - rank1[i], mod1[i])
+            for i in range(len(chain) - 1)]
 
 
-def _windowed_dims(kind: str, twist: str, N: int):
-    """(h0, h1, h2) from ranks on the window N with margin N-2."""
-    d0, d1, full = _complex_columns(kind, twist, N)
-    margin = [k for k in full if monomial_degree(kind, k) <= N - 2]
-    return _margin_dims(d0, d1, margin, _one(kind))
+def _windowed_dims(kind: str, twist: str, windows: tuple) -> list:
+    """(h0, h1, h2) on each window of windows, (N,) or (N, N-2), each read
+    on its margin 2 below, from the columns of window N alone, over the
+    chain of total-degree cuts N-4, N-2, N (N-2, N for one window)."""
+    d0, d1, full = _complex_columns(kind, twist, windows[0])
+    bounds = sorted(windows)
+    chain = [[k for k in full if monomial_degree(kind, k) <= b]
+             for b in [bounds[0] - 2] + bounds]
+    return _margin_dims(d0, d1, chain, _one(kind))[::-1]
 
 
 def _stable(label: str, dims_at, window):
-    """dims_at(N) on the window N, re-checked at N-2 when that window is
-    admissible; a mismatch raises WindowInstability."""
-    win = _window(window)
-    dims = dims_at(win.N)
-    if win.N - 2 >= 4:
-        inner = dims_at(win.N - 2)
-        if inner != dims:
-            raise WindowInstability(
-                f"{label}: dims {dims} at N={win.N} but {inner} at N={win.N - 2}")
+    """dims_at(windows) on the window N, and re-checked at N-2 when that
+    window is admissible (windows is (N, N-2), else (N,)); a mismatch
+    raises WindowInstability."""
+    N = _window(window, MAX_SECTOR_WINDOW).N
+    dims, *inner = dims_at((N, N - 2) if N - 2 >= 4 else (N,))
+    if inner and inner[0] != dims:
+        raise WindowInstability(
+            f"{label}: dims {dims} at N={N} but {inner[0]} at N={N - 2}")
     return dims
 
 
@@ -413,10 +459,12 @@ def hh_cohomology_rank_one(kind: str, twist: str = "id", window=10):
     """Windowed Hochschild cohomology dimensions (h0, h1, h2).
 
     Dimensions are computed at window N and re-checked at N-2 (when that
-    window is admissible); a mismatch raises WindowInstability.
+    window is admissible), both read off the columns of window N; a
+    mismatch raises WindowInstability.  A window above MAX_SECTOR_WINDOW
+    raises ValueError.
     """
     return _stable(f"{kind}/{twist}",
-                   lambda N: _windowed_dims(kind, twist, N), window)
+                   lambda windows: _windowed_dims(kind, twist, windows), window)
 
 
 def _sector_involution(kind: str, twist: str):
@@ -490,14 +538,16 @@ def _invariant_sector_dims(kind: str, twist: str, N: int):
 
 def crossed_z2_cohomology(kind: str, window=10):
     """Hochschild cohomology dimensions of the order-2 crossed product,
-    assembled as invariants of the untwisted plus twisted sectors."""
+    assembled as invariants of the untwisted plus twisted sectors, at
+    window N and re-checked at N-2 as for hh_cohomology_rank_one."""
 
     def total(N):
         a = _invariant_sector_dims(kind, "id", N)
         b = _invariant_sector_dims(kind, "eps", N)
         return tuple(x + y for x, y in zip(a, b))
 
-    return _stable(f"{kind} crossed", total, window)
+    return _stable(f"{kind} crossed", lambda windows: [total(N) for N in windows],
+                   window)
 
 
 # --- self-duality of the Koszul bimodule complex ---------------------------
@@ -571,12 +621,12 @@ def duality_check(kind: str, window=None) -> CheckReport:
     except at the end, where it is the image of the multiplication map;
     and the top cokernel on the margin has exactly the dimension of the
     windowed algebra, identifying the only surviving cohomology with the
-    algebra itself.
+    algebra itself.  A window above MAX_DUALITY_WINDOW raises ValueError.
     """
     _check_kind(kind)
     if window is None:
         window = 8 if kind == "weyl" else 6
-    N = _window(window).N
+    N = _window(window, MAX_DUALITY_WINDOW).N
     one = _one(kind)
     u, w, nu_u, nu_w = _ae_uw(kind)
     checks = [(_ae_mul(kind, u, w) == _ae_mul(kind, w, u),
@@ -611,7 +661,7 @@ def duality_check(kind: str, window=None) -> CheckReport:
     checks.append((flag, "dual differentials match the swap-transported Koszul matrices"))
 
     # windowed exactness: the margin homology is (0, 0, rank of mu on the margin)
-    h0, h1, h2 = _margin_dims(first, second, margin, one)
+    [(h0, h1, h2)] = _margin_dims(first, second, [margin, basis], one)
     mu_rank = rank_of(_mono_mul(kind, *k1, *k2) for k1, k2 in margin)
     checks.append((h0 == 0, "second differential is injective on the margin"))
     checks.append((h1 == 0, "margin kernel of the first differential equals the "

@@ -200,6 +200,13 @@ class Echelon:
         _store(self.pivots, r, None)
         return True
 
+    def fork(self) -> "Echelon":
+        """An independent Echelon over the same span.  Only the pivot dict
+        is copied: stored rows are never mutated, so they are shared."""
+        out = Echelon()
+        out.pivots = dict(self.pivots)
+        return out
+
 
 def rank_of(vectors) -> int:
     ech = Echelon()

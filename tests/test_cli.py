@@ -132,6 +132,24 @@ def test_size_caps_refuse_before_any_work(monkeypatch, capsys):
     assert len(calls) == len(at_cap)
 
 
+def test_wreath_cap_is_set_by_work(monkeypatch, capsys):
+    # a d = 20 table does about as much work at n = 31 as a d = 2 one at n = 52
+    calls = []
+    monkeypatch.setattr(cli, "hh_cohomology_wreath",
+                        lambda *args: calls.append(args) or BettiTable({0: 1}))
+    monkeypatch.setattr(cli, "deformation_parameter_count",
+                        lambda *args: calls.append(args) or 1)
+    wide = '{"name": "wide", "d": 20, "betti": [%s]}' % ", ".join(["1"] * 21)
+    for command in ("betti", "deform"):
+        code, out, err = run(capsys, command, "--preset", wide, "-n", "32")
+        assert (code, out, err) == (2, "", "error: -n 32 is above the cap of 31 for d = 20\n")
+        assert calls == []
+    for command in ("betti", "deform"):
+        assert run(capsys, command, "--preset", wide, "-n", "31")[0] == 0
+        assert run(capsys, command, "--preset", "gamma:3", "-n", str(cli.MAX_WREATH_N))[0] == 0
+    assert [args[-1] for args in calls] == [31, cli.MAX_WREATH_N] * 2
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])

@@ -16,7 +16,7 @@ from wreath_hochschild.koszul import (
     multiply,
     window_keys,
 )
-from wreath_hochschild.linalg import CertificateError
+from wreath_hochschild.linalg import CertificateError, rank_modulo, rank_of
 from wreath_hochschild.ratfunc import RatFunc
 
 M = RankOneElement.monomial
@@ -146,7 +146,10 @@ def test_window_instability(monkeypatch):
         calls.append(N)
         return (N, 0, 0)
 
-    monkeypatch.setattr(koszul, "_windowed_dims", drifting)
+    def drifting_chain(kind, twist, windows):
+        return [drifting(kind, twist, N) for N in windows]
+
+    monkeypatch.setattr(koszul, "_windowed_dims", drifting_chain)
     monkeypatch.setattr(koszul, "_invariant_sector_dims", drifting)
     with pytest.raises(WindowInstability) as err:
         hh_cohomology_rank_one("weyl", "id", 6)
@@ -162,6 +165,82 @@ def test_window_instability(monkeypatch):
         calls.clear()
         assert crossed_z2_cohomology("weyl", N) == (2 * N, 0, 0)
         assert calls == [N, N]
+
+
+def single_window_dims(d0, d1, margin, one):
+    """Reference margin homology of one window, by separate rank passes."""
+    margin1 = [(i, s) for i in (0, 1) for s in margin]
+    h0 = len(margin) - rank_of(d0[s] for s in margin)
+    k1 = len(margin1) - rank_of(d1[key] for key in margin1)
+    i1 = len(margin1) - rank_modulo(d0.values(), margin1, one)
+    return (h0, k1 - i1, rank_modulo(d1.values(), margin, one))
+
+
+@pytest.mark.parametrize("N", range(6, 11))
+@pytest.mark.parametrize("twist", ["id", "eps"])
+@pytest.mark.parametrize("kind", ["weyl", "trig", "qweyl"])
+def test_chain_matches_single_windows(kind, twist, N):
+    want = []
+    for W in (N, N - 2):
+        d0, d1, full = koszul._complex_columns(kind, twist, W)
+        margin = [k for k in full if koszul.monomial_degree(kind, k) <= W - 2]
+        want.append(single_window_dims(d0, d1, margin, koszul._one(kind)))
+    assert koszul._windowed_dims(kind, twist, (N, N - 2)) == want
+    assert koszul._windowed_dims(kind, twist, (N,)) == want[:1]
+
+
+def test_chain_matches_single_windows_on_random_complexes():
+    # arbitrary columns (d1 d0 need not vanish), so the windows' dims differ
+    rng = random.Random(23)
+    dims_seen = set()
+    for _ in range(40):
+        keys = list(range(rng.randint(3, 9)))
+        rng.shuffle(keys)
+        cuts = sorted(rng.sample(range(1, len(keys) + 1), 3))
+        chain = [keys[:c] for c in cuts]
+
+        def column(rows):
+            return {r: Fraction(rng.randint(-2, 2)) for r in rows
+                    if rng.random() < 0.3}
+
+        d0 = {s: column([(i, k) for i in (0, 1) for k in keys]) for s in keys}
+        d1 = {(i, s): column(keys) for i in (0, 1) for s in keys}
+        got = koszul._margin_dims(d0, d1, chain, Fraction(1))
+        want = []
+        for margin, window in zip(chain, chain[1:]):
+            inside = set(window)
+            want.append(single_window_dims(
+                {s: c for s, c in d0.items() if s in inside},
+                {key: c for key, c in d1.items() if key[1] in inside},
+                margin, Fraction(1)))
+        assert got == want
+        dims_seen.update(want)
+    assert len(dims_seen) > 10
+
+
+def test_windows_above_the_cap_are_refused_before_any_column(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a window was built")
+
+    for name in ("_complex_columns", "_invariant_sector_dims", "_ae_window",
+                 "window_keys", "_ae_mul"):
+        monkeypatch.setattr(koszul, name, no_work)
+    sector, dual = koszul.MAX_SECTOR_WINDOW, koszul.MAX_DUALITY_WINDOW
+    for call, cap in ((lambda N: hh_cohomology_rank_one("qweyl", "eps", N), sector),
+                      (lambda N: crossed_z2_cohomology("qweyl", N), sector),
+                      (lambda N: build_cochain_complex("qweyl", "id", N), sector),
+                      (lambda N: duality_check("qweyl", N), dual),
+                      (lambda N: duality_check("weyl", FilteredWindow(N)), dual)):
+        with pytest.raises(ValueError) as err:
+            call(cap + 1)
+        assert str(err.value) == f"window {cap + 1} is above the cap of {cap}"
+    # at the cap the window is accepted and computed
+    calls = []
+    monkeypatch.setattr(koszul, "_windowed_dims",
+                        lambda kind, twist, windows: calls.append(windows)
+                        or [(1, 0, 0)] * len(windows))
+    assert hh_cohomology_rank_one("weyl", "id", sector) == (1, 0, 0)
+    assert calls == [(sector, sector - 2)]
 
 
 def test_involution_certificate_guards_the_unit_table(monkeypatch):

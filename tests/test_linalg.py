@@ -219,6 +219,31 @@ def test_deterministic_pivoting():
     assert e1.pivots == e2.pivots
 
 
+def test_fork_leaves_the_parent_untouched():
+    def frozen(ech):
+        return {k: (dict(tail), lead) for k, (tail, _, lead) in ech.pivots.items()}
+
+    rng = random.Random(43)
+    for one, rows in ((Fraction(1), random_sparse(rng, 5, 8)),
+                      (RatFunc.from_int(1),
+                       [{0: RatFunc([1, 1]), 2: RatFunc([0, 1])}, {1: RatFunc([2], [1, 1])}])):
+        parent = Echelon()
+        for r in rows:
+            parent.insert(r)
+        rank, pivots = parent.rank, frozen(parent)
+        child = parent.fork()
+        assert (child.rank, frozen(child)) == (rank, pivots)
+        for k in range(8):
+            child.insert({k: one})
+        assert child.rank == 8
+        assert (parent.rank, frozen(parent)) == (rank, pivots)
+        # and the fork is untouched when the parent goes on
+        forked = frozen(child)
+        for k in range(8):
+            parent.insert({k: one})
+        assert parent.rank == 8 and frozen(child) == forked
+
+
 ONE = Fraction(1)
 
 
