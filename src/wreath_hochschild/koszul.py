@@ -34,7 +34,11 @@ resolution in duality_check, whose exactness it certifies.  It runs over
 a chain of nested windows, each the margin of the next, and eliminates
 each differential once: operator images are never truncated, so window
 N-2 is a sub-window of window N, and the stability re-check at N-2 is
-read off the columns of window N.
+read off the columns of window N.  Row keys are ordered by window,
+outermost first, so each margin's span modulo the image is read off the
+pivot leads, with no unit vector inserted.  The crossed totals likewise
+build each sector's columns and certify its symmetry once, on window N,
+and restrict them to window N-2.
 Working over the rational function field keeps qweyl generic: every
 pivot is a nonzero element of Q(q), so no root-of-unity collapse can
 occur.
@@ -63,13 +67,14 @@ TWISTS = ("id", "eps")
 
 
 # Window caps, refused with ValueError before any column is built;
-# timings on a 2-vCPU machine.  Sector windows (hh_cohomology_rank_one,
+# timings are medians of 3 fresh processes on a 2-vCPU machine under
+# CPython 3.11.  Sector windows (hh_cohomology_rank_one,
 # crossed_z2_cohomology, build_cochain_complex): crossed_z2_cohomology
-# ("qweyl") takes 0.5 s at N = 8, 1.0 s at 10, 3.1 s at 12 and 6.2 s at
-# 14; hh_cohomology_rank_one("qweyl", "eps") 0.22 s at 12, 0.47 s at 14,
-# 0.79 s at 16 and 2.1 s at 20.  Enveloping-algebra windows
-# (duality_check): "qweyl" takes 0.52 s at N = 6, 2.0 s at 8 and 5.5 s at
-# 10; "weyl" 0.33 s at 8 and 0.78 s at 10.
+# ("qweyl") takes 0.21 s at N = 8, 0.43 s at 10, 0.79 s at 12 and 1.3 s
+# at 14; hh_cohomology_rank_one("qweyl", "eps") 0.05 s at 12, 0.07 s at
+# 14, 0.12 s at 16 and 0.19 s at 20.  Enveloping-algebra windows
+# (duality_check): "qweyl" takes 0.43 s at N = 6, 1.4 s at 8 and 3.9 s at
+# 10; "weyl" 0.29 s at 8 and 0.58 s at 10.
 MAX_SECTOR_WINDOW = 14
 MAX_DUALITY_WINDOW = 10
 
@@ -394,7 +399,7 @@ def build_cochain_complex(kind: str, twist: str, window):
     return d0, d1, composite
 
 
-def _margin_dims(d0: dict, d1: dict, chain: list, one) -> list:
+def _margin_dims(d0: dict, d1: dict, chain: list) -> list:
     """(h0, h1, h2) of a windowed two-step complex on each window of a
     nested chain C0 ⊂ C1 ⊂ ... ⊂ Ck of level-0 key lists, window C_i read
     on its margin C_{i-1}; one tuple per window C1 .. Ck.
@@ -404,25 +409,31 @@ def _margin_dims(d0: dict, d1: dict, chain: list, one) -> list:
     window that land in the margin span.  Operator images are never
     truncated, so the columns over C_i are those of the window C_i, and
     each differential is eliminated once: its columns enter one Echelon
-    in chain order, the rank after each prefix is a margin rank, and the
-    margin unit vectors of each window are inserted right after its
-    columns, on a fork for the inner windows.
+    in chain order, and the rank after each prefix is a window rank.
+    Every row key is re-keyed by the depth of its key, the index of the
+    innermost window holding it (k + 1 outside Ck), outermost first, so
+    each margin is a final segment of the pivot order.  The lead of a
+    combination of echelon rows is the smallest lead among the rows it
+    uses, so the image meets the margin span in the rows led by a margin
+    key: margin span modulo image is |margin| minus those pivots.
     """
     def level1(keys):
         return [(j, s) for j in (0, 1) for s in keys]
 
     def sweep(cols: dict, lift, units_of):
+        depth: dict = {}
+        for i in range(len(chain) - 1, -1, -1):
+            depth.update((key, i) for key in units_of(chain[i]))
         ech, ranks, modulo, inner = Echelon(), [], [], set()
         for i, keys in enumerate(chain):
             for key in lift([s for s in keys if s not in inner]):
-                ech.insert(cols[key])
+                ech.insert({(-depth.get(k, len(chain)), k): v
+                            for k, v in cols[key].items()})
             inner.update(keys)
             ranks.append(ech.rank)
             if i:
-                target = ech.fork() if i < len(chain) - 1 else ech
-                for key in units_of(chain[i - 1]):
-                    target.insert({key: one})
-                modulo.append(target.rank - ranks[i])
+                led = sum(1 for neg_depth, _ in ech.pivots if -neg_depth < i)
+                modulo.append(len(units_of(chain[i - 1])) - led)
         return ranks, modulo
 
     rank0, mod0 = sweep(d0, list, level1)
@@ -440,7 +451,7 @@ def _windowed_dims(kind: str, twist: str, windows: tuple) -> list:
     bounds = sorted(windows)
     chain = [[k for k in full if monomial_degree(kind, k) <= b]
              for b in [bounds[0] - 2] + bounds]
-    return _margin_dims(d0, d1, chain, _one(kind))[::-1]
+    return _margin_dims(d0, d1, chain)[::-1]
 
 
 def _stable(label: str, dims_at, window):
@@ -513,27 +524,38 @@ def _verify_involution(kind: str, twist: str, N: int, rhos, d0: dict, d1: dict) 
                 raise CertificateError(f"{kind}/{twist}: level-1 symmetry is not a chain map")
 
 
-def _invariant_sector_dims(kind: str, twist: str, N: int):
+def _invariant_sector_dims(kind: str, twist: str, windows: tuple) -> list:
     """Dimensions of the symmetry-invariant part of the windowed
-    cohomology of one twisted sector."""
+    cohomology of one twisted sector, on each window of windows, (N,) or
+    (N, N-2), each read on its margin 2 below.
+
+    The columns are built and the symmetry certified once, on window N:
+    operator images are never truncated, so window N-2 restricts those
+    columns, and its margin lies inside the certified one.  Each window
+    keeps its own eliminations."""
     one = _one(kind)
-    d0, d1, full = _complex_columns(kind, twist, N)
+    d0, d1, full = _complex_columns(kind, twist, windows[0])
     rho0, rho1, rho2 = rhos = _sector_involution(kind, twist)
-    _verify_involution(kind, twist, N, rhos, d0, d1)
-    margin = [k for k in full if monomial_degree(kind, k) <= N - 2]
-    margin1 = [(i, s) for i in (0, 1) for s in margin]
+    _verify_involution(kind, twist, windows[0], rhos, d0, d1)
 
     def identity(vec):
         return vec
 
-    levels = [
-        (kernel_combos(((s, d0[s]) for s in margin), one), [], rho0),
-        (kernel_combos(((key, d1[key]) for key in margin1), one),
-         [d0[s] for s in full], rho1),
-        ([{k: one} for k in margin], [d1[key] for key in d1], rho2),
-    ]
-    return tuple(invariant_dim(boundaries, cycles, [identity, rho], one)
-                 for cycles, boundaries, rho in levels)
+    out = []
+    for N in windows:
+        window = [k for k in full if monomial_degree(kind, k) <= N]
+        margin = [k for k in window if monomial_degree(kind, k) <= N - 2]
+        margin1 = [(i, s) for i in (0, 1) for s in margin]
+        levels = [
+            (kernel_combos(((s, d0[s]) for s in margin), one), [], rho0),
+            (kernel_combos(((key, d1[key]) for key in margin1), one),
+             [d0[s] for s in window], rho1),
+            ([{k: one} for k in margin],
+             [d1[(i, s)] for s in window for i in (0, 1)], rho2),
+        ]
+        out.append(tuple(invariant_dim(boundaries, cycles, [identity, rho], one)
+                         for cycles, boundaries, rho in levels))
+    return out
 
 
 def crossed_z2_cohomology(kind: str, window=10):
@@ -541,13 +563,12 @@ def crossed_z2_cohomology(kind: str, window=10):
     assembled as invariants of the untwisted plus twisted sectors, at
     window N and re-checked at N-2 as for hh_cohomology_rank_one."""
 
-    def total(N):
-        a = _invariant_sector_dims(kind, "id", N)
-        b = _invariant_sector_dims(kind, "eps", N)
-        return tuple(x + y for x, y in zip(a, b))
+    def total(windows):
+        sectors = zip(_invariant_sector_dims(kind, "id", windows),
+                      _invariant_sector_dims(kind, "eps", windows))
+        return [tuple(x + y for x, y in zip(a, b)) for a, b in sectors]
 
-    return _stable(f"{kind} crossed", lambda windows: [total(N) for N in windows],
-                   window)
+    return _stable(f"{kind} crossed", total, window)
 
 
 # --- self-duality of the Koszul bimodule complex ---------------------------
@@ -661,7 +682,7 @@ def duality_check(kind: str, window=None) -> CheckReport:
     checks.append((flag, "dual differentials match the swap-transported Koszul matrices"))
 
     # windowed exactness: the margin homology is (0, 0, rank of mu on the margin)
-    [(h0, h1, h2)] = _margin_dims(first, second, [margin, basis], one)
+    [(h0, h1, h2)] = _margin_dims(first, second, [margin, basis])
     mu_rank = rank_of(_mono_mul(kind, *k1, *k2) for k1, k2 in margin)
     checks.append((h0 == 0, "second differential is injective on the margin"))
     checks.append((h1 == 0, "margin kernel of the first differential equals the "
@@ -671,7 +692,7 @@ def duality_check(kind: str, window=None) -> CheckReport:
 
     # top cohomology of the dual complex: left ideal (u, w) has margin
     # codimension equal to the windowed algebra dimension
-    codim = rank_modulo((col for pair in left.values() for col in pair), margin, one)
+    codim = rank_modulo((col for pair in left.values() for col in pair), margin)
     algebra_margin = len(window_keys(kind, N - 2))
     checks.append((codim == algebra_margin,
                    "top dual cohomology on the margin has the dimension of the "

@@ -24,10 +24,13 @@ TrackingEchelon needs the field's unit to seed dependency combos; it
 defaults to Fraction(1) and must be passed explicitly for other fields.
 
 add_term is the single-entry form of addmul_into.  rank_modulo is the
-dimension of a span of unit vectors modulo a span of vectors, from one
-elimination.  invariant_dim is the one averaging-projector certificate:
-the dimension of the part of a homology space fixed by a finite group.
-An exact internal check that does not hold raises CertificateError.
+dimension of a span of unit vectors modulo a span of vectors, read off
+the pivot leads of one elimination of the vectors with those keys
+ordered last.  invariant_dim is the one averaging-projector certificate:
+the dimension of the part of a homology space fixed by a finite group;
+it absorbs the boundaries untracked, so its combos run over the cycles
+alone.  An exact internal check that does not hold raises
+CertificateError.
 """
 
 from __future__ import annotations
@@ -200,13 +203,6 @@ class Echelon:
         _store(self.pivots, r, None)
         return True
 
-    def fork(self) -> "Echelon":
-        """An independent Echelon over the same span.  Only the pivot dict
-        is copied: stored rows are never mutated, so they are shared."""
-        out = Echelon()
-        out.pivots = dict(self.pivots)
-        return out
-
 
 def rank_of(vectors) -> int:
     ech = Echelon()
@@ -215,15 +211,18 @@ def rank_of(vectors) -> int:
     return ech.rank
 
 
-def rank_modulo(vectors, keys, one=Fraction(1)) -> int:
-    """dim of span{e_k : k in keys} modulo span(vectors)."""
+def rank_modulo(vectors, keys) -> int:
+    """dim of span{e_k : k in keys} modulo span(vectors).
+
+    The keys are ordered last, so span{e_k} meets span(vectors) in the
+    span of the pivot rows led by one of them (the lead of a combination
+    of echelon rows is the smallest lead among the rows it uses).
+    """
+    keys = set(keys)
     ech = Echelon()
     for v in vectors:
-        ech.insert(v)
-    base = ech.rank
-    for k in keys:
-        ech.insert({k: one})
-    return ech.rank - base
+        ech.insert({(k in keys, k): c for k, c in v.items()})
+    return len(keys) - sum(last for last, _ in ech.pivots)
 
 
 class TrackingEchelon(Echelon):
@@ -293,14 +292,19 @@ def invariant_dim(boundaries, cycles, actions, one=Fraction(1)) -> int:
     Homology representatives are the cycles left independent once the
     boundaries are absorbed; the answer is the trace of the averaging
     projector (1/|G|) sum_g g on them, certified idempotent with an
-    integer trace.
+    integer trace.  The boundaries are absorbed first, untracked: their
+    rows carry empty combos, so every combo below is read modulo the
+    boundaries, which leaves its part on the representatives unchanged
+    (combos are linear, and that part is unique).
     """
     tracked = TrackingEchelon(one)
-    for idx, img in enumerate(boundaries):
-        tracked.insert(img, ("b", idx))
+    for img in boundaries:
+        r = _eliminate(tracked.pivots, img, 0)[0]
+        if r:
+            _store(tracked.pivots, r, {})
     reps = []
     for cyc in cycles:
-        if tracked.insert(cyc, ("z", len(reps))) is None:
+        if tracked.insert(cyc, len(reps)) is None:
             reps.append(cyc)
     h = len(reps)
     if not h:
@@ -312,9 +316,8 @@ def invariant_dim(boundaries, cycles, actions, one=Fraction(1)) -> int:
             residual, combo = tracked.express(act(cyc))
             if residual:
                 raise CertificateError("group image of a cycle left the cycle space")
-            for (tag, row), val in combo.items():
-                if tag == "z":
-                    proj[row][col] = proj[row][col] + val
+            for row, val in combo.items():
+                proj[row][col] = proj[row][col] + val
     inv = one / len(actions)
     proj = [[v * inv for v in row] for row in proj]
     square = [[sum((proj[r][k] * proj[k][c] for k in range(h)), zero)

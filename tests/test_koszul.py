@@ -16,7 +16,7 @@ from wreath_hochschild.koszul import (
     multiply,
     window_keys,
 )
-from wreath_hochschild.linalg import CertificateError, rank_modulo, rank_of
+from wreath_hochschild.linalg import CertificateError, rank_of
 from wreath_hochschild.ratfunc import RatFunc
 
 M = RankOneElement.monomial
@@ -150,7 +150,7 @@ def test_window_instability(monkeypatch):
         return [drifting(kind, twist, N) for N in windows]
 
     monkeypatch.setattr(koszul, "_windowed_dims", drifting_chain)
-    monkeypatch.setattr(koszul, "_invariant_sector_dims", drifting)
+    monkeypatch.setattr(koszul, "_invariant_sector_dims", drifting_chain)
     with pytest.raises(WindowInstability) as err:
         hh_cohomology_rank_one("weyl", "id", 6)
     assert str(err.value) == "weyl/id: dims (6, 0, 0) at N=6 but (4, 0, 0) at N=4"
@@ -168,12 +168,18 @@ def test_window_instability(monkeypatch):
 
 
 def single_window_dims(d0, d1, margin, one):
-    """Reference margin homology of one window, by separate rank passes."""
+    """Reference margin homology of one window, by separate rank passes;
+    margin span modulo an image is read by inserting the unit vectors."""
     margin1 = [(i, s) for i in (0, 1) for s in margin]
+
+    def modulo(cols, keys):
+        cols = list(cols)
+        return rank_of(cols + [{k: one} for k in keys]) - rank_of(cols)
+
     h0 = len(margin) - rank_of(d0[s] for s in margin)
     k1 = len(margin1) - rank_of(d1[key] for key in margin1)
-    i1 = len(margin1) - rank_modulo(d0.values(), margin1, one)
-    return (h0, k1 - i1, rank_modulo(d1.values(), margin, one))
+    i1 = len(margin1) - modulo(d0.values(), margin1)
+    return (h0, k1 - i1, modulo(d1.values(), margin))
 
 
 @pytest.mark.parametrize("N", range(6, 11))
@@ -205,7 +211,7 @@ def test_chain_matches_single_windows_on_random_complexes():
 
         d0 = {s: column([(i, k) for i in (0, 1) for k in keys]) for s in keys}
         d1 = {(i, s): column(keys) for i in (0, 1) for s in keys}
-        got = koszul._margin_dims(d0, d1, chain, Fraction(1))
+        got = koszul._margin_dims(d0, d1, chain)
         want = []
         for margin, window in zip(chain, chain[1:]):
             inside = set(window)
@@ -216,6 +222,16 @@ def test_chain_matches_single_windows_on_random_complexes():
         assert got == want
         dims_seen.update(want)
     assert len(dims_seen) > 10
+
+
+@pytest.mark.parametrize("twist", ["id", "eps"])
+@pytest.mark.parametrize("kind", ["weyl", "trig", "qweyl"])
+def test_sector_window_restricted_from_window_n_matches_a_direct_build(kind, twist):
+    # window N-2 of the crossed totals restricts the columns of window N
+    for N in (6, 7, 8):
+        outer, inner = koszul._invariant_sector_dims(kind, twist, (N, N - 2))
+        assert outer == koszul._invariant_sector_dims(kind, twist, (N,))[0]
+        assert inner == koszul._invariant_sector_dims(kind, twist, (N - 2,))[0]
 
 
 def test_windows_above_the_cap_are_refused_before_any_column(monkeypatch):

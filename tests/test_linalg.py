@@ -102,7 +102,7 @@ def test_rank_modulo_over_rational_functions():
     one = RatFunc.from_int(1)
     # span{[1, q]} leaves one of e0, e1 free and all of e2
     rows = [{0: one, 1: q}, {0: q, 1: q * q}]
-    assert rank_modulo(rows, [0, 1, 2], one) == 2
+    assert rank_modulo(rows, [0, 1, 2]) == 2
 
 
 @pytest.mark.parametrize("zero, one", [
@@ -115,7 +115,7 @@ def test_explicit_zero_entries_are_dropped(zero, one):
     assert rank_of([{1: one}, {0: zero, 1: one}]) == 1
     assert rank_of([{0: zero}]) == 0
     assert rank_of([{0: one}, {0: zero, 1: one}]) == 2
-    assert rank_modulo([{0: zero, 1: one}], [0, 1], one) == 1
+    assert rank_modulo([{0: zero, 1: one}], [0, 1]) == 1
     ech = Echelon()
     assert not ech.insert({0: zero})
     assert ech.insert({0: zero, 1: one})
@@ -219,31 +219,6 @@ def test_deterministic_pivoting():
     assert e1.pivots == e2.pivots
 
 
-def test_fork_leaves_the_parent_untouched():
-    def frozen(ech):
-        return {k: (dict(tail), lead) for k, (tail, _, lead) in ech.pivots.items()}
-
-    rng = random.Random(43)
-    for one, rows in ((Fraction(1), random_sparse(rng, 5, 8)),
-                      (RatFunc.from_int(1),
-                       [{0: RatFunc([1, 1]), 2: RatFunc([0, 1])}, {1: RatFunc([2], [1, 1])}])):
-        parent = Echelon()
-        for r in rows:
-            parent.insert(r)
-        rank, pivots = parent.rank, frozen(parent)
-        child = parent.fork()
-        assert (child.rank, frozen(child)) == (rank, pivots)
-        for k in range(8):
-            child.insert({k: one})
-        assert child.rank == 8
-        assert (parent.rank, frozen(parent)) == (rank, pivots)
-        # and the fork is untouched when the parent goes on
-        forked = frozen(child)
-        for k in range(8):
-            parent.insert({k: one})
-        assert parent.rank == 8 and frozen(child) == forked
-
-
 ONE = Fraction(1)
 
 
@@ -288,6 +263,113 @@ def test_invariant_dim_over_rational_functions():
 
     cycles = [{0: one}, {1: one}]
     assert invariant_dim([], cycles, [identity, q_swap], one) == 1
+
+
+def labelled_invariant_dim(boundaries, cycles, actions, one):
+    """Reference: the projector trace with every boundary labelled in the
+    combos, reading the cycle ("z") entries of each labelled combo."""
+    tracked = TrackingEchelon(one)
+    for idx, img in enumerate(boundaries):
+        tracked.insert(img, ("b", idx))
+    reps = []
+    for cyc in cycles:
+        if tracked.insert(cyc, ("z", len(reps))) is None:
+            reps.append(cyc)
+    trace = one - one
+    for act in actions:
+        for col, cyc in enumerate(reps):
+            residual, combo = tracked.express(act(cyc))
+            assert not residual
+            trace = trace + combo.get(("z", col), one - one)
+    return _integer_trace(trace / len(actions))
+
+
+def random_field_entry(rng, one):
+    """A small nonzero scalar: a rational, or a rational function in q."""
+    if isinstance(one, RatFunc):
+        num = [rng.randint(-2, 2) for _ in range(rng.randint(1, 2))]
+        value = RatFunc(num or [1], [rng.randint(1, 2), rng.randint(0, 1)])
+    else:
+        value = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return value if value else one
+
+
+def linear_action(images):
+    """The linear map sending e_k to images[k]."""
+    def act(vec):
+        out = {}
+        for k, v in vec.items():
+            addmul_into(out, images[k], v)
+        return out
+    return act
+
+
+def random_vector(rng, one, keys):
+    size = rng.randint(1, min(3, len(keys)))
+    return {k: random_field_entry(rng, one) for k in rng.sample(keys, size)}
+
+
+def with_dependents(rng, one, vectors):
+    """vectors, a sum of two of them and a multiple of one, shuffled."""
+    out = list(vectors)
+    if vectors:
+        a, b = rng.choice(vectors), rng.choice(vectors)
+        out.append({k: v * (one + one) for k, v in a.items()})
+        combo = dict(a)
+        addmul_into(combo, b, random_field_entry(rng, one))
+        out.append(combo)
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("one", [Fraction(1), RatFunc.from_int(1)],
+                         ids=["fraction", "ratfunc"])
+def test_invariant_dim_matches_labelled_boundaries(one):
+    # a random Z/2 action on Q^6 or Q(q)^6 (a pairing e_i -> c e_j,
+    # e_j -> c^-1 e_i, and signs on fixed points), with stable boundary
+    # and cycle spans whose spanning lists are linearly dependent
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(30 if isinstance(one, RatFunc) else 60):
+        keys = list(range(6))
+        rng.shuffle(keys)
+        images = {}
+        for i in range(0, rng.choice((2, 4, 6)), 2):
+            c = random_field_entry(rng, one)
+            images[keys[i]], images[keys[i + 1]] = {keys[i + 1]: c}, {keys[i]: one / c}
+        for k in keys:
+            images.setdefault(k, {k: rng.choice((one, -one))})
+        sigma = linear_action(images)
+        orbit = []
+        for _ in range(rng.randint(0, 2)):
+            b = random_vector(rng, one, keys)
+            orbit += [b, sigma(b)]
+        boundaries = with_dependents(rng, one, orbit)
+        cycles = list(boundaries[:rng.randint(0, len(boundaries))])
+        for _ in range(rng.randint(1, 3)):
+            z = random_vector(rng, one, keys)
+            cycles += [z, sigma(z)]
+        cycles = with_dependents(rng, one, cycles)
+        for actions in ([identity], [identity, sigma]):
+            want = labelled_invariant_dim(boundaries, cycles, actions, one)
+            assert invariant_dim(boundaries, cycles, actions, one) == want
+            seen.add((len(actions), want))
+    assert len(seen) > 5
+
+
+@pytest.mark.parametrize("one", [Fraction(1), RatFunc.from_int(1)],
+                         ids=["fraction", "ratfunc"])
+def test_invariant_dim_rejects_a_non_idempotent_average(one):
+    # a 3-cycle on e0, e1, e2 passed as if it had order 2: (1 + t)/2 is
+    # not idempotent on the classes it moves, with dependent boundaries
+    # elsewhere absorbed first
+    rng = random.Random(73)
+    images = {0: {1: one}, 1: {2: one}, 2: {0: one}, 3: {3: one}, 4: {4: one}}
+    for _ in range(10):
+        boundaries = with_dependents(rng, one, [random_vector(rng, one, [3, 4])])
+        cycles = [{0: one}, {1: one}, {2: one}, random_vector(rng, one, [3, 4])]
+        with pytest.raises(CertificateError, match="not idempotent"):
+            invariant_dim(boundaries, cycles, [identity, linear_action(images)], one)
 
 
 def test_trace_must_be_an_integer_constant():
@@ -432,3 +514,30 @@ def test_kernel_over_rational_functions_matches_monic_elimination():
         probe = {k: v for k, v in probe.items() if v}
         assert ech.reduce(probe) == ref.express(probe)[0]
         assert tracked.express(probe) == ref.express(probe)
+
+
+def rank_modulo_reference(vectors, keys, one):
+    """dim span{e_k} modulo span(vectors), by inserting the unit vectors."""
+    return rank_of(vectors + [{k: one} for k in keys]) - rank_of(vectors)
+
+
+RATFUNC_ENTRY = st.builds(
+    RatFunc, st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    st.tuples(st.integers(1, 3), st.integers(-2, 2)).map(list))
+# keys up to 8 while vector entries stop at 6: some keys meet no vector
+KEYS = st.lists(st.integers(0, 8), max_size=12)
+
+
+@PROPERTY
+@given(st.lists(VECTOR, max_size=9), KEYS)
+def test_rank_modulo_matches_unit_insertion(vecs, keys):
+    want = rank_modulo_reference(vecs, keys, Fraction(1))
+    assert rank_modulo(vecs, keys) == want
+    assert rank_modulo(iter(vecs), iter(keys)) == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.dictionaries(st.integers(0, 6), RATFUNC_ENTRY, max_size=4),
+                max_size=6), KEYS)
+def test_rank_modulo_matches_unit_insertion_over_rational_functions(vecs, keys):
+    assert rank_modulo(vecs, keys) == rank_modulo_reference(vecs, keys, RatFunc.from_int(1))
