@@ -288,7 +288,7 @@ def random_field_entry(rng, one):
     """A small nonzero scalar: a rational, or a rational function in q."""
     if isinstance(one, RatFunc):
         num = [rng.randint(-2, 2) for _ in range(rng.randint(1, 2))]
-        value = RatFunc(num or [1], [rng.randint(1, 2), rng.randint(0, 1)])
+        value = RatFunc(num, [rng.randint(1, 2), rng.randint(0, 1)])
     else:
         value = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
     return value if value else one
@@ -310,7 +310,7 @@ def random_vector(rng, one, keys):
 
 
 def with_dependents(rng, one, vectors):
-    """vectors, a sum of two of them and a multiple of one, shuffled."""
+    """vectors, twice one of them and a combination of two, shuffled."""
     out = list(vectors)
     if vectors:
         a, b = rng.choice(vectors), rng.choice(vectors)
