@@ -13,7 +13,8 @@ side,
 a convention chosen so that the cyclic-rotation homotopy identity checked
 by homotopy_identity_check holds literally, with no stray signs.
 
-Matrices never use floats: ranks and kernels come from the exact sparse
+Matrices never use floats: structure constants are exact rationals, kept
+as ints where integral, and ranks and kernels come from the exact sparse
 elimination of linalg.  hh_dims works on the normalised complex, with
 legs in B/k.1; bar_columns, bar_differential and bar_apply keep the full
 complex, which the homotopy identity and the sector dimensions of
@@ -36,6 +37,7 @@ from .linalg import (
     TrackingEchelon,
     add_term,
     addmul_into,
+    exact_scalar,
     invariant_dim,
     kernel_combos,
     rank_of,
@@ -43,8 +45,6 @@ from .linalg import (
 from .presets_io import CheckReport
 
 DEFAULT_SIZE_CAP = 10 ** 7
-
-ONE = Fraction(1)
 
 
 class SizeCapExceeded(RuntimeError):
@@ -70,9 +70,10 @@ class FiniteDimAlgebra:
     """Associative unital algebra given by exact structure constants.
 
     table[i][j] is the sparse coordinate vector of (basis i) * (basis j);
-    unit is the coordinate vector of 1.  Validation checks the unit law
-    and associativity on all basis triples unless check=False (used by
-    the combinators, whose output is associative by construction).
+    unit is the coordinate vector of 1; entries are stored as ints where
+    integral, as Fractions otherwise.  Validation checks the unit law and
+    associativity on all basis triples unless check=False (used by the
+    combinators, whose output is associative by construction).
     """
 
     __slots__ = ("dim", "table", "unit")
@@ -80,10 +81,10 @@ class FiniteDimAlgebra:
     def __init__(self, table, unit, check: bool = True):
         self.dim = len(table)
         self.table = [
-            [{k: Fraction(v) for k, v in cell.items() if v} for cell in row]
+            [{k: exact_scalar(v) for k, v in cell.items() if v} for cell in row]
             for row in table
         ]
-        self.unit = {k: Fraction(v) for k, v in unit.items() if v}
+        self.unit = {k: exact_scalar(v) for k, v in unit.items() if v}
         if any(len(row) != self.dim for row in self.table):
             raise ValueError("structure-constant table must be square")
         if check:
@@ -91,16 +92,16 @@ class FiniteDimAlgebra:
 
     def _validate(self):
         for i in range(self.dim):
-            if self.mul(self.unit, {i: ONE}) != {i: ONE}:
+            if self.mul(self.unit, {i: 1}) != {i: 1}:
                 raise ValueError("unit is not a left identity")
-            if self.mul({i: ONE}, self.unit) != {i: ONE}:
+            if self.mul({i: 1}, self.unit) != {i: 1}:
                 raise ValueError("unit is not a right identity")
         for i in range(self.dim):
             for j in range(self.dim):
                 ij = self.table[i][j]
                 for k in range(self.dim):
-                    left = self.mul(ij, {k: ONE})
-                    right = self.mul({i: ONE}, self.table[j][k])
+                    left = self.mul(ij, {k: 1})
+                    right = self.mul({i: 1}, self.table[j][k])
                     if left != right:
                         raise ValueError(
                             f"multiplication not associative at ({i},{j},{k})"
@@ -125,10 +126,10 @@ class FiniteDimAlgebra:
         if k < 1:
             raise ValueError("k must be positive")
         table = [
-            [({i + j: ONE} if i + j < k else {}) for j in range(k)]
+            [({i + j: 1} if i + j < k else {}) for j in range(k)]
             for i in range(k)
         ]
-        return cls(table, {0: ONE}, check=False)
+        return cls(table, {0: 1}, check=False)
 
     @classmethod
     def group_algebra(cls, group_table) -> "FiniteDimAlgebra":
@@ -142,8 +143,8 @@ class FiniteDimAlgebra:
                 break
         if identity is None:
             raise ValueError("table has no identity element")
-        table = [[{group_table[g][h]: ONE} for h in range(m)] for g in range(m)]
-        return cls(table, {identity: ONE})  # checked: validates associativity
+        table = [[{group_table[g][h]: 1} for h in range(m)] for g in range(m)]
+        return cls(table, {identity: 1})  # checked: validates associativity
 
     def tensor(self, other: "FiniteDimAlgebra") -> "FiniteDimAlgebra":
         d2 = other.dim
@@ -224,7 +225,7 @@ def _invert(columns):
     for j, col in enumerate(columns):
         if ech.insert(col, j) is not None:
             raise ValueError("basis change matrix is singular")
-    return [ech.express({i: ONE})[1] for i in range(len(columns))]
+    return [ech.express({i: 1})[1] for i in range(len(columns))]
 
 
 def tensor_power(A: FiniteDimAlgebra, n: int) -> FiniteDimAlgebra:
@@ -338,7 +339,7 @@ class TwistedBimodule:
         return rest, mi
 
     def _expand(self, slot_vectors, inner_vec) -> dict:
-        out: dict = {(): ONE}
+        out: dict = {(): 1}
         for vec in slot_vectors:
             out = {
                 key + (k,): c * v
@@ -392,7 +393,7 @@ class GroupAction:
                     raise ValueError("matrices are not closed under composition")
                 row.append(idx)
             self.table.append(row)
-        ident = [{i: ONE} for i in range(algebra.dim)]
+        ident = [{i: 1} for i in range(algebra.dim)]
         self.identity = self._find(ident)
         if self.identity is None:
             raise ValueError("identity matrix missing from the group")
@@ -417,7 +418,7 @@ class GroupAction:
         for g in gens:
             if not algebra.is_automorphism(g):
                 raise ValueError("generator is not an algebra automorphism")
-        ident = [{i: ONE} for i in range(algebra.dim)]
+        ident = [{i: 1} for i in range(algebra.dim)]
         elements = [ident]
         seen = {_columns_key(ident)}
         frontier = list(gens)
@@ -472,7 +473,7 @@ def crossed_product(action: GroupAction) -> FiniteDimAlgebra:
             for h in range(action.order):
                 gh = action.table[g][h]
                 for j in range(dim):
-                    prod = B.mul({i: ONE}, action.apply(g, {j: ONE}))
+                    prod = B.mul({i: 1}, action.apply(g, {j: 1}))
                     row.append({gh * dim + k: c for k, c in prod.items()})
             table.append(row)
     unit = {action.identity * dim + k: c for k, c in B.unit.items()}
@@ -492,10 +493,10 @@ def _d_basis(table, M, key: tuple, k: int) -> dict:
         add_term(out, legs[:-1] + (m2,), c)
     for i in range(1, k):
         pos = k - i - 1
-        sign = -ONE if i % 2 else ONE
+        sign = -1 if i % 2 else 1
         for bmid, c in table[legs[pos]][legs[pos + 1]].items():
             add_term(out, legs[:pos] + (bmid,) + legs[pos + 2:] + (mi,), sign * c)
-    sign = -ONE if k % 2 else ONE
+    sign = -1 if k % 2 else 1
     for m2, c in M.right_basis(mi, legs[0]).items():
         add_term(out, legs[1:] + (m2,), sign * c)
     return out
@@ -548,7 +549,7 @@ def _unit_quotient(B: FiniteDimAlgebra):
             lam = prod.get(u)
             if lam:
                 prod = dict(prod)
-                addmul_into(prod, B.unit, -lam / scale)
+                addmul_into(prod, B.unit, Fraction(-lam) / scale)
             row[j] = prod
         table[i] = row
     return legs, table
@@ -599,7 +600,7 @@ def verify_homolog_i(A: FiniteDimAlgebra, M=None, n: int = 2, sigma=None,
         if M is not None:
             raise ValueError("custom sigma supports only the regular bimodule")
         perm = slot_permutation(A, n, sigma)
-        twisted = AutoTwistedBimodule(B, [{p: ONE} for p in perm])
+        twisted = AutoTwistedBimodule(B, [{p: 1} for p in perm])
     rhs = hh_dims(B, twisted, max_level, size_cap)
     lines = tuple(
         f"level {i}: HH(A)={lhs[i]} HH(tensor power, twisted)={rhs[i]}"
@@ -621,7 +622,7 @@ def _random_cycles(B, M, level: int, count: int, rng: random.Random):
         for _ in range(rng.randint(1, 4)):
             legs = tuple(rng.randrange(B.dim) for _ in range(lv))
             key = legs + (rng.randrange(M.dim),)
-            add_term(chain, key, Fraction(rng.randint(-3, 3)))
+            add_term(chain, key, rng.randint(-3, 3))
         return chain
 
     if level == 0:
@@ -658,7 +659,7 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
         raise ValueError("m must be >= 1")
     B = tensor_power(A, n)
     rho = rotation_permutation(A, n)
-    M = AutoTwistedBimodule(B, [{p: ONE} for p in rho])
+    M = AutoTwistedBimodule(B, [{p: 1} for p in rho])
     rng = random.Random(seed)
     unit_items = list(B.unit.items())
 
@@ -685,11 +686,11 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
         if level and bar_apply(B, M, cycle, level):
             raise CertificateError("sampled chain is not a cycle")
         lhs = dict(cycle)
-        addmul_into(lhs, rotate(cycle), -ONE)
+        addmul_into(lhs, rotate(cycle), -1)
         arg: dict = {}
         sc = cycle
         for j in range(m):
-            sign = -ONE if (j * (m - 1)) % 2 else ONE
+            sign = -1 if (j * (m - 1)) % 2 else 1
             addmul_into(arg, append_unit(sc), sign)
             sc = s_op(sc)
         rhs = bar_apply(B, M, arg, m)
@@ -733,7 +734,7 @@ def _sector_invariant_dims(B: FiniteDimAlgebra, G: GroupAction, g: int,
         _check_cap(B.dim ** (i + 1) * M.dim, B.dim ** i * M.dim, cap,
                    f"sector level {i + 1}")
         if i == 0:
-            cycles = [{key: ONE} for key in chain_keys(B, M, 0)]
+            cycles = [{key: 1} for key in chain_keys(B, M, 0)]
         else:
             cycles = kernel_combos(bar_columns(B, M, i))
         boundaries = (img for _, img in bar_columns(B, M, i + 1))

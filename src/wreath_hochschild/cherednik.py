@@ -11,12 +11,14 @@ where s_ij transposes i and j and k is a formal parameter.  Commutators
 mean [a, b] = a b - b a; every rewriting rule below is derived from that
 sign convention.  Elements are stored in the fixed normal order
 x-monomial, then group element, then p-monomial, with coefficients that
-are polynomials in k over the rationals (dense tuples of Fractions), so
-flatness statements are checked over the polynomial ring rather than at
-a numeric k.  Setting k = 0 recovers the crossed product of S_n with n
-commuting Weyl pairs; crossed_weyl_normal_order implements that algebra
-directly, without the rewriting engine, and serves as an oracle for the
-k -> 0 specialization of every normal form.
+are polynomials in k over the rationals (dense tuples of ints, with a
+Fraction only where a denominator appears, as in the 1/n! of the
+spherical idempotent), so flatness statements are checked over the
+polynomial ring rather than at a numeric k.  Setting k = 0 recovers the
+crossed product of S_n with n commuting Weyl pairs;
+crossed_weyl_normal_order implements that algebra directly, without the
+rewriting engine, and serves as an oracle for the k -> 0 specialization
+of every normal form.
 """
 
 import random
@@ -26,24 +28,26 @@ from itertools import combinations, permutations, product
 from math import comb, factorial
 from typing import NamedTuple
 
-from .linalg import add_term
+from .linalg import add_term, exact_scalar
 from .presets_io import CheckReport
 
 KP_ZERO = ()
-KP_ONE = (Fraction(1),)
-KP_K = (Fraction(0), Fraction(1))
+KP_ONE = (1,)
+KP_K = (0, 1)
 
 
 def _kp(value) -> tuple:
     """Coerce an int, Fraction, or coefficient tuple into a trimmed k-polynomial."""
-    coeffs = [Fraction(v) for v in value] if isinstance(value, tuple) else [Fraction(value)]
+    if not isinstance(value, tuple):
+        value = (value,)
+    coeffs = [exact_scalar(v) for v in value]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
 
 
 def _kp_add(a: tuple, b: tuple) -> tuple:
-    out = [Fraction(0)] * max(len(a), len(b))
+    out = [0] * max(len(a), len(b))
     for i, v in enumerate(a):
         out[i] += v
     for i, v in enumerate(b):
@@ -65,7 +69,7 @@ def _kp_add_into(target: dict, key, c: tuple) -> None:
 def _kp_mul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return KP_ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
         for j, v in enumerate(b):
             out[i + j] += u * v
@@ -74,8 +78,8 @@ def _kp_mul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def _kp_eval(a: tuple, value: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _kp_eval(a: tuple, value):
+    acc = 0
     for c in reversed(a):
         acc = acc * value + c
     return acc
@@ -340,7 +344,7 @@ class CherednikElement:
 
     def specialize(self, value=0) -> dict:
         """Evaluate every coefficient at a numeric k; drops vanished terms."""
-        value = Fraction(value)
+        value = exact_scalar(value)
         out = {}
         for mono, c in self.terms.items():
             v = _kp_eval(c, value)
@@ -398,11 +402,12 @@ def crossed_weyl_normal_order(word, n: int) -> dict:
     Right-multiplies an accumulating normal form atom by atom:
     appending x_i uses p^b x_i = x_i p^b - b_i p^{b - e_i} followed by
     sigma x_i = x_{sigma(i)} sigma, appending a permutation tau moves it
-    through p^b by permuting exponents.  Returns monomial -> Fraction.
+    through p^b by permuting exponents.  Returns monomial -> coefficient,
+    an int (the k = 0 relations have integer coefficients).
     """
     atoms = _parse_atoms(word, n)
     zero = (0,) * n
-    terms = {NormalMonomial(zero, _identity(n), zero): Fraction(1)}
+    terms = {NormalMonomial(zero, _identity(n), zero): 1}
     for atom in atoms:
         nxt: dict = {}
         for (a, sigma, b), c in terms.items():
@@ -557,7 +562,7 @@ def associativity_check(n: int, trials: int = 100, seed: int = 0) -> CheckReport
         picks = rng.sample(monos, rng.randint(1, 2))
         return CherednikElement(
             n,
-            [(m, (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-1, 1)))) for m in picks],
+            [(m, (rng.randint(-2, 2), rng.randint(-1, 1))) for m in picks],
         )
 
     bad = None
@@ -643,7 +648,7 @@ def _fmt_monomial(mono: NormalMonomial) -> str:
     return " ".join(parts)
 
 
-def _fmt_coeff(q: Fraction, j: int, has_mono: bool) -> list:
+def _fmt_coeff(q, j: int, has_mono: bool) -> list:
     mag = -q if q < 0 else q
     parts = []
     if mag != 1 or (j == 0 and not has_mono):

@@ -22,7 +22,6 @@ before any work.
 import argparse
 import random
 import sys
-from fractions import Fraction
 
 from .betti import BettiTable
 from .bruteforce import (
@@ -229,11 +228,11 @@ def verify_bruteforce(seed: int = 0) -> list:
         for m in (1, 2, 3, 4):
             reports.append(homotopy_identity_check(z2, n, m, trials=50, seed=seed))
     cubic = FiniteDimAlgebra.truncated_polynomial(3)
-    sign = [{i: Fraction(-1) ** i} for i in range(3)]
+    sign = [{i: (-1) ** i} for i in range(3)]
     reports.append(afls_check(cubic, GroupAction.generate(cubic, [sign]), max_level=2))
     square = z2.tensor(z2)
     sp = slot_permutation(z2, 2, (2, 1))
-    swap = [{sp[i]: Fraction(1)} for i in range(square.dim)]
+    swap = [{sp[i]: 1} for i in range(square.dim)]
     reports.append(afls_check(square, GroupAction.generate(square, [swap]), max_level=2))
     return reports
 

@@ -7,8 +7,10 @@ The algebras are presented by two generators with a single relation:
     qweyl  X^{±1}, P^{±1}  with  X P = q P X       (scalars: rational
                                                     functions in q)
 
-Each has a length-two Koszul bimodule resolution built from two
-commuting elements of the enveloping algebra,
+Every structure constant of weyl and trig is an integer, so their
+scalars are ints, with Fractions only where a caller brings a
+denominator.  Each has a length-two Koszul bimodule resolution built
+from two commuting elements of the enveloping algebra,
 
     u = 1⊗x - x⊗1   (weyl),     u = X⊗X^{-1} - 1   (trig, qweyl),
     w = 1⊗p - p⊗1   (weyl, trig),   w = P⊗P^{-1} - 1   (qweyl),
@@ -54,6 +56,7 @@ from .linalg import (
     Echelon,
     add_term,
     addmul_into,
+    exact_scalar,
     invariant_dim,
     kernel_combos,
     rank_modulo,
@@ -115,7 +118,7 @@ def _check_kind(kind: str) -> None:
 
 
 def _one(kind: str):
-    return RatFunc.from_int(1) if kind == "qweyl" else Fraction(1)
+    return RatFunc.from_int(1) if kind == "qweyl" else 1
 
 
 def _scalar(kind: str, v):
@@ -123,9 +126,7 @@ def _scalar(kind: str, v):
         if isinstance(v, RatFunc):
             return v
         return RatFunc.from_fraction(Fraction(v))
-    if isinstance(v, Fraction):
-        return v
-    return Fraction(v)
+    return exact_scalar(v)
 
 
 def _valid_exponents(kind: str, a: int, b: int) -> bool:
@@ -242,14 +243,14 @@ def _mono_mul(kind: str, a: int, b: int, c: int, d: int):
         # p^b X^c = X^c (p - c)^b
         out = {}
         for i in range(b + 1):
-            coef = Fraction(comb(b, i) * (-c) ** (b - i))
+            coef = comb(b, i) * (-c) ** (b - i)
             if coef:
                 out[(a + c, i + d)] = coef
         return out
     # weyl: p^b x^c = sum_j binom(b,j) binom(c,j) j! (-1)^j x^{c-j} p^{b-j}
     out = {}
     for j in range(min(b, c) + 1):
-        coef = Fraction(comb(b, j) * comb(c, j) * factorial(j) * (-1) ** j)
+        coef = comb(b, j) * comb(c, j) * factorial(j) * (-1) ** j
         out[(a + c - j, b + d - j)] = coef
     return out
 

@@ -20,8 +20,13 @@ Vectors over other fields (rational functions in q) take the same loop
 with monic pivot rows.  Pivot selection is deterministic (smallest key),
 so results are reproducible across runs.
 
-TrackingEchelon needs the field's unit to seed dependency combos; it
-defaults to Fraction(1) and must be passed explicitly for other fields.
+Rational scalars are integer-first: exact_scalar keeps an integral value
+as an int and makes a Fraction only where a denominator appears, and a
+float entry is refused with TypeError.  TrackingEchelon needs the
+field's unit to seed the dependency combo of a field row or of an empty
+vector; a rational combo otherwise starts from the integer scale.  The
+unit defaults to Fraction(1), the int 1 serves rational vectors as well,
+and other fields must pass theirs explicitly.
 
 add_term is the single-entry form of addmul_into.  rank_modulo is the
 dimension of a span of unit vectors modulo a span of vectors, read off
@@ -46,6 +51,20 @@ _RATIONAL = (int, Fraction)
 
 class CertificateError(RuntimeError):
     """An exact internal certificate did not hold."""
+
+
+def exact_scalar(v):
+    """v as an exact rational: an int when integral, else a Fraction
+    (anything Fraction accepts, a float converted exactly)."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _inexact(v) -> TypeError:
+    return TypeError(f"non-exact scalar {v!r} of type {type(v).__name__} "
+                     "in an exact vector")
 
 
 def add_term(target: dict, key, c) -> None:
@@ -94,14 +113,14 @@ def _eliminate(pivots: dict, vec: dict, sign: int, label=None, one=None):
     At the API edge, zero entries are dropped and rational entries (int
     or Fraction) are cleared of denominators, so the working row holds
     ints and scale starts at the lcm of the denominators; entries of any
-    other field are copied as they are, with scale None.  A pivot is
-    (tail, combo, lead): its row without the leading entry, which is lead,
-    or 1 when lead is None.  A step pops b = r[key], whose cancellation is
-    known, and subtracts b * tail: that is r -= r[key] * row against a
-    monic row, the only step field rows take.  An integer row with
-    lead > 1 gives the fraction-free step r = a*r - b*row with
-    a = lead/g, b = r[key]/g and g = gcd(lead, r[key]), and scale is
-    multiplied by a.
+    other field are copied as they are, with scale None.  A float entry
+    raises TypeError.  A pivot is (tail, combo, lead): its row without
+    the leading entry, which is lead, or 1 when lead is None.  A step pops
+    b = r[key], whose cancellation is known, and subtracts b * tail: that
+    is r -= r[key] * row against a monic row, the only step field rows
+    take.  An integer row with lead > 1 gives the fraction-free step
+    r = a*r - b*row with a = lead/g, b = r[key]/g and g = gcd(lead, r[key]),
+    and scale is multiplied by a.
 
     sign selects the combo c carried along, c = a*c + sign*b*combo: none
     for 0, an express combo starting empty for +1, and for -1 the
@@ -116,12 +135,17 @@ def _eliminate(pivots: dict, vec: dict, sign: int, label=None, one=None):
     # an exact type test: isinstance would go through the Fraction ABC
     if type(v) in _RATIONAL:
         scale = 1
-        for v in vec.values():
-            d = v.denominator
-            if scale % d:
-                scale = scale // gcd(scale, d) * d
+        try:
+            for v in vec.values():
+                d = v.denominator
+                if scale % d:
+                    scale = scale // gcd(scale, d) * d
+        except AttributeError:
+            raise _inexact(v) from None
         r = {k: v.numerator * (scale // v.denominator) for k, v in vec.items() if v}
     else:
+        if isinstance(v, (float, complex)):
+            raise _inexact(v)
         scale = None
         r = {k: v for k, v in vec.items() if v}
     if not sign:
@@ -275,13 +299,14 @@ def kernel_combos(pairs, one=Fraction(1)) -> list[dict]:
 
 
 def _integer_trace(trace) -> int:
-    """The trace as an int; anything but an integer constant is refused."""
+    """The trace as an int; anything but an exact integer constant is
+    refused."""
     if isinstance(trace, RatFunc):
         if trace.den == (1,) and len(trace.num) <= 1:
             return trace.num[0] if trace.num else 0
-    elif trace.denominator == 1:
+    elif type(trace) in _RATIONAL and trace.denominator == 1:
         return int(trace)
-    raise CertificateError(f"projector trace {trace} is not an integer")
+    raise CertificateError(f"projector trace {trace!r} is not an exact integer")
 
 
 def invariant_dim(boundaries, cycles, actions, one=Fraction(1)) -> int:
@@ -318,7 +343,8 @@ def invariant_dim(boundaries, cycles, actions, one=Fraction(1)) -> int:
                 raise CertificateError("group image of a cycle left the cycle space")
             for row, val in combo.items():
                 proj[row][col] = proj[row][col] + val
-    inv = one / len(actions)
+    # a Fraction |G|: with one = 1, int / int would give a float
+    inv = one / Fraction(len(actions))
     proj = [[v * inv for v in row] for row in proj]
     square = [[sum((proj[r][k] * proj[k][c] for k in range(h)), zero)
                for c in range(h)] for r in range(h)]

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -391,3 +392,67 @@ def test_normalised_hh_dims_under_random_basis_change(k, entries, twist):
         M = AutoTwistedBimodule(B, act)
     top = 3 if k == 2 else 2
     assert hh_dims(B, M, top) == full_complex_dims(B, M, top)
+
+
+# -- exact scalars: ints where integral, Fractions otherwise, never floats ----
+
+
+def exact_entries(values):
+    """Every value is an int, or a Fraction with a denominator other than 1."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+               for v in values)
+
+
+def table_values(B):
+    return [v for row in B.table for cell in row for v in cell.values()] + list(B.unit.values())
+
+
+def test_integral_tables_hold_ints():
+    for B in (FiniteDimAlgebra.truncated_polynomial(3), z2_algebra(),
+              z2_algebra().tensor(FiniteDimAlgebra.truncated_polynomial(2))):
+        assert all(type(v) is int for v in table_values(B))
+    # Fraction input is stored as an int where it is integral
+    half = FiniteDimAlgebra([[{0: Fraction(2, 2)}]], {0: 1.0})
+    assert table_values(half) == [1, 1]
+    assert all(type(v) is int for v in table_values(half))
+
+
+def test_change_basis_with_an_integral_non_basis_unit():
+    # Q[x]/(x^3) in the basis 1 + x, 1 + 2x, x^2: the unit 2 e0 - e1 is
+    # integral and no basis vector, and e1 e1 = -2 e0 + 3 e1 + 4 e2 has a
+    # component along it, so the normalised complex projects by -lam/scale
+    # with both integral
+    A = FiniteDimAlgebra.truncated_polynomial(3)
+    B = A.change_basis([{0: 1, 1: 1}, {0: 1, 1: 2}, {2: 1}])
+    assert B.unit == {0: 2, 1: -1}
+    assert B.table[1][1] == {0: -2, 1: 3, 2: 4}
+    assert all(type(v) is int for v in table_values(B))
+    # x -> -x in this basis
+    M = AutoTwistedBimodule(B, [{0: 3, 1: -2}, {0: 4, 1: -3}, {2: 1}])
+    assert B.is_automorphism(M.columns)
+    for module in (RegularBimodule(B), M):
+        dims = hh_dims(B, module, 3)
+        assert dims == full_complex_dims(B, module, 3)
+        assert all(type(d) is int for d in dims)
+    assert hh_dims(B, RegularBimodule(B), 3) == hh_dims(A, RegularBimodule(A), 3)
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3]), st.lists(st.integers(-2, 2), min_size=9, max_size=9))
+def test_integer_basis_changes_keep_dims_tables_and_reports_exact(k, entries):
+    """No float reaches the table, the dims or the report of k[x]/x^k in a
+    random integer basis."""
+    A = FiniteDimAlgebra.truncated_polynomial(k)
+    cols = [{i: entries[j * 3 + i] for i in range(k) if entries[j * 3 + i]}
+            for j in range(k)]
+    try:
+        B = A.change_basis(cols)
+    except ValueError:
+        assume(False)
+    assert exact_entries(table_values(B))
+    dims = hh_dims(B, RegularBimodule(B), 2)
+    assert all(type(d) is int for d in dims)
+    assert dims == hh_dims(A, RegularBimodule(A), 2)
+    report = verify_homolog_i(B, n=2, max_level=0)
+    assert report.passed
+    assert not any(re.search(r"\d\.\d|e[+-]\d", line) for line in report.lines)

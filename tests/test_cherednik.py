@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wreath_hochschild.cherednik import (
     CherednikElement,
+    _kp,
     NormalMonomial,
     associativity_check,
     confluence_check,
@@ -214,3 +215,41 @@ def test_rewriting_is_confluent_and_specializes_to_the_crossed_product(case):
     left = normal_order(word, n, "leftmost")
     assert normal_order(word, n, "rightmost") == left
     assert left.specialize(0) == crossed_weyl_normal_order(word, n)
+
+
+def coefficient_values(elem):
+    return [c for coeff in elem.terms.values() for c in coeff]
+
+
+def test_kp_stores_integral_values_as_ints():
+    assert _kp(Fraction(3)) == _kp(3) == (3,)
+    assert hash(_kp(Fraction(3))) == hash(_kp(3))
+    assert type(_kp(Fraction(6, 2))[0]) is int
+    assert _kp((Fraction(1, 2), 2.0, Fraction(0))) == (Fraction(1, 2), 2)
+    assert [type(c) for c in _kp((Fraction(1, 2), 2.0))] == [Fraction, int]
+
+
+def test_integral_words_hold_int_coefficients():
+    for word, n in (("p1 x1", 3), ("p1 p2 x1 x2 s12", 2), ("x1 p1 x1 p1", 2)):
+        elem = normal_order(word, n)
+        assert all(type(c) is int for c in coefficient_values(elem))
+    # the 1/n! of the symmetrizer is the one place a Fraction appears
+    e = spherical_idempotent(3)
+    assert {c for c in coefficient_values(e)} == {Fraction(1, 6)}
+    assert all(type(c) is int for c in coefficient_values(multiply(e, e) * 6))
+
+
+@PROPERTY
+@given(words())
+def test_normal_forms_of_random_words_stay_exact(case):
+    """No float reaches a normal form, its k = 0 specialisation, its
+    printed form or its spherical compression."""
+    n, word = case
+    elem = normal_order(word, n)
+    assert all(type(c) is int for c in coefficient_values(elem))
+    assert all(type(c) is int for c in elem.specialize(0).values())
+    assert all(type(c) is int for c in crossed_weyl_normal_order(word, n).values())
+    assert "." not in str(elem)
+    compressed = spherical_product(elem)
+    assert all(type(c) in (int, Fraction) for c in coefficient_values(compressed))
+    assert "." not in str(compressed)

@@ -347,3 +347,17 @@ def test_enveloping_product_over_q_adds_q_exponents():
         want = reference(f, g)
         assert {k: (v.num, v.den) for k, v in got.items()} == \
             {k: (v.num, v.den) for k, v in want.items()}
+
+
+def test_weyl_and_trig_columns_hold_ints():
+    # every structure constant of weyl and trig is an integer
+    for kind in ("weyl", "trig"):
+        for twist in ("id", "eps"):
+            d0, d1, _ = build_cochain_complex(kind, twist, 6)
+            values = [v for cols in (d0, d1) for col in cols.values() for v in col.values()]
+            assert values and all(type(v) is int for v in values)
+        prod = multiply(M(kind, 2, 3), M(kind, 3, 2))
+        assert all(type(v) is int for v in prod.terms.values())
+    # an integral Fraction is stored as an int, a proper one as a Fraction
+    el = RankOneElement("weyl", {(0, 0): Fraction(4, 2), (1, 0): Fraction(1, 2)})
+    assert [type(v) for v in el.terms.values()] == [int, Fraction]

@@ -377,9 +377,22 @@ def test_trace_must_be_an_integer_constant():
     assert _integer_trace(RatFunc.from_int(3)) == 3
     assert _integer_trace(RatFunc.from_int(0)) == 0
     assert _integer_trace(Fraction(2)) == 2
-    for bad in (q, RatFunc.from_int(1) / q, (q + 1) / 2, Fraction(1, 2)):
+    assert _integer_trace(2) == 2
+    # a float is refused even when it is integral
+    for bad in (q, RatFunc.from_int(1) / q, (q + 1) / 2, Fraction(1, 2), 2.0, 0.5):
         with pytest.raises(CertificateError):
             _integer_trace(bad)
+
+
+def test_float_entries_are_refused_with_a_type_error():
+    # a float first or after exact entries, in every entry point
+    for vec in ({0: 1, 1: 0.5}, {0: Fraction(1, 2), 1: 2.0}, {0: 0.5, 1: 1}):
+        with pytest.raises(TypeError, match="of type float"):
+            rank_of([vec])
+        with pytest.raises(TypeError, match="of type float"):
+            TrackingEchelon().insert(vec, 0)
+        with pytest.raises(TypeError, match="of type float"):
+            Echelon().reduce(vec)
 
 
 # -- the integer kernel against monic field elimination -----------------------
@@ -541,3 +554,30 @@ def test_rank_modulo_matches_unit_insertion(vecs, keys):
                 max_size=6), KEYS)
 def test_rank_modulo_matches_unit_insertion_over_rational_functions(vecs, keys):
     assert rank_modulo(vecs, keys) == rank_modulo_reference(vecs, keys, RatFunc.from_int(1))
+
+
+@PROPERTY
+@given(st.permutations(range(6)), st.integers(0, 3),
+       st.lists(st.sampled_from((1, -1)), min_size=6, max_size=6),
+       st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool),
+                                min_size=1, max_size=3), max_size=3),
+       st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool),
+                                min_size=1, max_size=3), min_size=1, max_size=3),
+       st.integers(0, 6))
+def test_invariant_dim_with_an_int_unit_is_exact(keys, pairs, signs, bvecs, zvecs, shared):
+    """A signed-permutation Z/2 action with integer chains: the int unit 1
+    gives an int dimension, the one Fraction(1) and labelled boundaries give."""
+    images = {}
+    for i in range(pairs):
+        a, b = keys[2 * i], keys[2 * i + 1]
+        images[a], images[b] = {b: signs[a]}, {a: signs[a]}
+    for k in keys:
+        images.setdefault(k, {k: signs[k]})
+    sigma = linear_action(images)
+    boundaries = [v for b in bvecs for v in (b, sigma(b))]
+    cycles = boundaries[:shared] + [v for z in zvecs for v in (z, sigma(z))]
+    for actions in ([identity], [identity, sigma]):
+        got = invariant_dim(boundaries, cycles, actions, 1)
+        assert type(got) is int
+        assert got == invariant_dim(boundaries, cycles, actions)
+        assert got == labelled_invariant_dim(boundaries, cycles, actions, Fraction(1))
