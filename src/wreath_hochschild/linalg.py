@@ -20,13 +20,11 @@ Vectors over other fields (rational functions in q) take the same loop
 with monic pivot rows.  Pivot selection is deterministic (smallest key),
 so results are reproducible across runs.
 
-Rational scalars are integer-first: exact_scalar keeps an integral value
-as an int and makes a Fraction only where a denominator appears, and a
-float entry is refused with TypeError.  TrackingEchelon needs the
-field's unit to seed the dependency combo of a field row or of an empty
-vector; a rational combo otherwise starts from the integer scale.  The
-unit defaults to Fraction(1), the int 1 serves rational vectors as well,
-and other fields must pass theirs explicitly.
+Rational scalars are integer-first: exact_scalar gives an int when the
+value is integral and a Fraction otherwise; a float entry raises
+TypeError.  TrackingEchelon's unit seeds the dependency combo of a field
+row or an empty vector (a rational combo starts from the integer scale);
+it defaults to Fraction(1) and must be passed explicitly for other fields.
 
 add_term is the single-entry form of addmul_into.  rank_modulo is the
 dimension of a span of unit vectors modulo a span of vectors, read off
@@ -306,7 +304,7 @@ def _integer_trace(trace) -> int:
             return trace.num[0] if trace.num else 0
     elif type(trace) in _RATIONAL and trace.denominator == 1:
         return int(trace)
-    raise CertificateError(f"projector trace {trace!r} is not an exact integer")
+    raise CertificateError(f"projector trace {trace} is not an exact integer")
 
 
 def invariant_dim(boundaries, cycles, actions, one=Fraction(1)) -> int:

@@ -411,10 +411,10 @@ def test_integral_tables_hold_ints():
     for B in (FiniteDimAlgebra.truncated_polynomial(3), z2_algebra(),
               z2_algebra().tensor(FiniteDimAlgebra.truncated_polynomial(2))):
         assert all(type(v) is int for v in table_values(B))
-    # Fraction input is stored as an int where it is integral
-    half = FiniteDimAlgebra([[{0: Fraction(2, 2)}]], {0: 1.0})
-    assert table_values(half) == [1, 1]
-    assert all(type(v) is int for v in table_values(half))
+    # integral Fraction and float input is stored as an int
+    ground = FiniteDimAlgebra([[{0: Fraction(2, 2)}]], {0: 1.0})
+    assert table_values(ground) == [1, 1]
+    assert all(type(v) is int for v in table_values(ground))
 
 
 def test_change_basis_with_an_integral_non_basis_unit():
@@ -430,11 +430,11 @@ def test_change_basis_with_an_integral_non_basis_unit():
     # x -> -x in this basis
     M = AutoTwistedBimodule(B, [{0: 3, 1: -2}, {0: 4, 1: -3}, {2: 1}])
     assert B.is_automorphism(M.columns)
+    assert hh_dims(B, RegularBimodule(B), 3) == hh_dims(A, RegularBimodule(A), 3)
     for module in (RegularBimodule(B), M):
         dims = hh_dims(B, module, 3)
         assert dims == full_complex_dims(B, module, 3)
         assert all(type(d) is int for d in dims)
-    assert hh_dims(B, RegularBimodule(B), 3) == hh_dims(A, RegularBimodule(A), 3)
 
 
 @PROPERTY

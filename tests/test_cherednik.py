@@ -235,7 +235,7 @@ def test_integral_words_hold_int_coefficients():
         assert all(type(c) is int for c in coefficient_values(elem))
     # the 1/n! of the symmetrizer is the one place a Fraction appears
     e = spherical_idempotent(3)
-    assert {c for c in coefficient_values(e)} == {Fraction(1, 6)}
+    assert set(coefficient_values(e)) == {Fraction(1, 6)}
     assert all(type(c) is int for c in coefficient_values(multiply(e, e) * 6))
 
 
