@@ -62,18 +62,18 @@ from .wreath import (
 # group B replaces each rank-one preset by its Z/2 crossed product
 Z2_COMPANIONS = {"weyl": "z2_weyl", "trig": "z2_trig", "qweyl": "z2_qweyl"}
 
-# Size caps, refused before any work; timings on a 2-vCPU machine.  The
-# partition sum walks the p(n) partitions of n and convolves tables of
-# degree support up to n*d + 1, so its work is about p(n) * (n*d + 1)^2.
-# betti --preset qweyl (d = 2) takes about 11 s at n = 52; JSON presets
-# with all-ones tables take 11 s at d = 4, n = 45, 12 s at d = 8, n = 39
-# (17 s at n = 40), and 0.75, 4.0 and 12.9 s at d = 20, n = 20, 26 and 31
-# (about half an hour at n = 52, by extrapolation).  The budget is the
-# estimate at n = MAX_WREATH_N for d = 2, so every d = 2 table (each
-# catalogue preset, and hilb) keeps the cap MAX_WREATH_N, and a larger d
-# gets a smaller one (45 at d = 4, 39 at d = 8, 31 at d = 20).  The
-# product route costs about q^2 * t per factor: series --preset qweyl
-# takes about 6 s at q^300 (t^600) and 15 s at q^400.
+# Size caps, refused before any work; timings of one fresh process on a
+# 2-vCPU machine.  The partition sum walks the p(n) partitions of n with
+# one multiply of packed integers of up to n*d + 1 slots per step; the cap
+# estimates its work as p(n) * (n*d + 1)^2.  betti --preset qweyl (d = 2)
+# takes about 0.9 s at n = 52; JSON presets with all-ones tables take
+# 0.65 s at d = 4, n = 45, 0.75 s at d = 8, n = 39, and 0.3, 0.45 and 0.9 s
+# at d = 20, n = 20, 26 and 31.  The budget is the estimate at
+# n = MAX_WREATH_N for d = 2, so every d = 2 table (each catalogue preset,
+# and hilb) keeps the cap MAX_WREATH_N, and a larger d gets a smaller one
+# (45 at d = 4, 39 at d = 8, 31 at d = 20).  The product route costs about
+# q^2 * t per factor: series --preset qweyl takes about 6 s at q^300
+# (t^600) and 15 s at q^400.
 MAX_WREATH_N = 52
 MAX_SERIES_Q = 300
 MAX_SERIES_T = 600

@@ -9,11 +9,19 @@ series with an infinite-product form; both routes are implemented and the
 named classical cases are additionally transcribed as literal products.
 
 The partition sum is a depth-first walk over (part size i, multiplicity p),
-largest part first.  The running tensor product travels down the walk as
-(degree, dim) pairs, parts of size 1 take whatever remains of n, and each
-finished term is added into one integer table.  Every partition is visited
-once and nothing is memoised, so the sum stays a literal enumeration and
-never regroups into the factor-by-factor shape of the product it checks.
+largest part first.  Every partition is one leaf, no subtree is shared and
+nothing is memoised, so the sum stays a literal enumeration and never
+regroups into the factor-by-factor shape of the product it checks.  A
+t-polynomial on the walk is one integer, sum dim * 2^(B*degree) (Kronecker
+substitution): a step of the walk is one integer multiply, and a degree
+shift is a bit shift.  Evaluation at 2^B is a ring homomorphism, so the
+packed sum of the leaves is the packed total, however large the products on
+the way; the total unpacks exactly when its coefficients are below 2^B.
+They are, with B the bit length of p_M(n), the number of M-coloured
+partitions of n, and M the total dimension of the table: every entry is
+nonnegative, shifts keep dimensions and dim S^p <= C(M+p-1, p), so no
+coefficient exceeds the total at t = 1, which is at most the sum over the
+partitions of n of prod_i C(M+p_i-1, p_i) = p_M(n).
 The product route runs the Euler-product kernel of BiSeries in place on
 one coefficient table.
 """
@@ -54,50 +62,62 @@ def _validate(coh: BettiTable, d: int):
         raise ValueError("table support exceeds the duality dimension")
 
 
-def _sym_power_terms(table: BettiTable, shift: int, n: int) -> dict[int, list[tuple]]:
-    """For each part size i in 1..n, the super symmetric powers S^0 .. S^(n//i)
-    of table shifted up by shift * (i - 1), each as (degree, dim) pairs."""
-    return {
-        i: [tuple(s.dims().items())
-            for s in super_sym_powers(table.shift(shift * (i - 1)), n // i)]
-        for i in range(1, n + 1)
-    }
+def _slot_width(colours: int, n: int) -> int:
+    """Bit length of p_M(n) (at least 1), M = colours, from the recurrence
+    n p_M(n) = M sum_k sigma(k) p_M(n-k), sigma(k) the sum of the divisors of k."""
+    sigma = [0] * (n + 1)
+    for j in range(1, n + 1):
+        for k in range(j, n + 1, j):
+            sigma[k] += j
+    counts = [1]
+    for m in range(1, n + 1):
+        counts.append(colours * sum(sigma[k] * counts[m - k] for k in range(1, m + 1)) // m)
+    return max(1, counts[n].bit_length())
 
 
-def _partition_sum(powers: dict[int, list[tuple]], n: int) -> BettiTable:
-    """Sum over partitions of n of the tensor product over part sizes i of
-    powers[i][p], p the multiplicity of i (powers as from _sym_power_terms,
-    for any bound >= n).
+def _sym_power_terms(table: BettiTable, shift: int, n: int) -> tuple[int, int, list[int]]:
+    """(B, shift, packed): the slot width B for n and the super symmetric
+    powers S^0 .. S^n of table, each packed as sum dim * 2^(B*degree).
 
-    A depth-first walk chooses the multiplicity of each part size, largest
-    size first, and carries the running tensor product down; parts of size
-    1 take whatever remains, so every leaf is a partition of n and every
-    partition is one leaf.  No subtree is shared between partitions."""
+    One expansion serves every part size: for an even s, S^p(V[s]) =
+    S^p(V)[p*s], so the shift * (i - 1) of a part of size i is applied by
+    the walk, which adds it up over the parts of each partition."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # a part of size i adds at most the top degree of powers[i][1]
-    top = n * max((k for row in powers.values() for k, _ in row[1]), default=0)
-    total = [0] * (top + 1)
+    width = _slot_width(table.total_dim, n)
+    return width, shift, [sum(v << width * k for k, v in s.dims().items())
+                          for s in super_sym_powers(table, n)]
 
-    def walk(rest: int, size: int, prod: tuple):
+
+def _partition_sum(powers: tuple[int, int, list[int]], n: int) -> BettiTable:
+    """Sum over partitions of n of the tensor product over part sizes i of
+    S^p(table[shift * (i - 1)]), p the multiplicity of i (powers as from
+    _sym_power_terms, for any bound >= n >= 0).
+
+    A depth-first walk chooses the multiplicity of each part size, largest
+    size first, and carries down the running packed product of the
+    unshifted powers and the bit shift that the chosen parts add up to
+    (shift * (i - 1) degrees for each part of size i); parts of size 1 take
+    whatever remains, so every leaf is a partition of n and every partition
+    is one leaf.  No subtree is shared between partitions and nothing is
+    memoised.  The packed total unpacks slot by slot: each coefficient is
+    at most p_M(n) <= p_M(bound) < 2^B."""
+    width, shift, packed = powers
+
+    def walk(rest: int, size: int, prod: int, lift: int) -> int:
         size = min(size, rest)
         if size <= 1:
-            last = powers[1][rest] if rest else ((0, 1),)
-            for k1, v1 in prod:
-                for k2, v2 in last:
-                    total[k1 + k2] += v1 * v2
-            return
-        row = powers[size]
+            return (prod * packed[rest] if rest else prod) << lift
+        out = walk(rest, size - 1, prod, lift)
         for p in range(rest // size, 0, -1):
-            out: dict[int, int] = {}
-            for k1, v1 in prod:
-                for k2, v2 in row[p]:
-                    out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
-            walk(rest - p * size, size - 1, tuple(out.items()))
-        walk(rest, size - 1, prod)
+            out += walk(rest - p * size, size - 1, prod * packed[p],
+                        lift + width * shift * p * (size - 1))
+        return out
 
-    walk(n, n, ((0, 1),))
-    return BettiTable(dict(enumerate(total)))
+    total = walk(n, n, 1, 0)
+    mask = (1 << width) - 1
+    top = (total.bit_length() - 1) // width
+    return BettiTable({k: total >> width * k & mask for k in range(top + 1)})
 
 
 def hh_homology_wreath(hom: BettiTable, n: int) -> BettiTable:

@@ -1,3 +1,4 @@
+import math
 import random
 
 from hypothesis import given, settings
@@ -239,6 +240,63 @@ def test_partition_walk_matches_literal_sum():
             assert hh_cohomology_wreath(table, d, 9) == reference_partition_sum(table, d, 9)
 
 
+def coloured_partition_counts(colours, top):
+    # p_M(n) for n <= top: prod_m (1 - q^m)^(-M), one Euler pass per colour
+    counts = [1] + [0] * top
+    for m in range(1, top + 1):
+        for _ in range(colours):
+            for k in range(m, top + 1):
+                counts[k] += counts[k - m]
+    return counts
+
+
+def test_coloured_partition_counts_by_enumeration():
+    # p_M(n) = sum over partitions of prod_i C(M + p_i - 1, p_i)
+    for colours in range(1, 6):
+        counts = coloured_partition_counts(colours, 10)
+        for n in range(11):
+            assert counts[n] == sum(
+                math.prod(math.comb(colours + p - 1, p) for p in lam.multiplicities().values())
+                for lam in partitions(n))
+
+
+def test_slot_bound_is_met_with_equality():
+    # {0: M} sums to p_M(n) in its one slot, so a narrower slot carries over
+    for colours in range(1, 6):
+        counts = coloured_partition_counts(colours, 40)
+        for n in range(41):
+            assert hh_homology_wreath(BettiTable({0: colours}), n) == {0: counts[n]}
+
+
+def test_odd_only_tables():
+    # S^p of an odd space of dimension m vanishes for p > m, so most
+    # products on the walk are zero; {1: 1} leaves the partitions into
+    # distinct parts, counted by their number of parts
+    for n in range(13):
+        by_length = {}
+        for lam in partitions(n):
+            if len(set(lam)) == len(lam):
+                by_length[len(lam)] = by_length.get(len(lam), 0) + 1
+        assert hh_homology_wreath(BettiTable({1: 1}), n) == by_length
+    for table, d in ((BettiTable({1: 1}), 2), (BettiTable({1: 3}), 2), (BettiTable({3: 2}), 4)):
+        for n in range(11):
+            assert hh_homology_wreath(table, n) == reference_partition_sum(table, 0, n)
+            assert hh_cohomology_wreath(table, d, n) == reference_partition_sum(table, d, n)
+
+
+def test_empty_table_and_smallest_n():
+    empty = BettiTable({})
+    for n in range(6):
+        want = {0: 1} if n == 0 else {}
+        assert hh_homology_wreath(empty, n) == want
+        assert hh_cohomology_wreath(empty, 2, n) == want
+    table = BettiTable({0: 2, 1: 3, 4: 1})
+    for shift in (0, 4):
+        assert wreath._partition_sum(wreath._sym_power_terms(table, shift, 0), 0) == {0: 1}
+        assert wreath._partition_sum(wreath._sym_power_terms(table, shift, 1), 1) == table
+    assert generating_series_sum(empty, 2, 3) == generating_series_product(empty, 2, 3)
+
+
 def test_partition_route_uses_no_product_code(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the partition sum reached product-route code")
@@ -256,9 +314,9 @@ PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=
 
 
 @st.composite
-def tables_with_d(draw):
+def tables_with_d(draw, top=3):
     d = draw(st.sampled_from((2, 4, 6)))
-    dims = draw(st.lists(st.integers(0, 3), min_size=d + 1, max_size=d + 1))
+    dims = draw(st.lists(st.integers(0, top), min_size=d + 1, max_size=d + 1))
     return BettiTable(dict(enumerate(dims))), d
 
 
@@ -267,3 +325,12 @@ def tables_with_d(draw):
 def test_product_equals_partition_sum_property(table_d):
     table, d = table_d
     assert generating_series_product(table, d, 5) == generating_series_sum(table, d, 5)
+
+
+@PROPERTY
+@given(tables_with_d(top=9), st.booleans(), st.integers(0, 10))
+def test_partition_walk_matches_literal_sum_property(table_d, shifted, n):
+    table, d = table_d
+    shift = d if shifted else 0
+    own = wreath._partition_sum(wreath._sym_power_terms(table, shift, n), n)
+    assert own == reference_partition_sum(table, shift, n)
