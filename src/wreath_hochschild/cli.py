@@ -13,10 +13,9 @@ certificate that did not hold), 2 usage error.  Error messages go to
 standard error.  A verification suite that raises is reported as a
 failed check, and the remaining suites still run.  The brute-force size
 cap honours the HH_SIZE_CAP environment variable; randomized suites take
---seed.  betti, hilb and deform refuse an -n whose work estimate
-p(n) * (n*d + 1)^2 is above that of n = MAX_WREATH_N at d = 2, and series
-refuses q and t bounds above MAX_SERIES_Q and MAX_SERIES_T, with exit 2
-before any work.
+--seed.  betti, hilb and deform read the q^n coefficient of the product
+series; every table command refuses a q bound (-n or --max-q) above
+MAX_SERIES_Q and a t bound above MAX_SERIES_T, with exit 2 before any work.
 """
 
 import argparse
@@ -51,58 +50,39 @@ from .partitions import count_by_length
 from .presets_io import CheckReport, emit, load_preset
 from .wreath import (
     CLOSED_FORM_PRESETS,
+    _check_deform_args,
     closed_form,
     deformation_parameter_count,
     generating_series_product,
     generating_series_sum,
-    hh_cohomology_wreath,
     hilb_poincare,
 )
 
 # group B replaces each rank-one preset by its Z/2 crossed product
 Z2_COMPANIONS = {"weyl": "z2_weyl", "trig": "z2_trig", "qweyl": "z2_qweyl"}
 
-# Size caps, refused before any work; timings of one fresh process on a
-# 2-vCPU machine.  The partition sum walks the p(n) partitions of n with
-# one multiply of packed integers of up to n*d + 1 slots per step; the cap
-# estimates its work as p(n) * (n*d + 1)^2.  betti --preset qweyl (d = 2)
-# takes about 0.9 s at n = 52; JSON presets with all-ones tables take
-# 0.65 s at d = 4, n = 45, 0.75 s at d = 8, n = 39, and 0.3, 0.45 and 0.9 s
-# at d = 20, n = 20, 26 and 31.  The budget is the estimate at
-# n = MAX_WREATH_N for d = 2, so every d = 2 table (each catalogue preset,
-# and hilb) keeps the cap MAX_WREATH_N, and a larger d gets a smaller one
-# (45 at d = 4, 39 at d = 8, 31 at d = 20).  The product route costs about
-# q^2 * t per factor: series --preset qweyl takes about 6 s at q^300
-# (t^600) and 15 s at q^400.
-MAX_WREATH_N = 52
+# Size caps, refused before any work.  Every table command reads the product
+# series, which costs about q^2 * t per factor: one fresh process on a 2-vCPU
+# machine takes about 2.6 s for betti --preset qweyl -n 300 (q^300, t^600).
 MAX_SERIES_Q = 300
 MAX_SERIES_T = 600
 
 
-def _partition_counts(top: int) -> list:
-    counts = [1] + [0] * top
-    for part in range(1, top + 1):
-        for m in range(part, top + 1):
-            counts[m] += counts[m - part]
-    return counts
+def _check_bounds(q_bound: int, t_bound: int, q_flag: str, t_rule: str):
+    if q_bound > MAX_SERIES_Q:
+        raise ValueError(f"{q_flag} {q_bound} is above the cap of {MAX_SERIES_Q}")
+    if t_bound > MAX_SERIES_T:
+        raise ValueError(f"t bound {t_bound} ({t_rule}) is above the cap of {MAX_SERIES_T}")
 
 
-_PARTITION_COUNTS = _partition_counts(MAX_WREATH_N)
-_WREATH_BUDGET = _PARTITION_COUNTS[MAX_WREATH_N] * (2 * MAX_WREATH_N + 1) ** 2
-
-
-def _check_wreath_n(n: int, d: int):
-    # the estimate grows with n and d, and d >= 2, so no cap exceeds MAX_WREATH_N
-    cap = max(m for m, count in enumerate(_PARTITION_COUNTS)
-              if count * (m * d + 1) ** 2 <= _WREATH_BUDGET)
-    if n > cap:
-        raise ValueError(f"-n {n} is above the cap of {cap}"
-                         + (f" for d = {d}" if cap < MAX_WREATH_N else ""))
+def _wreath_table(coh: BettiTable, d: int, n: int, t_bound: int) -> BettiTable:
+    """The q^n slice of the product series to t^t_bound: all of the n-th
+    wreath table once t_bound >= d * n, its top degree."""
+    _check_bounds(n, t_bound, "-n", "d * n")
+    return BettiTable(generating_series_product(coh, d, n, t_bound).q_coefficient(n))
 
 
 def _cmd_series(args) -> int:
-    if args.max_q > MAX_SERIES_Q:
-        raise ValueError(f"--max-q {args.max_q} is above the cap of {MAX_SERIES_Q}")
     preset = load_preset(args.preset)
     if args.group == "B":
         companion = Z2_COMPANIONS.get(preset.name)
@@ -111,9 +91,7 @@ def _cmd_series(args) -> int:
                              f"applies only to {sorted(Z2_COMPANIONS)}")
         preset = load_preset(companion)
     t_bound = preset.d * args.max_q if args.max_t is None else args.max_t
-    if t_bound > MAX_SERIES_T:
-        raise ValueError(f"t bound {t_bound} (--max-t, default d * max-q) is above "
-                         f"the cap of {MAX_SERIES_T}")
+    _check_bounds(args.max_q, t_bound, "--max-q", "--max-t, default d * max-q")
     series = generating_series_product(preset.betti, preset.d, args.max_q, t_bound)
     sys.stdout.buffer.write(emit(series, args.format))
     return 0
@@ -121,8 +99,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_betti(args) -> int:
     preset = load_preset(args.preset)
-    _check_wreath_n(args.n, preset.d)
-    table = hh_cohomology_wreath(preset.betti, preset.d, args.n)
+    table = _wreath_table(preset.betti, preset.d, args.n, preset.d * args.n)
     sys.stdout.buffer.write(emit(table, args.format))
     return 0
 
@@ -132,16 +109,16 @@ def _cmd_hilb(args) -> int:
         dims = [int(v) for v in args.betti.split(",")]
     except ValueError:
         raise ValueError(f"--betti expects comma-separated integers, got {args.betti!r}")
-    _check_wreath_n(args.n, 2)
-    table = hilb_poincare(BettiTable(dict(enumerate(dims))), args.n)
+    table = _wreath_table(BettiTable(dict(enumerate(dims))), 2, args.n, 2 * args.n)
     sys.stdout.buffer.write(emit(table, args.format))
     return 0
 
 
 def _cmd_deform(args) -> int:
     preset = load_preset(args.preset)
-    _check_wreath_n(args.n, preset.d)
-    print(deformation_parameter_count(preset.betti, preset.d, args.n))
+    _check_deform_args(preset.betti, args.n)
+    # the count is the degree-2 entry, so t^2 is all the series needs
+    print(_wreath_table(preset.betti, preset.d, args.n, 2)[2])
     return 0
 
 
@@ -355,8 +332,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

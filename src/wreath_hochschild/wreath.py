@@ -249,8 +249,13 @@ def deformation_parameter_count(coh: BettiTable, d: int, n: int) -> int:
     disappears.  Requires a one-dimensional degree-0 part.
     """
     _validate(coh, d)
+    _check_deform_args(coh, n)
+    return hh_cohomology_wreath(coh, d, n)[2]
+
+
+def _check_deform_args(coh: BettiTable, n: int):
+    """Refuse a degree-0 entry other than 1 and an n below 2."""
     if coh[0] != 1:
         raise ValueError("degree-0 entry must be 1")
     if n < 2:
         raise ValueError("n must be at least 2")
-    return hh_cohomology_wreath(coh, d, n)[2]

@@ -2,12 +2,18 @@ from pathlib import Path
 
 import pytest
 
-from wreath_hochschild import cli
+from wreath_hochschild import cli, wreath
 from wreath_hochschild.betti import BettiTable
 from wreath_hochschild.bruteforce import SizeCapExceeded
-from wreath_hochschild.presets_io import CheckReport, load_preset, parse
+from wreath_hochschild.presets_io import CheckReport, emit, load_preset, parse
 from wreath_hochschild.series import BiSeries
-from wreath_hochschild.wreath import generating_series_product
+from wreath_hochschild.wreath import (
+    PRESETS,
+    deformation_parameter_count,
+    generating_series_product,
+    hh_cohomology_wreath,
+    hilb_poincare,
+)
 
 
 def run(capsys, *argv):
@@ -91,21 +97,23 @@ def test_unknown_preset(capsys):
 def test_size_caps_refuse_before_any_work(monkeypatch, capsys):
     calls = []
 
-    def stub(result):
-        return lambda *args: calls.append(args) or result
+    def stub(coh, d, q_bound, t_bound):
+        calls.append((q_bound, t_bound))
+        return BiSeries.one(q_bound, t_bound)
 
-    monkeypatch.setattr(cli, "hh_cohomology_wreath", stub(BettiTable({0: 1})))
-    monkeypatch.setattr(cli, "hilb_poincare", stub(BettiTable({0: 1})))
-    monkeypatch.setattr(cli, "deformation_parameter_count", stub(1))
-    monkeypatch.setattr(cli, "generating_series_product", stub(BiSeries.one(1, 1)))
-    n_cap, q_cap, t_cap = cli.MAX_WREATH_N, cli.MAX_SERIES_Q, cli.MAX_SERIES_T
+    monkeypatch.setattr(cli, "generating_series_product", stub)
+    q_cap, t_cap = cli.MAX_SERIES_Q, cli.MAX_SERIES_T
+    wide = '{"name": "wide", "d": 20, "betti": [%s]}' % ", ".join(["1"] * 21)
     over = [
-        (("betti", "--preset", "qweyl", "-n", str(n_cap + 1)),
-         f"-n {n_cap + 1} is above the cap of {n_cap}"),
-        (("hilb", "--betti", "1,0,0", "-n", str(n_cap + 1)),
-         f"-n {n_cap + 1} is above the cap of {n_cap}"),
-        (("deform", "--preset", "qweyl", "-n", str(n_cap + 1)),
-         f"-n {n_cap + 1} is above the cap of {n_cap}"),
+        (("betti", "--preset", "qweyl", "-n", str(q_cap + 1)),
+         f"-n {q_cap + 1} is above the cap of {q_cap}"),
+        (("hilb", "--betti", "1,0,0", "-n", str(q_cap + 1)),
+         f"-n {q_cap + 1} is above the cap of {q_cap}"),
+        (("deform", "--preset", "qweyl", "-n", str(q_cap + 1)),
+         f"-n {q_cap + 1} is above the cap of {q_cap}"),
+        # betti reads the series to t^(d * n)
+        (("betti", "--preset", wide, "-n", str(t_cap // 20 + 1)),
+         f"t bound {20 * (t_cap // 20 + 1)} (d * n) is above the cap of {t_cap}"),
         (("series", "--preset", "weyl", "--max-q", str(q_cap + 1), "--max-t", "2"),
          f"--max-q {q_cap + 1} is above the cap of {q_cap}"),
         (("series", "--preset", "weyl", "--max-q", "2", "--max-t", str(t_cap + 1)),
@@ -121,33 +129,65 @@ def test_size_caps_refuse_before_any_work(monkeypatch, capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n"), argv
     assert calls == []
     at_cap = [
-        ("betti", "--preset", "qweyl", "-n", str(n_cap)),
-        ("hilb", "--betti", "1,0,0", "-n", str(n_cap)),
-        ("deform", "--preset", "qweyl", "-n", str(n_cap)),
-        ("series", "--preset", "weyl", "--max-q", str(q_cap), "--max-t", str(t_cap)),
-        ("series", "--preset", "weyl", "--max-q", str(t_cap // 2)),
+        (("betti", "--preset", "qweyl", "-n", str(q_cap)), (q_cap, 2 * q_cap)),
+        (("hilb", "--betti", "1,0,0", "-n", str(q_cap)), (q_cap, 2 * q_cap)),
+        # deform reads the degree-2 entry only, so its cap is the same for every d
+        (("deform", "--preset", "qweyl", "-n", str(q_cap)), (q_cap, 2)),
+        (("deform", "--preset", wide, "-n", str(q_cap)), (q_cap, 2)),
+        (("betti", "--preset", wide, "-n", str(t_cap // 20)), (t_cap // 20, t_cap)),
+        (("series", "--preset", "weyl", "--max-q", str(q_cap), "--max-t", str(t_cap)),
+         (q_cap, t_cap)),
+        (("series", "--preset", "weyl", "--max-q", str(t_cap // 2)), (t_cap // 2, t_cap)),
     ]
-    for argv in at_cap:
+    for argv, _ in at_cap:
         assert run(capsys, *argv)[0] == 0, argv
-    assert len(calls) == len(at_cap)
+    assert calls == [bounds for _, bounds in at_cap]
 
 
-def test_wreath_cap_is_set_by_work(monkeypatch, capsys):
-    # a d = 20 table does about as much work at n = 31 as a d = 2 one at n = 52
-    calls = []
-    monkeypatch.setattr(cli, "hh_cohomology_wreath",
-                        lambda *args: calls.append(args) or BettiTable({0: 1}))
-    monkeypatch.setattr(cli, "deformation_parameter_count",
-                        lambda *args: calls.append(args) or 1)
-    wide = '{"name": "wide", "d": 20, "betti": [%s]}' % ", ".join(["1"] * 21)
-    for command in ("betti", "deform"):
-        code, out, err = run(capsys, command, "--preset", wide, "-n", "32")
-        assert (code, out, err) == (2, "", "error: -n 32 is above the cap of 31 for d = 20\n")
-        assert calls == []
-    for command in ("betti", "deform"):
-        assert run(capsys, command, "--preset", wide, "-n", "31")[0] == 0
-        assert run(capsys, command, "--preset", "gamma:3", "-n", str(cli.MAX_WREATH_N))[0] == 0
-    assert [args[-1] for args in calls] == [31, cli.MAX_WREATH_N] * 2
+def test_tables_match_the_partition_walk(capsys):
+    # the CLI reads the product series; the library's walk is the oracle
+    d4 = '{"name": "w4", "d": 4, "betti": [1, 2, 0, 1, 3]}'
+    for name in sorted(PRESETS) + ["gamma:3", d4]:
+        preset = load_preset(name)
+        for n in range(13):
+            for fmt in ("plain", "json", "csv"):
+                want = emit(hh_cohomology_wreath(preset.betti, preset.d, n), fmt)
+                got = run(capsys, "betti", "--preset", name, "-n", str(n), "--format", fmt)
+                assert got == (0, want.decode(), ""), (name, n, fmt)
+            if n >= 2:
+                want = deformation_parameter_count(preset.betti, preset.d, n)
+                assert run(capsys, "deform", "--preset", name, "-n", str(n)) == (
+                    0, f"{want}\n", ""), (name, n)
+    for dims in ("1", "1,0,0", "1,1,1", "1,2,1", "2,0,3", "0,3"):
+        table = BettiTable(dict(enumerate(int(v) for v in dims.split(","))))
+        for n in range(13):
+            for fmt in ("plain", "json", "csv"):
+                want = emit(hilb_poincare(table, n), fmt)
+                got = run(capsys, "hilb", "--betti", dims, "-n", str(n), "--format", fmt)
+                assert got == (0, want.decode(), ""), (dims, n, fmt)
+
+
+def test_tables_do_not_walk_partitions(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a CLI table reached the partition walk")
+
+    qweyl = PRESETS["qweyl"]
+    want = emit(hh_cohomology_wreath(qweyl.betti, qweyl.d, 6), "plain").decode()
+    monkeypatch.setattr(wreath, "_partition_sum", forbidden)
+    assert run(capsys, "betti", "--preset", "qweyl", "-n", "6") == (0, want, "")
+    assert run(capsys, "hilb", "--betti", "1,0,0", "-n", "3") == (0, "1 + t^2 + t^4\n", "")
+    assert run(capsys, "deform", "--preset", "qweyl", "-n", "6") == (0, "3\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("deform", "--preset", '{"name": "x", "d": 2, "betti": [2, 0, 1]}', "-n", "3"),
+     "degree-0 entry must be 1"),
+    (("deform", "--preset", "qweyl", "-n", "1"), "n must be at least 2"),
+    (("betti", "--preset", "qweyl", "-n", "-1"), "bounds must be nonnegative"),
+    (("hilb", "--betti", "1,0,0,1", "-n", "3"), "table support exceeds the duality dimension"),
+])
+def test_table_inputs_refused(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_usage_error_exit_code():
