@@ -290,22 +290,27 @@ class RegularBimodule:
 class AutoTwistedBimodule:
     """M = B with the right action twisted by an automorphism phi:
     b.m = bm and m.b = m phi(b).  For phi a group element g this is the
-    sector module Bg of a crossed product."""
+    sector module Bg of a crossed product.  The right action on a basis
+    pair is computed on first use and kept."""
 
-    __slots__ = ("algebra", "dim", "columns")
+    __slots__ = ("algebra", "dim", "columns", "_right")
 
     def __init__(self, algebra: FiniteDimAlgebra, columns):
         self.algebra = algebra
         self.dim = algebra.dim
         self.columns = columns
+        self._right: dict = {}  # (m, b) -> m.b, filled on first use
 
     def left_basis(self, b: int, m: int) -> dict:
         return self.algebra.table[b][m]
 
     def right_basis(self, m: int, b: int) -> dict:
-        out: dict = {}
-        for k, c in self.columns[b].items():
-            addmul_into(out, self.algebra.table[m][k], c)
+        out = self._right.get((m, b))
+        if out is None:
+            out = {}
+            for k, c in self.columns[b].items():
+                addmul_into(out, self.algebra.table[m][k], c)
+            self._right[(m, b)] = out
         return out
 
 
@@ -320,10 +325,11 @@ class TwistedBimodule:
                                   a_n m c_1.
 
     With M = A this is the regular module of A^n with right action
-    rotated one slot.
+    rotated one slot.  Each action on a basis pair is computed on first
+    use and kept; callers must not mutate the dicts returned.
     """
 
-    __slots__ = ("base", "n", "inner", "dim")
+    __slots__ = ("base", "n", "inner", "dim", "_left", "_right")
 
     def __init__(self, base: FiniteDimAlgebra, n: int, inner=None):
         if n < 1:
@@ -332,6 +338,8 @@ class TwistedBimodule:
         self.n = n
         self.inner = inner if inner is not None else RegularBimodule(base)
         self.dim = base.dim ** (n - 1) * self.inner.dim
+        self._left: dict = {}  # (b, m) -> b.m
+        self._right: dict = {}  # (m, b) -> m.b
 
     def _decode(self, m: int):
         mi = m % self.inner.dim
@@ -354,16 +362,24 @@ class TwistedBimodule:
         return result
 
     def left_basis(self, b: int, m: int) -> dict:
-        bt = decode_index(b, self.base.dim, self.n)
-        rest, mi = self._decode(m)
-        slots = [self.base.table[bt[i]][rest[i]] for i in range(self.n - 1)]
-        return self._expand(slots, self.inner.left_basis(bt[-1], mi))
+        out = self._left.get((b, m))
+        if out is None:
+            bt = decode_index(b, self.base.dim, self.n)
+            rest, mi = self._decode(m)
+            slots = [self.base.table[bt[i]][rest[i]] for i in range(self.n - 1)]
+            out = self._left[(b, m)] = self._expand(
+                slots, self.inner.left_basis(bt[-1], mi))
+        return out
 
     def right_basis(self, m: int, b: int) -> dict:
-        bt = decode_index(b, self.base.dim, self.n)
-        rest, mi = self._decode(m)
-        slots = [self.base.table[rest[i]][bt[i + 1]] for i in range(self.n - 1)]
-        return self._expand(slots, self.inner.right_basis(mi, bt[0]))
+        out = self._right.get((m, b))
+        if out is None:
+            bt = decode_index(b, self.base.dim, self.n)
+            rest, mi = self._decode(m)
+            slots = [self.base.table[rest[i]][bt[i + 1]] for i in range(self.n - 1)]
+            out = self._right[(m, b)] = self._expand(
+                slots, self.inner.right_basis(mi, bt[0]))
+        return out
 
 
 # -- group actions and crossed products ---------------------------------

@@ -73,11 +73,11 @@ TWISTS = ("id", "eps")
 # timings are medians of 3 fresh processes on a 2-vCPU machine under
 # CPython 3.11.  Sector windows (hh_cohomology_rank_one,
 # crossed_z2_cohomology, build_cochain_complex): crossed_z2_cohomology
-# ("qweyl") takes 0.21 s at N = 8, 0.43 s at 10, 0.79 s at 12 and 1.3 s
-# at 14; hh_cohomology_rank_one("qweyl", "eps") 0.05 s at 12, 0.07 s at
-# 14, 0.12 s at 16 and 0.19 s at 20.  Enveloping-algebra windows
-# (duality_check): "qweyl" takes 0.43 s at N = 6, 1.4 s at 8 and 3.9 s at
-# 10; "weyl" 0.29 s at 8 and 0.58 s at 10.
+# ("qweyl") takes 0.19 s at N = 8, 0.32 s at 10, 0.67 s at 12 and 1.2 s
+# at 14; the qweyl eps sector windows (_windowed_dims, under the cap
+# check) 0.04 s at 12, 0.06 s at 14, 0.08 s at 16 and 0.13 s at 20.
+# Enveloping-algebra windows (duality_check): "qweyl" takes 0.32 s at
+# N = 6, 0.91 s at 8 and 3.0 s at 10; "weyl" 0.11 s at 8 and 0.28 s at 10.
 MAX_SECTOR_WINDOW = 14
 MAX_DUALITY_WINDOW = 10
 
@@ -324,25 +324,77 @@ def _ae_uw(kind: str):
     return u, w, nu_u, nu_w
 
 
-def _act(kind: str, f: dict, m: dict, twist: str) -> dict:
-    """(a⊗b).m = a m tau(b), extended linearly over the enveloping-algebra
-    dict f and the terms dict m; tau is the identity or eps."""
+def _act(kind: str, f: dict, twist: str):
+    """The map m -> (a⊗b).m = a m tau(b) on terms dicts, extended linearly
+    over the enveloping-algebra dict f; tau is the identity or eps.  f is
+    twisted, and for qweyl read in Laurent form, once per map."""
     if twist == "eps":
         f = {(k1, k3): c for (k1, k2), cf in f.items()
              for k3, c in _eps(kind, {k2: cf}).items()}
-    out: dict = {}
     if kind == "qweyl":
-        # X^a P^b X^c P^d X^e P^h = q^{-bc-(b+d)e} X^{a+c+e} P^{b+d+h}
-        q_power = RatFunc.q_power
-        for ((a, b), (e, h)), cf in f.items():
-            for (c, d), cm in m.items():
-                add_term(out, (a + c + e, b + d + h),
-                         cf * cm * q_power(-b * c - (b + d) * e))
+        fs = _laurent_terms(f)
+        return lambda m: _qweyl_sum(fs, _laurent_terms(m), _act_place)
+
+    def act(m: dict) -> dict:
+        out: dict = {}
+        for (k1, k3), cf in f.items():
+            for k, cm in m.items():
+                for key, v in _mono_mul(kind, *k1, *k).items():
+                    addmul_into(out, _mono_mul(kind, *key, *k3), cf * cm * v)
         return out
-    for (k1, k3), cf in f.items():
-        for k, cm in m.items():
-            for key, v in _mono_mul(kind, *k1, *k).items():
-                addmul_into(out, _mono_mul(kind, *key, *k3), cf * cm * v)
+
+    return act
+
+
+def _act_place(kf, km):
+    # X^a P^b X^c P^d X^e P^h = q^{-bc-(b+d)e} X^{a+c+e} P^{b+d+h}
+    (a, b), (e, h) = kf
+    c, d = km
+    return (a + c + e, b + d + h), -b * c - (b + d) * e
+
+
+def _ae_place(kf, kg):
+    # (X^a P^b ⊗ X^e P^h)(X^c P^d ⊗ X^x P^y) = X^a P^b X^c P^d ⊗ X^x P^y X^e P^h
+    (a, b), (e, h) = kf
+    (c, d), (x, y) = kg
+    return ((a + c, b + d), (x + e, y + h)), -b * c - y * e
+
+
+def _laurent_terms(d: dict) -> list:
+    """(key, Laurent form or None, coefficient) for each entry of a qweyl dict."""
+    return [(k, c.laurent(), c) for k, c in d.items()]
+
+
+_UNIT_POLY = {0: 1}
+
+
+def _qweyl_sum(fs: list, gs: list, place) -> dict:
+    """Sum of cf * cg * q^n at key over the term pairs of two qweyl
+    dicts given by _laurent_terms, with (key, n) = place(f key, g key).
+
+    Each output entry is added up over integer q-exponents, as a Laurent
+    polynomial {exponent: int}, and built as one RatFunc.  A coefficient
+    outside Z[q, 1/q] is kept apart: the terms it meets are summed per
+    output entry and multiplied by it once.
+    """
+    sums: dict = {}  # output key -> Laurent polynomial
+    apart: dict = {}  # (output key, non-Laurent factor) -> Laurent polynomial
+    for kf, lf, cf in fs:
+        for kg, lg, cg in gs:
+            key, n = place(kf, kg)
+            if lf is not None and lg is not None:
+                poly = sums.setdefault(key, {})
+            else:
+                rest = cg if lf is not None else cf if lg is not None else cf * cg
+                poly = apart.setdefault((key, rest), {})
+            for s, x in (lf or _UNIT_POLY).items():
+                for t, y in (lg or _UNIT_POLY).items():
+                    e = n + s + t
+                    poly[e] = poly.get(e, 0) + x * y
+    from_laurent = RatFunc.from_laurent
+    out = {key: v for key, poly in sums.items() if (v := from_laurent(poly))}
+    for (key, rest), poly in apart.items():
+        add_term(out, key, from_laurent(poly) * rest)
     return out
 
 
@@ -373,10 +425,11 @@ def _complex_columns(kind: str, twist: str, N: int):
     full = window_keys(kind, N)
     one = _one(kind)
     u, w, _, _ = _ae_uw(kind)
+    act_u, act_w = _act(kind, u, twist), _act(kind, w, twist)
     d0: dict = {}
     d1: dict = {}
     for s in full:
-        um, wm = _act(kind, u, {s: one}, twist), _act(kind, w, {s: one}, twist)
+        um, wm = act_u({s: one}), act_w({s: one})
         d0[s] = _join(um, wm)
         d1[(0, s)] = wm
         d1[(1, s)] = {k: -v for k, v in um.items()}
@@ -393,10 +446,11 @@ def build_cochain_complex(kind: str, twist: str, window):
     win = _window(window, MAX_SECTOR_WINDOW)
     d0, d1, full = _complex_columns(kind, twist, win.N)
     u, w, _, _ = _ae_uw(kind)
+    act_u, act_w = _act(kind, u, twist), _act(kind, w, twist)
     composite = {}
     for s in full:
         m1, m2 = _split(d0[s])
-        composite[s] = _ae_sub(_act(kind, w, m1, twist), _act(kind, u, m2, twist))
+        composite[s] = _ae_sub(act_w(m1), act_u(m2))
     return d0, d1, composite
 
 
@@ -489,7 +543,8 @@ def _sector_involution(kind: str, twist: str):
     minus = -_one(kind)
 
     def conjugated(f):
-        return lambda vec: _eps(kind, _act(kind, f, vec, twist))
+        act = _act(kind, f, twist)
+        return lambda vec: _eps(kind, act(vec))
 
     slot0, slot1 = conjugated(_ae_scale(nu_u, minus)), conjugated(_ae_scale(nu_w, minus))
 
@@ -585,15 +640,9 @@ def crossed_z2_cohomology(kind: str, window=10):
 
 
 def _ae_mul(kind: str, f: dict, g: dict) -> dict:
-    out: dict = {}
     if kind == "qweyl":
-        # both factors are bare q-powers (see _mono_mul): add the exponents
-        q_power = RatFunc.q_power
-        for ((a, b), (e, h)), cf in f.items():
-            for ((c, d), (x, y)), cg in g.items():
-                add_term(out, ((a + c, b + d), (x + e, y + h)),
-                         cf * cg * q_power(-b * c - y * e))
-        return out
+        return _qweyl_sum(_laurent_terms(f), _laurent_terms(g), _ae_place)
+    out: dict = {}
     for (k1, k2), cf in f.items():
         for (l1, l2), cg in g.items():
             left = _mono_mul(kind, *k1, *l1)

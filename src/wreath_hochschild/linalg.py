@@ -17,14 +17,17 @@ exact and identical to field elimination with monic pivots: ranks,
 residuals, dependency combos and express combos are unique, and the
 integer pivots differ from the monic ones only by nonzero scalars.
 Vectors over other fields (rational functions in q) take the same loop
-with monic pivot rows.  Pivot selection is deterministic (smallest key),
-so results are reproducible across runs.
+with monic pivot rows, each made monic the first time a later row meets
+it: a pivot no row meets is never divided, and one that is met is monic
+before its first use, so every result is that of monic elimination.
+Pivot selection is deterministic (smallest key), so results are
+reproducible across runs.
 
 Rational scalars are integer-first: exact_scalar gives an int when the
 value is integral and a Fraction otherwise; a float entry raises
 TypeError.  TrackingEchelon's unit seeds the dependency combo of a field
 row or an empty vector (a rational combo starts from the integer scale);
-it defaults to Fraction(1) and must be passed explicitly for other fields.
+it defaults to 1 and must be passed explicitly for other fields.
 
 add_term is the single-entry form of addmul_into.  rank_modulo is the
 dimension of a span of unit vectors modulo a span of vectors, read off
@@ -98,11 +101,12 @@ def addmul_into(target: dict, src: dict, factor) -> None:
 
 
 def _scaled_out(vec: dict, scale) -> dict:
-    """vec divided by an integer scale, as Fractions; a field vector
-    (scale None) is returned as it is."""
-    if scale is None:
+    """vec divided by an integer scale, integer-first (see exact_scalar);
+    a field vector (scale None) or a scale of 1 leaves vec as it is."""
+    if scale is None or scale == 1:
         return vec
-    return {k: Fraction(v, scale) for k, v in vec.items()}
+    return {k: v // scale if v % scale == 0 else Fraction(v, scale)
+            for k, v in vec.items()}
 
 
 def _eliminate(pivots: dict, vec: dict, sign: int, label=None, one=None):
@@ -116,7 +120,9 @@ def _eliminate(pivots: dict, vec: dict, sign: int, label=None, one=None):
     the leading entry, which is lead, or 1 when lead is None.  A step pops
     b = r[key], whose cancellation is known, and subtracts b * tail: that
     is r -= r[key] * row against a monic row, the only step field rows
-    take.  An integer row with lead > 1 gives the fraction-free step
+    take.  A field pivot with a lead is first made monic, once: its tail
+    and combo are divided by the lead and it is stored back with lead
+    None.  An integer row with lead > 1 gives the fraction-free step
     r = a*r - b*row with a = lead/g, b = r[key]/g and g = gcd(lead, r[key]),
     and scale is multiplied by a.
 
@@ -159,7 +165,14 @@ def _eliminate(pivots: dict, vec: dict, sign: int, label=None, one=None):
             break
         tail, combo, lead = hit
         b = r.pop(key)
-        if lead is not None:
+        if scale is None:
+            if lead is not None:
+                # a field pivot is made monic the first time a row meets it
+                tail = {k: v / lead for k, v in tail.items()}
+                if combo is not None:
+                    combo = {k: v / lead for k, v in combo.items()}
+                pivots[key] = (tail, combo, None)
+        elif lead is not None:
             g = gcd(lead, b)
             a = lead // g
             b //= g
@@ -168,9 +181,10 @@ def _eliminate(pivots: dict, vec: dict, sign: int, label=None, one=None):
                 r = {k: v * a for k, v in r.items()}
                 if c is not None:
                     c = {k: v * a for k, v in c.items()}
-        addmul_into(r, tail, -b)
+        b = -b
+        addmul_into(r, tail, b)
         if c is not None:
-            addmul_into(c, combo, sign * b)
+            addmul_into(c, combo, -b if sign > 0 else b)
     return r, c, scale
 
 
@@ -178,8 +192,9 @@ def _store(pivots: dict, r: dict, c) -> None:
     """Make the nonzero residual r (with its combo c) a pivot.
 
     An integer row is divided by its content (taken jointly with the
-    combo's) and given a positive leading entry; a field row is made monic.
-    The leading entry is kept apart from the tail (see _eliminate).
+    combo's) and given a positive leading entry; a field row is kept as
+    elimination left it, and _eliminate makes it monic the first time a
+    later row meets it.  The leading entry is kept apart from the tail.
     """
     key = min(r)
     lead = r.pop(key)
@@ -192,12 +207,8 @@ def _store(pivots: dict, r: dict, c) -> None:
             if c is not None:
                 c = {k: v // g for k, v in c.items()}
         lead //= g
-        pivots[key] = (r, c, None if lead == 1 else lead)
-        return
-    r = {k: v / lead for k, v in r.items()}
-    if c is not None:
-        c = {k: v / lead for k, v in c.items()}
-    pivots[key] = (r, c, None)
+        lead = None if lead == 1 else lead
+    pivots[key] = (r, c, lead)
 
 
 class Echelon:
@@ -258,7 +269,7 @@ class TrackingEchelon(Echelon):
 
     __slots__ = ("one",)
 
-    def __init__(self, one=Fraction(1)):
+    def __init__(self, one=1):
         super().__init__()
         self.one = one
 
@@ -281,7 +292,7 @@ class TrackingEchelon(Echelon):
         return None if r else c
 
 
-def kernel_combos(pairs, one=Fraction(1)) -> list[dict]:
+def kernel_combos(pairs, one=1) -> list[dict]:
     """Kernel of the linear map given as (label, image vector) pairs.
 
     Returns dependency combos {label: coeff}; each is an exact kernel
@@ -307,7 +318,7 @@ def _integer_trace(trace) -> int:
     raise CertificateError(f"projector trace {trace} is not an exact integer")
 
 
-def invariant_dim(boundaries, cycles, actions, one=Fraction(1)) -> int:
+def invariant_dim(boundaries, cycles, actions, one=1) -> int:
     """Dimension of the group-invariant part of span(cycles)/span(boundaries).
 
     actions holds one chain-level map per group element, identity

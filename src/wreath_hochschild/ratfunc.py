@@ -15,6 +15,11 @@ and makes equality a comparison of tuples.
 * anything else: a primitive-part Euclidean gcd and exact division.
 
 The integer content and sign steps follow the last two routes.
+
+A Laurent polynomial in q with integer coefficients has a canonical form
+that needs no gcd at all: from_laurent builds it directly, and laurent()
+reads it back (None for a value outside Z[q, 1/q]), so sums of q-powers
+can be added up as integers and made a RatFunc once.
 """
 
 from __future__ import annotations
@@ -149,14 +154,25 @@ def _reduce(num, den):
     return num, den
 
 
+def _coefficient(c) -> int:
+    """c as an int: ints and integral Fractions only, nothing truncated."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        if c.denominator == 1:
+            return c.numerator
+        raise ValueError(f"non-integral coefficient {c}")
+    raise TypeError(f"non-exact coefficient {c!r} of type {type(c).__name__}")
+
+
 class RatFunc:
     """num/den as reduced integer polynomials in q."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1,)):
-        num = _strip(tuple(int(c) for c in num))
-        den = _strip(tuple(int(c) for c in den))
+        num = _strip(tuple(_coefficient(c) for c in num))
+        den = _strip(tuple(_coefficient(c) for c in den))
         if not den:
             raise ZeroDivisionError("zero denominator")
         self.num, self.den = _reduce(num, den)
@@ -181,6 +197,38 @@ class RatFunc:
     @classmethod
     def variable(cls) -> "RatFunc":
         return cls((0, 1))
+
+    @classmethod
+    def from_laurent(cls, poly: dict) -> "RatFunc":
+        """sum c * q^e over the {e: c} items of poly, for int c.
+
+        Canonical with no gcd: at valuation v >= 0 the denominator is 1,
+        otherwise it is q^-v over a numerator with a nonzero constant term.
+        """
+        if 0 in poly.values():
+            poly = {e: c for e, c in poly.items() if c}
+        out = object.__new__(cls)
+        if not poly:
+            out.num, out.den = (), (1,)
+            return out
+        lo = min(poly)
+        base = lo if lo < 0 else 0
+        num = [0] * (max(poly) - base + 1)
+        for e, c in poly.items():
+            if type(c) is not int:
+                raise TypeError(f"non-integer coefficient {c!r} in a Laurent polynomial")
+            num[e - base] = c
+        out.num = tuple(num)
+        out.den = (0,) * -base + (1,)
+        return out
+
+    def laurent(self):
+        """{exponent: int} when self lies in Z[q, 1/q], else None."""
+        den = self.den
+        k = len(den) - 1
+        if den[k] != 1 or any(den[:k]):
+            return None
+        return {i - k: c for i, c in enumerate(self.num) if c}
 
     @staticmethod
     def _coerce(x):

@@ -205,6 +205,26 @@ def test_twisted_matches_auto_twisted_for_regular_inner():
             assert tw.right_basis(m, b) == auto.right_basis(m, b)
 
 
+def test_bimodule_actions_are_computed_once_on_first_use(monkeypatch):
+    A = z2_algebra()
+    n = 3
+    B = tensor_power(A, n)
+    tw = TwistedBimodule(A, n)
+    auto = AutoTwistedBimodule(B, [{p: ONE} for p in rotation_permutation(A, n)])
+    first = {(b, m): (tw.left_basis(b, m), tw.right_basis(m, b), auto.right_basis(m, b))
+             for b in range(B.dim) for m in range(B.dim)}
+
+    def no_work(*args):
+        raise AssertionError("an action was recomputed")
+
+    monkeypatch.setattr(bruteforce, "decode_index", no_work)
+    monkeypatch.setattr(bruteforce, "addmul_into", no_work)
+    for (b, m), (left, right, auto_right) in first.items():
+        assert tw.left_basis(b, m) is left and tw.right_basis(m, b) is right
+        assert auto.right_basis(m, b) is auto_right
+        assert right == auto_right
+
+
 def test_verify_homolog_i_small():
     A = FiniteDimAlgebra.truncated_polynomial(2)
     rep = verify_homolog_i(A, n=2, max_level=2)

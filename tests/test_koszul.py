@@ -349,6 +349,66 @@ def test_enveloping_product_over_q_adds_q_exponents():
             {k: (v.num, v.den) for k, v in want.items()}
 
 
+def qweyl_coefficient(rng):
+    """A nonzero Q(q) scalar: a Laurent polynomial, or one outside Z[q, 1/q]."""
+    while True:
+        num = [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))]
+        den = rng.choice([[1], [0, 1], [0, 0, 1], [2], [1, 1], [0, 1, 1]])
+        value = RatFunc(num, den)
+        if value:
+            return value
+
+
+def test_qweyl_action_sums_over_q_exponents_as_the_term_by_term_product():
+    # reference: a m tau(b) term by term, one RatFunc product per term
+    def reference(f, m, twist):
+        out = {}
+        for (k1, k2), cf in f.items():
+            right = koszul._eps("qweyl", {k2: cf}) if twist == "eps" else {k2: cf}
+            for k3, ct in right.items():
+                for k, cm in m.items():
+                    for key, v in koszul._mono_mul("qweyl", *k1, *k).items():
+                        for out_key, v2 in koszul._mono_mul("qweyl", *key, *k3).items():
+                            koszul.add_term(out, out_key, ct * cm * v * v2)
+        return out
+
+    def pairs(d):
+        return {k: (v.num, v.den) for k, v in d.items()}
+
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(60):
+        # small exponents, so that output entries collect several terms
+        f = {tuple((rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(2)):
+             qweyl_coefficient(rng) for _ in range(rng.randint(1, 4))}
+        m = {(rng.randint(-1, 1), rng.randint(-1, 1)): qweyl_coefficient(rng)
+             for _ in range(rng.randint(1, 4))}
+        seen.update((cf.laurent() is None, cm.laurent() is None)
+                    for cf in f.values() for cm in m.values())
+        for twist in ("id", "eps"):
+            assert pairs(koszul._act("qweyl", f, twist)(m)) == pairs(reference(f, m, twist))
+    # every mix of Laurent and non-Laurent coefficients was met
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    # an entry whose terms cancel is dropped
+    one = RatFunc.from_int(1)
+    half = RatFunc((1,), (2,))
+    f = {((0, 0), (0, 0)): half, ((1, 0), (-1, 0)): -half}
+    assert koszul._act("qweyl", f, "id")({(0, 0): one}) == {}
+    assert koszul._act("qweyl", f, "id")({(0, 0): half, (0, 1): one}) != {}
+
+
+def test_rank_of_the_qweyl_d0_window_divides_nothing(monkeypatch):
+    # each d0 column meets no stored pivot, so no pivot is ever made monic
+    d0, _, _ = build_cochain_complex("qweyl", "id", 8)
+    divisions = []
+    divide = RatFunc.__truediv__
+    monkeypatch.setattr(RatFunc, "__truediv__",
+                        lambda a, b: divisions.append(b) or divide(a, b))
+    # h0 = 1: only the constants are central
+    assert rank_of(d0.values()) == len(window_keys("qweyl", 8)) - 1
+    assert divisions == []
+
+
 def test_weyl_and_trig_columns_hold_ints():
     # every structure constant of weyl and trig is an integer
     for kind in ("weyl", "trig"):

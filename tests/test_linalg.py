@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wreath_hochschild.linalg import (
@@ -460,8 +460,11 @@ def assert_primitive_pivots(ech):
         assert math.gcd(*values) == 1
 
 
-def all_fractions(vec):
-    return all(type(v) is Fraction for v in vec.values())
+def integer_first(vec):
+    """The exact_scalar contract: an int exactly when the entry is
+    integral, else a Fraction."""
+    return all(type(v) is (int if v.denominator == 1 else Fraction)
+               for v in vec.values())
 
 
 ENTRY = st.one_of(
@@ -485,7 +488,7 @@ def test_kernel_matches_monic_field_elimination(vecs, extra, coeffs):
         got = tracked.insert(v, i)
         assert got == want
         if got is not None:
-            assert all_fractions(got)
+            assert integer_first(got)
             deps.append(got)
     assert ech.rank == tracked.rank == len(ref.pivots)
     assert kernel_combos(enumerate(vecs)) == deps
@@ -500,7 +503,7 @@ def test_kernel_matches_monic_field_elimination(vecs, extra, coeffs):
         assert ech.reduce(vec) == want_r
         got_r, got_c = tracked.express(vec)
         assert (got_r, got_c) == (want_r, want_c)
-        assert all_fractions(got_r) and all_fractions(got_c)
+        assert integer_first(got_r) and integer_first(got_c)
 
 
 def test_kernel_over_rational_functions_matches_monic_elimination():
@@ -581,3 +584,72 @@ def test_invariant_dim_with_an_int_unit_is_exact(keys, pairs, signs, bvecs, zvec
         assert type(got) is int
         assert got == invariant_dim(boundaries, cycles, actions)
         assert got == labelled_invariant_dim(boundaries, cycles, actions, Fraction(1))
+
+
+# -- Q(q) pivots are made monic on first use ----------------------------------
+
+NONZERO_RATFUNC = RATFUNC_ENTRY.filter(bool)
+# few keys, so that a stored pivot is met by 0, 1 or more later rows
+RATFUNC_ROW = st.dictionaries(st.integers(0, 3), NONZERO_RATFUNC, max_size=3)
+
+
+def assert_monic_on_use(ech, ref, one):
+    """Each stored pivot, divided by its kept lead, is the reference's
+    monic row; a pivot already met (lead None) is stored monic."""
+    assert set(ech.pivots) == set(ref.pivots)
+    for key, (tail, combo, lead) in ech.pivots.items():
+        row, ref_combo = ref.pivots[key]
+        lead = one if lead is None else lead
+        assert {key: one, **{k: v / lead for k, v in tail.items()}} == row
+        if combo is not None:
+            assert {k: v / lead for k, v in combo.items()} == ref_combo
+
+
+_Q = RatFunc.variable()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(RATFUNC_ROW, max_size=7), RATFUNC_ROW)
+# the pivot at key 0 met 0, 1 and 2 times
+@example([{0: _Q + 2, 1: _Q}], {})
+@example([{0: _Q + 2, 1: _Q}, {0: 1 / _Q, 2: _Q}], {1: _Q})
+@example([{0: _Q + 2, 1: _Q}, {0: 1 / _Q, 2: _Q}, {0: _Q, 1: _Q - 1}], {0: _Q})
+def test_field_pivots_made_monic_on_first_use_match_monic_elimination(vecs, probe):
+    one = RatFunc.from_int(1)
+    ref = MonicElimination(one)
+    ech, tracked = Echelon(), TrackingEchelon(one)
+    for i, v in enumerate(vecs):
+        want = ref.insert(v, i)
+        assert ech.insert(v) is (want is None)
+        assert tracked.insert(v, i) == want
+        assert_monic_on_use(ech, ref, one)
+        assert_monic_on_use(tracked, ref, one)
+    assert ech.reduce(probe) == ref.express(probe)[0]
+    assert tracked.express(probe) == ref.express(probe)
+    assert_monic_on_use(tracked, ref, one)
+
+
+def test_a_field_pivot_is_divided_by_its_lead_once_on_first_use(monkeypatch):
+    q, one = RatFunc.variable(), RatFunc.from_int(1)
+    lead = q + 2
+    divisors = []
+    divide = RatFunc.__truediv__
+    monkeypatch.setattr(RatFunc, "__truediv__",
+                        lambda a, b: divisors.append(b) or divide(a, b))
+    ref, ech = MonicElimination(one), TrackingEchelon(one)
+    a = {0: lead, 1: q, 2: one}
+    # stored as elimination left it: never met, never divided
+    assert ech.insert(a, "a") is None
+    assert divisors == [] and ech.pivots[0][2] == lead
+    # met once: its tail (two entries) and combo (one) are divided by the lead
+    assert ech.insert(a, "b") == {"a": -one, "b": one}
+    assert divisors == [lead] * 3 and ech.pivots[0][2] is None
+    # met again: already monic, nothing is divided
+    divisors.clear()
+    assert ech.insert({0: q}, "c") is None
+    assert divisors == []
+    # the same results as monic field elimination
+    assert ref.insert(a, "a") is None and ref.insert(a, "b") == {"a": -one, "b": one}
+    assert ref.insert({0: q}, "c") is None
+    assert_monic_on_use(ech, ref, one)
+    assert ech.express({0: q, 3: one}) == ref.express({0: q, 3: one})

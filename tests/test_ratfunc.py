@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wreath_hochschild.ratfunc import RatFunc, _content, _exact_div, _pgcd, _strip
@@ -232,3 +232,67 @@ def test_same_denominator_sum_cancels():
     total = q / (q + 1) + 1 / (q + 1)
     assert pair(total) == ((1,), (1,))
     assert total == 1
+
+
+def test_coefficients_must_be_exact_integers():
+    # ints and integral Fractions are taken as they are
+    assert pair(RatFunc((Fraction(4, 2), 3), (Fraction(1),))) == ((2, 3), (1,))
+    # nothing is truncated: a float or any other non-exact type is refused
+    for num, den in (((1.5,), (1,)), ((1,), (2.7,)), ((2.0,), (1,)), (("1",), (1,))):
+        with pytest.raises(TypeError, match="non-exact coefficient"):
+            RatFunc(num, den)
+    # and so is a Fraction with a denominator
+    with pytest.raises(ValueError, match="non-integral coefficient 1/2"):
+        RatFunc((Fraction(1, 2),))
+    with pytest.raises(ValueError, match="non-integral"):
+        RatFunc((1,), (1, Fraction(2, 3)))
+
+
+def laurent_reference(poly):
+    """sum c * q^e, term by term through q_power."""
+    total = RatFunc.from_int(0)
+    for e, c in poly.items():
+        total = total + c * RatFunc.q_power(e)
+    return total
+
+
+laurent_polys = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=5)
+
+
+@PROPERTY
+@given(laurent_polys)
+@example({})  # empty
+@example({2: 0, -1: 0})  # only zero coefficients
+@example({-3: 2, -1: -1})  # negative exponents only
+@example({-2: 1, 0: 0, 3: -4})  # mixed, with a zero in between
+@example({1: 2, 4: 1})  # positive valuation
+def test_laurent_constructor_and_reader_match_q_powers(poly):
+    want = laurent_reference(poly)
+    got = RatFunc.from_laurent(poly)
+    assert pair(got) == pair(want)
+    nonzero = {e: c for e, c in poly.items() if c}
+    assert got.laurent() == want.laurent() == nonzero
+    assert pair(RatFunc.from_laurent(got.laurent())) == pair(got)
+
+
+def test_laurent_sums_that_cancel():
+    # (q^-1 + q) + (-q^-1 - q) summed as polynomials, and term by term
+    assert pair(RatFunc.from_laurent({-1: 1 - 1, 1: 1 - 1})) == ((), (1,))
+    x = RatFunc.from_laurent({-1: 1, 1: 1})
+    assert pair(x - RatFunc.from_laurent({-1: 1})) == pair(RatFunc.q_power(1))
+    assert (x - x).laurent() == {}
+
+
+def test_laurent_reader_refuses_values_outside_z_q_inverse_q():
+    q = RatFunc.variable()
+    for value in (1 / (q + 1), RatFunc((1,), (2,)), RatFunc((1,), (0, 2)),
+                  RatFunc.from_fraction(Fraction(3, 4))):
+        assert value.laurent() is None
+    assert (1 / q).laurent() == {-1: 1}
+    assert ((q - 1) / q ** 2).laurent() == {-2: -1, -1: 1}
+
+
+def test_laurent_constructor_refuses_non_integer_coefficients():
+    for bad in ({0: 1.5}, {1: 1, 2: Fraction(1, 2)}, {-1: 2.0}):
+        with pytest.raises(TypeError, match="non-integer coefficient"):
+            RatFunc.from_laurent(bad)
