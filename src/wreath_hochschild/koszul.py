@@ -387,8 +387,8 @@ def _qweyl_sum(fs: list, gs: list, place) -> dict:
             else:
                 rest = cg if lf is not None else cf if lg is not None else cf * cg
                 poly = apart.setdefault((key, rest), {})
-            for s, x in (lf or _UNIT_POLY).items():
-                for t, y in (lg or _UNIT_POLY).items():
+            for s, x in (_UNIT_POLY if lf is None else lf).items():
+                for t, y in (_UNIT_POLY if lg is None else lg).items():
                     e = n + s + t
                     poly[e] = poly.get(e, 0) + x * y
     from_laurent = RatFunc.from_laurent

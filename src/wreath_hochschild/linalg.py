@@ -181,10 +181,9 @@ def _eliminate(pivots: dict, vec: dict, sign: int, label=None, one=None):
                 r = {k: v * a for k, v in r.items()}
                 if c is not None:
                     c = {k: v * a for k, v in c.items()}
-        b = -b
-        addmul_into(r, tail, b)
+        addmul_into(r, tail, -b)
         if c is not None:
-            addmul_into(c, combo, -b if sign > 0 else b)
+            addmul_into(c, combo, b if sign > 0 else -b)
     return r, c, scale
 
 

@@ -389,6 +389,12 @@ def test_qweyl_action_sums_over_q_exponents_as_the_term_by_term_product():
             assert pairs(koszul._act("qweyl", f, twist)(m)) == pairs(reference(f, m, twist))
     # every mix of Laurent and non-Laurent coefficients was met
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    # a zero coefficient contributes nothing
+    zero, q = RatFunc.from_int(0), RatFunc.variable()
+    u, w, _, _ = koszul._ae_uw("qweyl")
+    assert koszul._act("qweyl", u, "id")({(1, 1): zero}) == {}
+    assert koszul._ae_mul("qweyl", {((1, 1), (0, 1)): zero}, w) == {}
+    assert koszul._ae_mul("qweyl", {((1, 1), (0, 1)): 1 / (q + 1)}, {((0, 0), (0, 0)): zero}) == {}
     # an entry whose terms cancel is dropped
     one = RatFunc.from_int(1)
     half = RatFunc((1,), (2,))
