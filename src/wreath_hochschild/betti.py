@@ -20,7 +20,9 @@ class BettiTable:
     def __init__(self, dims):
         clean = {}
         for k, v in dict(dims).items():
-            k, v = int(k), int(v)
+            # type(), not isinstance: bools are refused, nothing is truncated
+            if type(k) is not int or type(v) is not int:
+                raise ValueError(f"degree {k!r} and dimension {v!r} must be integers")
             if k < 0:
                 raise ValueError("degrees must be nonnegative")
             if v < 0:
@@ -108,46 +110,34 @@ class AlgebraPreset:
             raise ValueError("cohomology support exceeds the duality dimension")
 
 
-def super_sym_powers(table: BettiTable, pmax: int, t_bound: int | None = None):
+def super_sym_powers(table: BettiTable, pmax: int):
     """Graded dimensions of the super symmetric powers S^0 .. S^pmax.
 
     Expands prod_{j even} (1 - z t^j)^(-m_j) * prod_{j odd} (1 + z t^j)^(m_j)
-    and reads off the coefficient of z^p.  With the default t_bound
-    (pmax * max degree) the result is exact, not a truncation.
+    and reads off the coefficient of z^p, exactly: no degree is truncated.
 
     Returns a list of BettiTable, index p in 0..pmax.
     """
     if pmax < 0:
         raise ValueError("pmax must be nonnegative")
-    if t_bound is None:
-        t_bound = pmax * table.max_degree
     # rows[p] = t-polynomial {degree: coeff} multiplying z^p
     rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(pmax)]
     for j in sorted(table.dims()):
         m = table[j]
-        factor: list[dict[int, int]] = []
-        for r in range(pmax + 1):
-            deg = r * j
-            if deg > t_bound:
-                break
-            if j % 2 == 0:
-                factor.append({deg: math.comb(m + r - 1, r)})
-            else:
-                if r > m:
-                    break
-                factor.append({deg: math.comb(m, r)})
+        # factor[r] = coefficient of z^r t^(r j) in this degree's factor
+        if j % 2 == 0:
+            factor = [math.comb(m + r - 1, r) for r in range(pmax + 1)]
+        else:
+            factor = [math.comb(m, r) for r in range(min(m, pmax) + 1)]
         new_rows: list[dict[int, int]] = [{} for _ in range(pmax + 1)]
         for p1, poly1 in enumerate(rows):
             if not poly1:
                 continue
-            for p2, poly2 in enumerate(factor):
-                if p1 + p2 > pmax:
-                    break
+            for p2, c2 in enumerate(factor[:pmax + 1 - p1]):
                 target = new_rows[p1 + p2]
+                d2 = p2 * j
                 for d1, c1 in poly1.items():
-                    for d2, c2 in poly2.items():
-                        d = d1 + d2
-                        if d <= t_bound:
-                            target[d] = target.get(d, 0) + c1 * c2
+                    d = d1 + d2
+                    target[d] = target.get(d, 0) + c1 * c2
         rows = new_rows
     return [BettiTable(row) for row in rows]

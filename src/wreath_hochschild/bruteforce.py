@@ -21,7 +21,9 @@ complex, which the homotopy identity and the sector dimensions of
 afls_check use.  Complex sizes grow as dim(B)^level, so every rank
 computation is guarded by a size cap (dense-equivalent entry count of
 the largest matrix of the full complex); HH_SIZE_CAP in the environment
-overrides it.
+overrides it (a nonnegative integer, else ValueError).  Every map given
+by its columns runs through linalg.apply_columns, and every tensor
+product of sparse vectors (A tensor B, TwistedBimodule) through _expand.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .linalg import (
     TrackingEchelon,
     add_term,
     addmul_into,
+    apply_columns,
     exact_scalar,
     invariant_dim,
     kernel_combos,
@@ -55,7 +58,12 @@ def _resolve_cap(size_cap: int | None) -> int:
     if size_cap is not None:
         return size_cap
     env = os.environ.get("HH_SIZE_CAP")
-    return int(env) if env else DEFAULT_SIZE_CAP
+    if not env:
+        return DEFAULT_SIZE_CAP
+    # ASCII digits only: int() would also take a sign, spaces and underscores
+    if not (env.isascii() and env.isdigit()):
+        raise ValueError(f"HH_SIZE_CAP must be a nonnegative integer, got {env!r}")
+    return int(env)
 
 
 def _check_cap(domain: int, codomain: int, cap: int, what: str):
@@ -148,26 +156,9 @@ class FiniteDimAlgebra:
 
     def tensor(self, other: "FiniteDimAlgebra") -> "FiniteDimAlgebra":
         d2 = other.dim
-        table = []
-        for i1 in range(self.dim):
-            for i2 in range(d2):
-                row = []
-                for j1 in range(self.dim):
-                    cell1 = self.table[i1][j1]
-                    for j2 in range(d2):
-                        cell2 = other.table[i2][j2]
-                        row.append({
-                            k1 * d2 + k2: c1 * c2
-                            for k1, c1 in cell1.items()
-                            for k2, c2 in cell2.items()
-                        })
-                table.append(row)
-        unit = {
-            k1 * d2 + k2: c1 * c2
-            for k1, c1 in self.unit.items()
-            for k2, c2 in other.unit.items()
-        }
-        return FiniteDimAlgebra(table, unit, check=False)
+        table = [[_expand((cell1, cell2), d2) for cell1 in row1 for cell2 in row2]
+                 for row1 in self.table for row2 in other.table]
+        return FiniteDimAlgebra(table, _expand((self.unit, other.unit), d2), check=False)
 
     def change_basis(self, new_basis) -> "FiniteDimAlgebra":
         """Rewrite structure constants in the basis given by new_basis
@@ -180,19 +171,19 @@ class FiniteDimAlgebra:
             row = []
             for j in range(self.dim):
                 prod = self.mul(new_basis[i], new_basis[j])
-                row.append(_apply_columns(inv, prod))
+                row.append(apply_columns(inv, prod))
             table.append(row)
-        unit = _apply_columns(inv, self.unit)
+        unit = apply_columns(inv, self.unit)
         return FiniteDimAlgebra(table, unit, check=False)
 
     def is_automorphism(self, columns) -> bool:
         """Does the linear map (columns[i] = image of basis i) preserve
         multiplication and the unit, and is it invertible?"""
-        if _apply_columns(columns, self.unit) != self.unit:
+        if apply_columns(columns, self.unit) != self.unit:
             return False
         for i in range(self.dim):
             for j in range(self.dim):
-                lhs = _apply_columns(columns, self.table[i][j])
+                lhs = apply_columns(columns, self.table[i][j])
                 rhs = self.mul(columns[i], columns[j])
                 if lhs != rhs:
                     return False
@@ -202,16 +193,19 @@ class FiniteDimAlgebra:
         return f"FiniteDimAlgebra(dim={self.dim})"
 
 
-def _apply_columns(columns, vec: dict) -> dict:
-    out: dict = {}
-    for i, c in vec.items():
-        addmul_into(out, columns[i], c)
+def _expand(vectors, radix: int) -> dict:
+    """Tensor product of sparse vectors: the key k_1, ..., k_r of the
+    product c_1 ... c_r of entries is the integer with digits k_1 ... k_r
+    in base radix (k_1 may exceed it)."""
+    out = {0: 1}
+    for vec in vectors:
+        out = {key * radix + k: c * v for key, c in out.items() for k, v in vec.items()}
     return out
 
 
 def _compose(a, b):
     """Composite automorphism a(b(.)) as columns."""
-    return [_apply_columns(a, col) for col in b]
+    return [apply_columns(a, col) for col in b]
 
 
 def _columns_key(columns):
@@ -307,78 +301,52 @@ class AutoTwistedBimodule:
     def right_basis(self, m: int, b: int) -> dict:
         out = self._right.get((m, b))
         if out is None:
-            out = {}
-            for k, c in self.columns[b].items():
-                addmul_into(out, self.algebra.table[m][k], c)
-            self._right[(m, b)] = out
+            out = self._right[(m, b)] = apply_columns(self.algebra.table[m], self.columns[b])
         return out
 
 
 class TwistedBimodule:
-    """The rotated bimodule of a tensor power.
+    """The rotated bimodule of a tensor power: the regular bimodule of
+    A^n with its right action rotated one slot.
 
-    Underlying space A^(n-1) tensor M.  A pure tensor a_1...a_n acts on
-    (b_1,...,b_{n-1}, m) on the left slotwise; on the right, slot i
-    receives factor i+1 and the module slot receives factor 1:
+    A pure tensor a_1...a_n acts on m_1...m_n on the left slotwise; on
+    the right, slot i receives factor i+1 and the last slot factor 1:
 
-        a (b_1 ... b_{n-1} m) c = a_1 b_1 c_2, ..., a_{n-1} b_{n-1} c_n,
-                                  a_n m c_1.
+        a (m_1 ... m_n) c = a_1 m_1 c_2, ..., a_{n-1} m_{n-1} c_n, a_n m_n c_1.
 
-    With M = A this is the regular module of A^n with right action
-    rotated one slot.  Each action on a basis pair is computed on first
+    Both actions are read slotwise off the structure constants of A, not
+    through slot_permutation or AutoTwistedBimodule, so the tests can
+    compare the two.  Each action on a basis pair is computed on first
     use and kept; callers must not mutate the dicts returned.
     """
 
-    __slots__ = ("base", "n", "inner", "dim", "_left", "_right")
+    __slots__ = ("base", "n", "dim", "_left", "_right")
 
-    def __init__(self, base: FiniteDimAlgebra, n: int, inner=None):
+    def __init__(self, base: FiniteDimAlgebra, n: int):
         if n < 1:
             raise ValueError("n must be positive")
         self.base = base
         self.n = n
-        self.inner = inner if inner is not None else RegularBimodule(base)
-        self.dim = base.dim ** (n - 1) * self.inner.dim
+        self.dim = base.dim ** n
         self._left: dict = {}  # (b, m) -> b.m
         self._right: dict = {}  # (m, b) -> m.b
-
-    def _decode(self, m: int):
-        mi = m % self.inner.dim
-        rest = decode_index(m // self.inner.dim, self.base.dim, self.n - 1)
-        return rest, mi
-
-    def _expand(self, slot_vectors, inner_vec) -> dict:
-        out: dict = {(): 1}
-        for vec in slot_vectors:
-            out = {
-                key + (k,): c * v
-                for key, c in out.items()
-                for k, v in vec.items()
-            }
-        result: dict = {}
-        for key, c in out.items():
-            base = encode_tuple(key, self.base.dim) * self.inner.dim
-            for mi, v in inner_vec.items():
-                result[base + mi] = c * v
-        return result
 
     def left_basis(self, b: int, m: int) -> dict:
         out = self._left.get((b, m))
         if out is None:
-            bt = decode_index(b, self.base.dim, self.n)
-            rest, mi = self._decode(m)
-            slots = [self.base.table[bt[i]][rest[i]] for i in range(self.n - 1)]
-            out = self._left[(b, m)] = self._expand(
-                slots, self.inner.left_basis(bt[-1], mi))
+            d, table = self.base.dim, self.base.table
+            bs, ms = decode_index(b, d, self.n), decode_index(m, d, self.n)
+            out = self._left[(b, m)] = _expand(
+                [table[x][y] for x, y in zip(bs, ms)], d)
         return out
 
     def right_basis(self, m: int, b: int) -> dict:
         out = self._right.get((m, b))
         if out is None:
-            bt = decode_index(b, self.base.dim, self.n)
-            rest, mi = self._decode(m)
-            slots = [self.base.table[rest[i]][bt[i + 1]] for i in range(self.n - 1)]
-            out = self._right[(m, b)] = self._expand(
-                slots, self.inner.right_basis(mi, bt[0]))
+            d, table = self.base.dim, self.base.table
+            ms, bs = decode_index(m, d, self.n), decode_index(b, d, self.n)
+            out = self._right[(m, b)] = _expand(
+                [table[x][y] for x, y in zip(ms, bs[1:] + bs[:1])], d)
         return out
 
 
@@ -391,28 +359,24 @@ class GroupAction:
 
     __slots__ = ("algebra", "elements", "table", "identity", "inverses")
 
-    def __init__(self, algebra: FiniteDimAlgebra, elements, check: bool = True):
+    def __init__(self, algebra: FiniteDimAlgebra, elements):
         self.algebra = algebra
         self.elements = [list(cols) for cols in elements]
-        if check:
-            for cols in self.elements:
-                if not algebra.is_automorphism(cols):
-                    raise ValueError("group element is not an algebra automorphism")
-        order = len(self.elements)
-        self.table = []
-        for a in self.elements:
-            row = []
-            for b in self.elements:
-                comp = _compose(a, b)
-                idx = self._find(comp)
-                if idx is None:
-                    raise ValueError("matrices are not closed under composition")
-                row.append(idx)
-            self.table.append(row)
-        ident = [{i: 1} for i in range(algebra.dim)]
-        self.identity = self._find(ident)
+        for cols in self.elements:
+            if not algebra.is_automorphism(cols):
+                raise ValueError("group element is not an algebra automorphism")
+        index: dict = {}  # _columns_key -> first element with those columns
+        for i, cols in enumerate(self.elements):
+            index.setdefault(_columns_key(cols), i)
+        try:
+            self.table = [[index[_columns_key(_compose(a, b))] for b in self.elements]
+                          for a in self.elements]
+        except KeyError:
+            raise ValueError("matrices are not closed under composition") from None
+        self.identity = index.get(_columns_key([{i: 1} for i in range(algebra.dim)]))
         if self.identity is None:
             raise ValueError("identity matrix missing from the group")
+        order = len(self.elements)
         self.inverses = []
         for g in range(order):
             inv = next((h for h in range(order)
@@ -420,12 +384,6 @@ class GroupAction:
             if inv is None or self.table[inv][g] != self.identity:
                 raise ValueError("group element has no inverse")
             self.inverses.append(inv)
-
-    def _find(self, cols):
-        for i, e in enumerate(self.elements):
-            if e == cols:
-                return i
-        return None
 
     @classmethod
     def generate(cls, algebra: FiniteDimAlgebra, generators) -> "GroupAction":
@@ -456,7 +414,7 @@ class GroupAction:
         return len(self.elements)
 
     def apply(self, g: int, vec: dict) -> dict:
-        return _apply_columns(self.elements[g], vec)
+        return apply_columns(self.elements[g], vec)
 
     def conjugate(self, h: int, g: int) -> int:
         return self.table[self.table[h][g]][self.inverses[h]]
@@ -598,23 +556,22 @@ def hh_dims(B: FiniteDimAlgebra, M, max_level: int,
 # -- the three structural checks -----------------------------------------
 
 
-def verify_homolog_i(A: FiniteDimAlgebra, M=None, n: int = 2, sigma=None,
+def verify_homolog_i(A: FiniteDimAlgebra, n: int = 2, sigma=None,
                      max_level: int = 2, size_cap: int | None = None) -> CheckReport:
-    """Compare HH of A with coefficients in M against HH of the n-th
-    tensor power with coefficients in the rotated bimodule.
+    """Compare HH of A, with coefficients in A, against HH of the n-th
+    tensor power with coefficients in the rotated regular bimodule.
 
-    sigma defaults to the cyclic rotation (2,...,n,1); any other n-cycle
-    works too but requires M to be the regular bimodule.  The two
-    dimension lists must agree level by level.
+    Only the regular bimodule is twisted.  sigma defaults to the cyclic
+    rotation (2,...,n,1), whose bimodule TwistedBimodule computes
+    slotwise; any other n-cycle is applied as a slot permutation through
+    AutoTwistedBimodule.  The two dimension lists must agree level by
+    level.
     """
-    inner = M if M is not None else RegularBimodule(A)
-    lhs = hh_dims(A, inner, max_level, size_cap)
+    lhs = hh_dims(A, RegularBimodule(A), max_level, size_cap)
     B = tensor_power(A, n)
     if sigma is None:
-        twisted = TwistedBimodule(A, n, inner)
+        twisted = TwistedBimodule(A, n)
     else:
-        if M is not None:
-            raise ValueError("custom sigma supports only the regular bimodule")
         perm = slot_permutation(A, n, sigma)
         twisted = AutoTwistedBimodule(B, [{p: 1} for p in perm])
     rhs = hh_dims(B, twisted, max_level, size_cap)

@@ -13,8 +13,9 @@ sign convention.  Elements are stored in the fixed normal order
 x-monomial, then group element, then p-monomial, with coefficients that
 are polynomials in k over the rationals (dense tuples of ints, with a
 Fraction only where a denominator appears, as in the 1/n! of the
-spherical idempotent), so flatness statements are checked over the
-polynomial ring rather than at a numeric k.  Setting k = 0 recovers the
+spherical idempotent, added and multiplied by poly_add and poly_mul of
+ratfunc), so flatness statements are checked over the polynomial ring
+rather than at a numeric k.  Setting k = 0 recovers the
 crossed product of S_n with n commuting Weyl pairs;
 crossed_weyl_normal_order implements that algebra directly, without the
 rewriting engine, and serves as an oracle for the k -> 0 specialization
@@ -30,6 +31,7 @@ from typing import NamedTuple
 
 from .linalg import add_term, exact_scalar
 from .presets_io import CheckReport
+from .ratfunc import poly_add, poly_mul
 
 KP_ZERO = ()
 KP_ONE = (1,)
@@ -46,36 +48,13 @@ def _kp(value) -> tuple:
     return tuple(coeffs)
 
 
-def _kp_add(a: tuple, b: tuple) -> tuple:
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _kp_add_into(target: dict, key, c: tuple) -> None:
     """target[key] += c for k-polynomials; drops the entry if it cancels."""
-    acc = _kp_add(target.get(key, KP_ZERO), c)
+    acc = poly_add(target.get(key, KP_ZERO), c)
     if acc:
         target[key] = acc
     else:
         target.pop(key, None)
-
-
-def _kp_mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return KP_ZERO
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        for j, v in enumerate(b):
-            out[i + j] += u * v
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def _kp_eval(a: tuple, value):
@@ -265,7 +244,7 @@ def _reduce_words(pending: dict, n: int, rightmost: bool) -> dict:
             _kp_add_into(out, _monomial_of(word, n), coeff)
             continue
         for nxt, c in _rewrite(word, t, n):
-            _kp_add_into(work, nxt, _kp_mul(coeff, c))
+            _kp_add_into(work, nxt, poly_mul(coeff, c))
     return out
 
 
@@ -331,7 +310,7 @@ class CherednikElement:
     def scale(self, coeff) -> "CherednikElement":
         c = _kp(coeff)
         return CherednikElement(
-            self.n, [(m, _kp_mul(v, c)) for m, v in self.terms.items()]
+            self.n, [(m, poly_mul(v, c)) for m, v in self.terms.items()]
         )
 
     def __mul__(self, other):
@@ -385,10 +364,10 @@ def multiply(a: CherednikElement, b: CherednikElement) -> CherednikElement:
     for m1, c1 in a.terms.items():
         w1 = _monomial_word(m1, n)
         for m2, c2 in b.terms.items():
-            c = _kp_mul(c1, c2)
+            c = poly_mul(c1, c2)
             junction = {w1 + _monomial_word(m2, n): KP_ONE}
             for mono, red in _reduce_words(junction, n, False).items():
-                pairs.append((mono, _kp_mul(c, red)))
+                pairs.append((mono, poly_mul(c, red)))
     return CherednikElement(n, pairs)
 
 

@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 verification failure (including an internal
 certificate that did not hold), 2 usage error.  Error messages go to
 standard error.  A verification suite that raises is reported as a
 failed check, and the remaining suites still run.  The brute-force size
-cap honours the HH_SIZE_CAP environment variable; randomized suites take
+cap honours the HH_SIZE_CAP environment variable, which verify checks
+first (exit 2 unless a nonnegative integer); randomized suites take
 --seed.  betti, hilb and deform read the q^n coefficient of the product
 series; every table command refuses a q bound (-n or --max-q) above
 MAX_SERIES_Q and a t bound above MAX_SERIES_T, with exit 2 before any work.
@@ -26,6 +27,7 @@ from .betti import BettiTable
 from .bruteforce import (
     FiniteDimAlgebra,
     GroupAction,
+    _resolve_cap,
     afls_check,
     homotopy_identity_check,
     slot_permutation,
@@ -263,6 +265,7 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    _resolve_cap(None)  # a malformed HH_SIZE_CAP is a usage error, before any suite
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:

@@ -56,6 +56,7 @@ from .linalg import (
     Echelon,
     add_term,
     addmul_into,
+    apply_columns,
     exact_scalar,
     invariant_dim,
     kernel_combos,
@@ -182,8 +183,7 @@ class RankOneElement:
         if not isinstance(other, RankOneElement) or other.kind != self.kind:
             raise ValueError("kind mismatch")
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            add_term(out, k, v)
+        addmul_into(out, other.terms, 1)
         return RankOneElement(self.kind, out)
 
     def __neg__(self):
@@ -450,7 +450,8 @@ def build_cochain_complex(kind: str, twist: str, window):
     composite = {}
     for s in full:
         m1, m2 = _split(d0[s])
-        composite[s] = _ae_sub(act_w(m1), act_u(m2))
+        composite[s] = act_w(m1)
+        addmul_into(composite[s], act_u(m2), -1)
     return d0, d1, composite
 
 
@@ -560,23 +561,16 @@ def _verify_involution(kind: str, twist: str, N: int, rhos, d0: dict, d1: dict) 
     commute with the differentials, read off their window columns."""
     rho0, rho1, rho2 = rhos
     one = _one(kind)
-
-    def image(cols, vec):
-        out: dict = {}
-        for k, v in vec.items():
-            addmul_into(out, cols[k], v)
-        return out
-
     for key in window_keys(kind, N - 2):
         m = {key: one}
         slot0, slot1 = _join(m, {}), _join({}, m)
         if (rho0(rho0(m)) != m or rho2(rho2(m)) != m
                 or rho1(rho1(slot0)) != slot0 or rho1(rho1(slot1)) != slot1):
             raise CertificateError(f"{kind}/{twist}: symmetry is not an involution")
-        if rho1(d0[key]) != image(d0, rho0(m)):
+        if rho1(d0[key]) != apply_columns(d0, rho0(m)):
             raise CertificateError(f"{kind}/{twist}: level-0 symmetry is not a chain map")
         for vec in (slot0, slot1):
-            if rho2(image(d1, vec)) != image(d1, rho1(vec)):
+            if rho2(apply_columns(d1, vec)) != apply_columns(d1, rho1(vec)):
                 raise CertificateError(f"{kind}/{twist}: level-1 symmetry is not a chain map")
 
 
@@ -660,13 +654,6 @@ def _ae_swap(f: dict) -> dict:
 
 def _ae_scale(f: dict, c) -> dict:
     return {k: p for k, v in f.items() if (p := v * c)}
-
-
-def _ae_sub(f: dict, g: dict) -> dict:
-    out = dict(f)
-    for k, v in g.items():
-        add_term(out, k, -v)
-    return out
 
 
 def _ae_window(kind: str, N: int) -> list:

@@ -29,14 +29,15 @@ TypeError.  TrackingEchelon's unit seeds the dependency combo of a field
 row or an empty vector (a rational combo starts from the integer scale);
 it defaults to 1 and must be passed explicitly for other fields.
 
-add_term is the single-entry form of addmul_into.  rank_modulo is the
-dimension of a span of unit vectors modulo a span of vectors, read off
-the pivot leads of one elimination of the vectors with those keys
-ordered last.  invariant_dim is the one averaging-projector certificate:
-the dimension of the part of a homology space fixed by a finite group;
-it absorbs the boundaries untracked, so its combos run over the cycles
-alone.  An exact internal check that does not hold raises
-CertificateError.
+addmul_into, add_term (its single-entry form) and apply_columns (a map
+given by its columns, applied to a vector) are shared by the package.
+rank_modulo is the dimension of a span of unit vectors modulo a span of
+vectors, read off the pivot leads of one elimination of the vectors with
+those keys ordered last.  invariant_dim is the one averaging-projector
+certificate: the dimension of the part of a homology space fixed by a
+finite group; it absorbs the boundaries untracked, so its combos run
+over the cycles alone.  An exact internal check that does not hold
+raises CertificateError.
 """
 
 from __future__ import annotations
@@ -98,6 +99,15 @@ def addmul_into(target: dict, src: dict, factor) -> None:
                 target[k] = cur
             else:
                 del target[k]
+
+
+def apply_columns(columns, vec: dict) -> dict:
+    """The linear map with columns[k] the image of basis key k, applied
+    to vec: sum of c * columns[k] over the entries of vec."""
+    out: dict = {}
+    for k, c in vec.items():
+        addmul_into(out, columns[k], c)
+    return out
 
 
 def _scaled_out(vec: dict, scale) -> dict:

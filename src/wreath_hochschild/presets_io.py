@@ -12,7 +12,8 @@ import os
 from dataclasses import dataclass, field
 
 from .betti import AlgebraPreset, BettiTable
-from .series import BiSeries, _t_poly_str
+from .ratfunc import poly_str
+from .series import BiSeries
 from .wreath import PRESETS, gamma_preset
 
 _SERIES_SCHEMA = "wreath-hochschild/series-v1"
@@ -108,7 +109,7 @@ def _emit_series(s: BiSeries, format: str) -> bytes:
         return ("\n".join(lines) + "\n").encode()
     lines = [f"series truncated at q^{s.q_bound}, t^{s.t_bound}"]
     for n in range(s.q_bound + 1):
-        lines.append(f"q^{n}: {_t_poly_str(s.q_coefficient(n))}")
+        lines.append(f"q^{n}: {poly_str(enumerate(s.coeff[n]), 't')}")
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -124,7 +125,7 @@ def _emit_table(t: BettiTable, format: str) -> bytes:
         lines = ["degree,dim"]
         lines += [f"{k},{dims[k]}" for k in sorted(dims)]
         return ("\n".join(lines) + "\n").encode()
-    return (_t_poly_str(dims) + "\n").encode()
+    return (poly_str(sorted(dims.items()), "t") + "\n").encode()
 
 
 def _emit_report(r: CheckReport, format: str) -> bytes:
@@ -155,19 +156,24 @@ def parse(data: bytes):
     A csv table comes back equal.  A csv series comes back with the same
     terms, but its q_bound and t_bound are the largest n and i among the
     rows present (0 when there are none), not the bounds it was emitted with.
+    A missing key, or a degree, dimension or coefficient that is not an
+    int (bools included), raises ValueError.
     """
     text = data.decode()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         doc = json.loads(text)
         schema = doc.get("schema")
-        if schema == _SERIES_SCHEMA:
-            return BiSeries.from_terms(doc["q_bound"], doc["t_bound"],
-                                       [tuple(t) for t in doc["terms"]])
-        if schema == _TABLE_SCHEMA:
-            return BettiTable({int(k): v for k, v in doc["dims"].items()})
-        if schema == _REPORT_SCHEMA:
-            return CheckReport(doc["name"], doc["passed"], tuple(doc["lines"]))
+        try:
+            if schema == _SERIES_SCHEMA:
+                return BiSeries.from_terms(doc["q_bound"], doc["t_bound"],
+                                           [tuple(t) for t in doc["terms"]])
+            if schema == _TABLE_SCHEMA:
+                return BettiTable({int(k): v for k, v in doc["dims"].items()})
+            if schema == _REPORT_SCHEMA:
+                return CheckReport(doc["name"], doc["passed"], tuple(doc["lines"]))
+        except KeyError as exc:
+            raise ValueError(f"{schema} payload lacks the key {exc}") from None
         raise ValueError(f"unknown schema {schema!r}")
     lines = [ln for ln in text.splitlines() if ln]
     if not lines:

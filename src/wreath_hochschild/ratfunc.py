@@ -20,6 +20,10 @@ A Laurent polynomial in q with integer coefficients has a canonical form
 that needs no gcd at all: from_laurent builds it directly, and laurent()
 reads it back (None for a value outside Z[q, 1/q]), so sums of q-powers
 can be added up as integers and made a RatFunc once.
+
+Shared helpers: poly_add and poly_mul, which take Fraction coefficients
+too, also carry the k-polynomials of cherednik, and poly_str prints the
+polynomials of the RatFunc and BiSeries reprs and of presets_io plain.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ def _strip(t):
     return tuple(t[:n])
 
 
-def _add(a, b):
+def poly_add(a, b):
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -50,7 +54,7 @@ def _neg(a):
     return tuple(-c for c in a)
 
 
-def _mul(a, b):
+def poly_mul(a, b):
     if not a or not b:
         return ()
     if len(a) == 1:
@@ -248,10 +252,10 @@ class RatFunc:
             return NotImplemented
         if self.den == o.den:
             # still reduced: a/d + b/d can share a factor with d
-            return _new(_add(self.num, o.num), self.den)
+            return _new(poly_add(self.num, o.num), self.den)
         return _new(
-            _add(_mul(self.num, o.den), _mul(o.num, self.den)),
-            _mul(self.den, o.den),
+            poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den)),
+            poly_mul(self.den, o.den),
         )
 
     __radd__ = __add__
@@ -278,7 +282,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _new(_mul(self.num, o.num), _mul(self.den, o.den))
+        return _new(poly_mul(self.num, o.num), poly_mul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -288,7 +292,7 @@ class RatFunc:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by zero")
-        return _new(_mul(self.num, o.den), _mul(self.den, o.num))
+        return _new(poly_mul(self.num, o.den), poly_mul(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -296,7 +300,7 @@ class RatFunc:
             return NotImplemented
         if not self.num:
             raise ZeroDivisionError("division by zero")
-        return _new(_mul(o.num, self.den), _mul(o.den, self.num))
+        return _new(poly_mul(o.num, self.den), poly_mul(o.den, self.num))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -330,7 +334,7 @@ class RatFunc:
         return num / den
 
     def __repr__(self):
-        n, d = _poly_str(self.num), _poly_str(self.den)
+        n, d = poly_str(enumerate(self.num), "q"), poly_str(enumerate(self.den), "q")
         return n if self.den == (1,) else f"({n})/({d})"
 
 
@@ -341,21 +345,22 @@ def _new(num, den) -> RatFunc:
     return out
 
 
-def _poly_str(p) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for i, c in enumerate(p):
+def poly_str(terms, var: str) -> str:
+    """Render (degree, coefficient) pairs, in ascending degree, as a
+    polynomial in var; zero coefficients are skipped, and nothing is "0"."""
+    out = ""
+    for i, c in terms:
         if not c:
             continue
         if i == 0:
-            parts.append(str(c))
+            term = str(c)
         else:
-            mono = "q" if i == 1 else f"q^{i}"
-            if c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-    return " + ".join(parts).replace("+ -", "- ")
+            mono = var if i == 1 else f"{var}^{i}"
+            term = mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += f" - {term[1:]}"
+        else:
+            out += f" + {term}"
+    return out or "0"

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from .ratfunc import poly_str
+
 
 class BiSeries:
     """Dense table of integer coefficients c[n][i] of q^n t^i."""
@@ -17,6 +19,9 @@ class BiSeries:
     __slots__ = ("q_bound", "t_bound", "coeff")
 
     def __init__(self, q_bound: int, t_bound: int, coeff=None):
+        # type(), not isinstance: bools are refused, nothing is truncated
+        if type(q_bound) is not int or type(t_bound) is not int:
+            raise ValueError(f"bounds must be integers, got {q_bound!r}, {t_bound!r}")
         if q_bound < 0 or t_bound < 0:
             raise ValueError("bounds must be nonnegative")
         self.q_bound = q_bound
@@ -26,7 +31,9 @@ class BiSeries:
         else:
             if len(coeff) != q_bound + 1 or any(len(r) != t_bound + 1 for r in coeff):
                 raise ValueError("coefficient table shape does not match bounds")
-            self.coeff = [[int(c) for c in row] for row in coeff]
+            if any(type(c) is not int for row in coeff for c in row):
+                raise ValueError("coefficients must be integers")
+            self.coeff = [list(row) for row in coeff]
 
     @classmethod
     def one(cls, q_bound: int, t_bound: int) -> "BiSeries":
@@ -39,9 +46,11 @@ class BiSeries:
         """Build from an iterable of (n, i, c) triples; out-of-bound terms rejected."""
         s = cls(q_bound, t_bound)
         for n, i, c in terms:
+            if type(n) is not int or type(i) is not int or type(c) is not int:
+                raise ValueError(f"term {(n, i, c)!r} is not integral")
             if not (0 <= n <= q_bound and 0 <= i <= t_bound):
                 raise ValueError(f"term q^{n} t^{i} outside bounds")
-            s.coeff[n][i] += int(c)
+            s.coeff[n][i] += c
         return s
 
     def get(self, n: int, i: int) -> int:
@@ -77,21 +86,17 @@ class BiSeries:
         )
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
-        self._check_bounds(other)
-        out = BiSeries(self.q_bound, self.t_bound)
-        for n in range(self.q_bound + 1):
-            a, b, o = self.coeff[n], other.coeff[n], out.coeff[n]
-            for i in range(self.t_bound + 1):
-                o[i] = a[i] + b[i]
-        return out
+        return self._combine(other, 1)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "BiSeries", sign: int) -> "BiSeries":
+        """self + sign * other, coefficient by coefficient."""
         self._check_bounds(other)
         out = BiSeries(self.q_bound, self.t_bound)
-        for n in range(self.q_bound + 1):
-            a, b, o = self.coeff[n], other.coeff[n], out.coeff[n]
-            for i in range(self.t_bound + 1):
-                o[i] = a[i] - b[i]
+        for o, a, b in zip(out.coeff, self.coeff, other.coeff):
+            o[:] = [x + sign * y for x, y in zip(a, b)]
         return out
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
@@ -186,32 +191,8 @@ class BiSeries:
     def __repr__(self):
         parts = []
         for n, row in enumerate(self.coeff):
-            poly = _t_poly_str({i: c for i, c in enumerate(row) if c})
+            poly = poly_str(enumerate(row), "t")
             if poly != "0":
                 parts.append(f"q^{n}*({poly})" if n else poly)
         body = " + ".join(parts) if parts else "0"
         return f"BiSeries[q<={self.q_bound}, t<={self.t_bound}]({body})"
-
-
-def _t_poly_str(poly: dict[int, int]) -> str:
-    """Render {degree: coeff} as a readable t-polynomial string."""
-    if not poly:
-        return "0"
-    chunks = []
-    for i in sorted(poly):
-        c = poly[i]
-        if i == 0:
-            term = str(c)
-        else:
-            mono = "t" if i == 1 else f"t^{i}"
-            if c == 1:
-                term = mono
-            elif c == -1:
-                term = f"-{mono}"
-            else:
-                term = f"{c}*{mono}"
-        chunks.append(term)
-    out = chunks[0]
-    for term in chunks[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out

@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from wreath_hochschild.betti import BettiTable, super_sym_powers
 
 
@@ -23,6 +25,12 @@ def test_table_validation():
             pass
         else:
             assert False
+
+
+@pytest.mark.parametrize("bad", [{0: 1.5}, {0: 2.0}, {0: True}, {1.0: 1}, {False: 1}, {"1": 1}])
+def test_table_refuses_non_int_degrees_and_dims(bad):
+    with pytest.raises(ValueError, match="must be integers"):
+        BettiTable(bad)
 
 
 def test_shift():

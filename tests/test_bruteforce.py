@@ -29,7 +29,7 @@ from wreath_hochschild.bruteforce import (
     tensor_power,
     verify_homolog_i,
 )
-from wreath_hochschild.linalg import CertificateError, rank_of
+from wreath_hochschild.linalg import CertificateError, apply_columns, rank_of
 from wreath_hochschild.presets_io import CheckReport
 
 ONE = Fraction(1)
@@ -205,6 +205,20 @@ def test_twisted_matches_auto_twisted_for_regular_inner():
             assert tw.right_basis(m, b) == auto.right_basis(m, b)
 
 
+@pytest.mark.parametrize("A", [FiniteDimAlgebra.truncated_polynomial(2), z2_algebra(),
+                               FiniteDimAlgebra.truncated_polynomial(3)])
+@pytest.mark.parametrize("n", [1, 3])
+def test_slotwise_twisted_matches_the_slot_permutation(A, n):
+    B = tensor_power(A, n)
+    tw = TwistedBimodule(A, n)
+    auto = AutoTwistedBimodule(B, [{p: ONE} for p in rotation_permutation(A, n)])
+    assert tw.dim == B.dim
+    for b in range(B.dim):
+        for m in range(B.dim):
+            assert tw.left_basis(b, m) == auto.left_basis(b, m)
+            assert tw.right_basis(m, b) == auto.right_basis(m, b)
+
+
 def test_bimodule_actions_are_computed_once_on_first_use(monkeypatch):
     A = z2_algebra()
     n = 3
@@ -283,6 +297,20 @@ def test_group_action_rejects_non_automorphism():
     bad = [{0: ONE}, {1: Fraction(2)}, {2: ONE}]  # x -> 2x breaks x*x = x^2
     with pytest.raises(ValueError):
         GroupAction.generate(A, [bad])
+
+
+def test_group_action_table_and_refusals():
+    A = FiniteDimAlgebra.truncated_polynomial(3)
+    ident, sign = [{i: 1} for i in range(3)], sign_action(3)
+    scale2 = [{0: 1}, {1: 2}, {2: 4}]  # x -> 2x
+    G = GroupAction(A, [sign, ident])
+    assert (G.table, G.identity, G.inverses) == ([[1, 0], [0, 1]], 1, [0, 1])
+    # a repeated element: every product is read as its first occurrence
+    assert GroupAction(A, [ident, sign, sign]).table == [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+    with pytest.raises(ValueError, match="not closed under composition"):
+        GroupAction(A, [ident, scale2])
+    with pytest.raises(ValueError, match="identity matrix missing"):
+        GroupAction(A, [])
 
 
 def test_crossed_product_with_sign_action():
@@ -406,8 +434,7 @@ def test_normalised_hh_dims_under_random_basis_change(k, entries, twist):
     if twist:
         # x -> -x, carried to the new basis
         back = bruteforce._invert(cols)
-        act = [bruteforce._apply_columns(back, bruteforce._apply_columns(sign_action(k), col))
-               for col in cols]
+        act = [apply_columns(back, apply_columns(sign_action(k), col)) for col in cols]
         assert B.is_automorphism(act)
         M = AutoTwistedBimodule(B, act)
     top = 3 if k == 2 else 2

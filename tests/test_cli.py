@@ -4,7 +4,12 @@ import pytest
 
 from wreath_hochschild import cli, wreath
 from wreath_hochschild.betti import BettiTable
-from wreath_hochschild.bruteforce import SizeCapExceeded
+from wreath_hochschild.bruteforce import (
+    FiniteDimAlgebra,
+    RegularBimodule,
+    SizeCapExceeded,
+    hh_dims,
+)
 from wreath_hochschild.presets_io import CheckReport, emit, load_preset, parse
 from wreath_hochschild.series import BiSeries
 from wreath_hochschild.wreath import (
@@ -229,6 +234,31 @@ def test_verify_all_continues_past_a_raising_suite(monkeypatch, capsys):
         "PASS cherednik stub",
     ]
     assert "error: bar level 3 needs 10^9 entries" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "1e9", "-1", "+5", " 5", "1_000", "5.0"])
+def test_verify_refuses_a_malformed_size_cap_before_any_suite(monkeypatch, capsys, value):
+    def must_not_run(seed):
+        raise AssertionError("a suite ran")
+
+    for name in list(cli._SUITES):
+        monkeypatch.setitem(cli._SUITES, name, must_not_run)
+    monkeypatch.setenv("HH_SIZE_CAP", value)
+    for suite in ("all", "bruteforce", "wreath"):
+        assert run(capsys, "verify", suite) == (
+            2, "", f"error: HH_SIZE_CAP must be a nonnegative integer, got {value!r}\n")
+
+
+def test_size_cap_env_is_validated_by_the_library(monkeypatch):
+    A = FiniteDimAlgebra.truncated_polynomial(2)
+    monkeypatch.setenv("HH_SIZE_CAP", "abc")
+    with pytest.raises(ValueError, match="HH_SIZE_CAP must be a nonnegative integer, got 'abc'"):
+        hh_dims(A, RegularBimodule(A), 1)
+    monkeypatch.setenv("HH_SIZE_CAP", "0")
+    with pytest.raises(SizeCapExceeded):
+        hh_dims(A, RegularBimodule(A), 1)
+    monkeypatch.setenv("HH_SIZE_CAP", "")
+    assert hh_dims(A, RegularBimodule(A), 1) == [2, 1]
 
 
 @pytest.mark.parametrize("suite", ["wreath", "bruteforce", "koszul", "cherednik"])

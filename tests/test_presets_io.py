@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,6 +97,30 @@ def test_csv_series_bounds_are_the_largest_degrees_present():
     assert parse(emit(back, "csv")) == back
 
 
+@pytest.mark.parametrize("payload", [
+    {"schema": "wreath-hochschild/table-v1", "dims": {"0": 1.5}},
+    {"schema": "wreath-hochschild/table-v1", "dims": {"0": True}},
+    {"schema": "wreath-hochschild/series-v1", "q_bound": 1, "t_bound": 1,
+     "terms": [[1, 1, 2.9]]},
+    {"schema": "wreath-hochschild/series-v1", "q_bound": 1, "t_bound": 1,
+     "terms": [[1, 1, True]]},
+    {"schema": "wreath-hochschild/series-v1", "q_bound": 1.5, "t_bound": 1, "terms": []},
+], ids=["dim 1.5", "dim true", "term 2.9", "term true", "bound 1.5"])
+def test_parse_refuses_non_int_values(payload):
+    with pytest.raises(ValueError, match="integ"):
+        parse(json.dumps(payload).encode())
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"schema": "wreath-hochschild/table-v1"}, "dims"),
+    ({"schema": "wreath-hochschild/series-v1", "q_bound": 1, "terms": []}, "t_bound"),
+    ({"schema": "wreath-hochschild/report-v1", "name": "x", "passed": True}, "lines"),
+])
+def test_parse_missing_key_is_a_value_error(payload, key):
+    with pytest.raises(ValueError, match=f"lacks the key '{key}'"):
+        parse(json.dumps(payload).encode())
+
+
 def test_emit_deterministic():
     series = closed_form("PB_trig", 4)
     assert emit(series, "json") == emit(series, "json")
@@ -107,6 +132,16 @@ def test_plain_format():
     assert "q^2: 1 + t^2" in text
     table = emit(BettiTable({0: 1, 2: 2}), "plain").decode()
     assert table.strip() == "1 + 2*t^2"
+
+
+def test_plain_format_signs_units_and_zero():
+    s = BiSeries.from_terms(2, 3, [(0, 0, -1), (0, 1, 1), (0, 2, -2), (2, 3, -1)])
+    assert emit(s, "plain") == (b"series truncated at q^2, t^3\n"
+                                b"q^0: -1 + t - 2*t^2\nq^1: 0\nq^2: -t^3\n")
+    s = BiSeries.one(1, 2).apply_factor(-1, 1, 1, 2)
+    assert emit(s, "plain") == b"series truncated at q^1, t^2\nq^0: 1\nq^1: -2*t\n"
+    assert emit(BettiTable({}), "plain") == b"0\n"
+    assert emit(BettiTable({1: 1, 3: 1, 4: 5}), "plain") == b"t + t^3 + 5*t^4\n"
 
 
 def test_emit_rejects_unknown():

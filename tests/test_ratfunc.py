@@ -113,6 +113,20 @@ def test_repr_readable():
     assert repr(1 / (1 - q)) in ("(1)/(1 - q)", "(-1)/(-1 + q)")
 
 
+def test_repr_signs_units_and_zero():
+    q = RatFunc.variable()
+    assert repr(RatFunc(())) == "0"
+    assert repr(RatFunc((-1,))) == "-1"
+    assert repr(-q) == "-q"
+    assert repr(RatFunc((0, -1, 0, 1))) == "-q + q^3"
+    assert repr(RatFunc((3, -1, -2, 1))) == "3 - q - 2*q^2 + q^3"
+    assert repr(RatFunc((-5, 0, -1))) == "-5 - q^2"
+    assert repr(1 / (1 - q)) == "(-1)/(-1 + q)"
+    assert repr((q - 1) / (q * q + 2)) == "(-1 + q)/(2 + q^2)"
+    assert repr(-q / (3 + q)) == "(-q)/(3 + q)"
+    assert repr(1 / -(q * q)) == "(-1)/(q^2)"
+
+
 # -- canonical form -----------------------------------------------------
 #
 # reference() is the generic reduction every value went through before the

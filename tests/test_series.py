@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from wreath_hochschild.series import BiSeries
 
 
@@ -29,6 +31,21 @@ def test_mul_truncates():
     assert p.get(2, 2) == 1
     # q^4 and t^3 contributions fall outside the window
     assert all(n <= 3 and i <= 2 for n, i, _ in p.terms())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BiSeries.from_terms(2, 2, [(1, 1, 2.9)]),
+    lambda: BiSeries.from_terms(2, 2, [(1, 1, True)]),
+    lambda: BiSeries.from_terms(2, 2, [(1.0, 1, 1)]),
+    lambda: BiSeries(1, 0, [[1], [1.5]]),
+    lambda: BiSeries(1, 0, [[1], [False]]),
+    lambda: BiSeries(True, 1),
+    lambda: BiSeries(1, 1.0),
+], ids=["coefficient 2.9", "coefficient True", "degree 1.0", "table 1.5", "table False",
+        "q_bound True", "t_bound 1.0"])
+def test_series_refuses_non_int_entries(build):
+    with pytest.raises(ValueError, match="integ"):
+        build()
 
 
 def test_bound_mismatch_rejected():
@@ -177,3 +194,14 @@ def test_apply_factor_error_checks():
     # power 0 returns an equal copy, even with q_exp == 0
     s = one.apply_factor(-1, 0, 2, 0)
     assert s == one and s is not one and s.coeff[0] is not one.coeff[0]
+
+
+def test_repr_signs_units_and_zero():
+    # 1/(1 + qt) = 1 - qt + q^2 t^2: a -1 coefficient after the constant row
+    s = BiSeries.one(2, 3).apply_factor(1, 1, 1, -1)
+    assert repr(s) == "BiSeries[q<=2, t<=3](1 + q^1*(-t) + q^2*(t^2))"
+    s = BiSeries.one(3, 3).apply_factor(-1, 1, 1, 2).apply_factor(1, 0, 1, 1)
+    assert repr(s) == "BiSeries[q<=3, t<=3](1 + t + q^1*(-2*t - 2*t^2) + q^2*(t^2 + t^3))"
+    s = BiSeries.from_terms(2, 3, [(0, 0, -1), (0, 1, 1), (0, 2, -2), (2, 3, -1)])
+    assert repr(s) == "BiSeries[q<=2, t<=3](-1 + t - 2*t^2 + q^2*(-t^3))"
+    assert repr(BiSeries(1, 1)) == "BiSeries[q<=1, t<=1](0)"
