@@ -102,12 +102,18 @@ class AlgebraPreset:
     betti: BettiTable
 
     def __post_init__(self):
-        if self.d <= 0 or self.d % 2:
-            raise ValueError("duality dimension d must be even and positive")
         if not isinstance(self.betti, BettiTable):
             object.__setattr__(self, "betti", BettiTable(self.betti))
-        if self.betti.max_degree > self.d:
-            raise ValueError("cohomology support exceeds the duality dimension")
+        check_duality(self.betti, self.d)
+
+
+def check_duality(table: BettiTable, d: int) -> None:
+    """Refuse a duality dimension d that is not even and positive, and a
+    cohomology table supported above degree d."""
+    if d <= 0 or d % 2:
+        raise ValueError("duality dimension d must be even and positive")
+    if table.max_degree > d:
+        raise ValueError("table support exceeds the duality dimension")
 
 
 def super_sym_powers(table: BettiTable, pmax: int):

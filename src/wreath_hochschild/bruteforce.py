@@ -443,13 +443,9 @@ def crossed_product(action: GroupAction) -> FiniteDimAlgebra:
     table = []
     for g in range(action.order):
         for i in range(dim):
-            row = []
-            for h in range(action.order):
-                gh = action.table[g][h]
-                for j in range(dim):
-                    prod = B.mul({i: 1}, action.apply(g, {j: 1}))
-                    row.append({gh * dim + k: c for k, c in prod.items()})
-            table.append(row)
+            prods = [B.mul({i: 1}, action.apply(g, {j: 1})).items() for j in range(dim)]
+            table.append([{gh * dim + k: c for k, c in prod}
+                          for gh in action.table[g] for prod in prods])
     unit = {action.identity * dim + k: c for k, c in B.unit.items()}
     return FiniteDimAlgebra(table, unit, check=False)
 
@@ -639,18 +635,12 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
     def rotate(chain: dict) -> dict:
         return {tuple(rho[x] for x in key): c for key, c in chain.items()}
 
+    # no two output keys of s_op or append_unit collide: plain key maps
     def s_op(chain: dict) -> dict:
-        out: dict = {}
-        for key, c in chain.items():
-            add_term(out, key[1:] + (rho[key[0]],), c)
-        return out
+        return {key[1:] + (rho[key[0]],): c for key, c in chain.items()}
 
     def append_unit(chain: dict) -> dict:
-        out: dict = {}
-        for key, c in chain.items():
-            for u, uc in unit_items:
-                add_term(out, key + (u,), c * uc)
-        return out
+        return {key + (u,): c * uc for key, c in chain.items() for u, uc in unit_items}
 
     level = m - 1
     failures = 0

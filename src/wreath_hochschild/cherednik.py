@@ -459,33 +459,21 @@ def confluence_check(n: int, max_deg: int) -> CheckReport:
     Also compares the k = 0 specialization of every normal form with the
     independent crossed-product engine.
     """
-    total = 0
-    divergent = mismatch = None
-    for word in _all_words(n, max_deg):
-        total += 1
+    failure, total = None, 0
+    for total, word in enumerate(_all_words(n, max_deg), 1):
         left = normal_order(word, n, "leftmost")
         if left != normal_order(word, n, "rightmost"):
-            divergent = word
+            failure = f"strategies diverge on word {_word_label(word)}"
+        elif left.specialize(0) != crossed_weyl_normal_order(word, n):
+            failure = (f"k = 0 normal form of {_word_label(word)} disagrees "
+                       "with the crossed product")
+        if failure:
             break
-        if left.specialize(0) != crossed_weyl_normal_order(word, n):
-            mismatch = word
-            break
-    lines = []
-    if divergent is not None:
-        lines.append(f"[FAIL] strategies diverge on word {_word_label(divergent)}")
-    elif mismatch is not None:
-        lines.append(
-            f"[FAIL] k = 0 normal form of {_word_label(mismatch)} disagrees with the crossed product"
-        )
-    else:
-        lines.append(
-            f"[pass] {total} words of length <= {max_deg} reduce identically "
-            "under leftmost and rightmost strategies"
-        )
-        lines.append("[pass] k = 0 specializations match the crossed-product engine")
-    return CheckReport(
-        f"cherednik confluence n={n}", divergent is None and mismatch is None, tuple(lines)
-    )
+    checks = [(False, failure)] if failure else [
+        (True, f"{total} words of length <= {max_deg} reduce identically "
+               "under leftmost and rightmost strategies"),
+        (True, "k = 0 specializations match the crossed-product engine")]
+    return CheckReport.from_checks(f"cherednik confluence n={n}", checks)
 
 
 def _all_monomials(n: int, max_deg: int) -> list:

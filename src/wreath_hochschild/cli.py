@@ -216,15 +216,14 @@ def verify_bruteforce(seed: int = 0) -> list:
     return reports
 
 
-_KOSZUL_TABLES = {
-    ("weyl", "id"): (1, 0, 0),
-    ("trig", "id"): (1, 1, 0),
-    ("qweyl", "id"): (1, 2, 1),
-    ("weyl", "eps"): (0, 0, 1),
-    ("trig", "eps"): (0, 0, 2),
-    ("qweyl", "eps"): (0, 0, 4),
-}
-_KOSZUL_CROSSED = {"weyl": (1, 0, 1), "trig": (1, 0, 2), "qweyl": (1, 0, 5)}
+# eps-sector dimensions; the id sectors and the crossed totals are the
+# (b0, b1, b2) of each kind's preset and of its Z2 companion
+_KOSZUL_EPS = {"weyl": (0, 0, 1), "trig": (0, 0, 2), "qweyl": (0, 0, 4)}
+
+
+def _preset_dims(name: str) -> tuple:
+    betti = load_preset(name).betti
+    return betti[0], betti[1], betti[2]
 
 
 def verify_koszul(seed: int = 0) -> list:
@@ -236,11 +235,14 @@ def verify_koszul(seed: int = 0) -> list:
         ),
         "consecutive differentials compose to zero for every kind and twist",
     )]
-    for (kind, twist), want in sorted(_KOSZUL_TABLES.items()):
+    tables = {(kind, "eps"): want for kind, want in _KOSZUL_EPS.items()}
+    tables.update(((kind, "id"), _preset_dims(kind)) for kind in KINDS)
+    for (kind, twist), want in sorted(tables.items()):
         dims = {hh_cohomology_rank_one(kind, twist, N) for N in (8, 10, 12)}
         checks.append((dims == {want},
                        f"{kind}/{twist}: dimensions {want} stable at windows 8, 10, 12"))
-    for kind, want in sorted(_KOSZUL_CROSSED.items()):
+    for kind in sorted(KINDS):
+        want = _preset_dims(Z2_COMPANIONS[kind])
         checks.append((crossed_z2_cohomology(kind, 8) == want,
                        f"crossed {kind}: Z2-invariant totals {want}"))
     reports = [CheckReport.from_checks("koszul cohomology tables", checks)]

@@ -7,6 +7,11 @@ The algebras are presented by two generators with a single relation:
     qweyl  X^{±1}, P^{±1}  with  X P = q P X       (scalars: rational
                                                     functions in q)
 
+A monomial is a key (a, b) of exponents, x^a p^b, X^a p^b or X^a P^b.
+There is one exponent domain per kind (a, b >= 0 for weyl, b >= 0 for
+trig, any a, b for qweyl; _valid_exponents) and one degree for all three,
+|a| + |b|: a window is the domain cut at degree N (window_keys).
+
 Every structure constant of weyl and trig is an integer, so their
 scalars are ints, with Fractions only where a caller brings a
 denominator.  Each has a length-two Koszul bimodule resolution built
@@ -23,16 +28,20 @@ Applying Hom(-, M) for M the algebra itself, or its twist by the order-2
 automorphism eps (x,p -> -x,-p resp. X,P -> inverses), gives a cochain
 complex 0 -> M -> M^2 -> M -> 0 with d0(m) = (u.m, w.m) and
 d1(m1, m2) = w.m1 - u.m2, where the one action _act gives
-(a⊗b).m = a m tau(b) for the sector twist tau.  The order-2 symmetry of
-a sector complex is eps after conjugation by the units: eps on M,
-(m1, m2) -> (-eps(nu_u.m1), -eps(nu_w.m2)) on M^2 and
-m -> eps(nu_u nu_w.m) on the top M.  The algebras are infinite
+(a⊗b).m = a m tau(b) for the sector twist tau: the Koszul complex of the
+two commuting operators m -> u.m and m -> w.m.  One builder,
+_koszul_columns, writes the columns of such a complex for any two
+commuting operators.  The order-2 symmetry of a sector complex is eps
+after conjugation by the units: eps on M, (m1, m2) -> (-eps(nu_u.m1),
+-eps(nu_w.m2)) on M^2 and m -> eps(nu_u nu_w.m) on the top M.  The algebras are infinite
 dimensional, so all ranks are computed on a filtration window (total
 degree <= N) and reported only on the safe margin (degree <= N-2); both
 differentials move total degree by at most 2, so margin kernels and
 margin-supported images are exact.  One routine, _margin_dims, reads
 this margin homology: for the sector complexes, and for the Koszul
-resolution in duality_check, whose exactness it certifies.  It runs over
+resolution in duality_check, whose exactness it certifies; up to a
+level-1 basis change and a sign, that resolution is the Koszul complex of
+right multiplication by u and w on the enveloping algebra.  It runs over
 a chain of nested windows, each the margin of the next, and eliminates
 each differential once: operator images are never truncated, so window
 N-2 is a sub-window of window N, and the stability re-check at N-2 is
@@ -206,7 +215,7 @@ class RankOneElement:
 
     def degree(self) -> int:
         """Largest total degree of a monomial in the support."""
-        return max((monomial_degree(self.kind, k) for k in self.terms), default=0)
+        return max(map(monomial_degree, self.terms), default=0)
 
     def __repr__(self):
         if not self.terms:
@@ -225,12 +234,8 @@ class RankOneElement:
         return " + ".join(bits)
 
 
-def monomial_degree(kind: str, key: tuple) -> int:
+def monomial_degree(key: tuple) -> int:
     a, b = key
-    if kind == "weyl":
-        return a + b
-    if kind == "trig":
-        return abs(a) + b
     return abs(a) + abs(b)
 
 
@@ -284,23 +289,10 @@ def epsilon(el: RankOneElement) -> RankOneElement:
 
 
 def window_keys(kind: str, N: int) -> list:
-    """Monomial keys of total degree <= N, deterministically ordered."""
+    """Keys (a, b) of the kind's exponent domain with |a| + |b| <= N, sorted."""
     _check_kind(kind)
-    keys = []
-    if kind == "weyl":
-        for a in range(N + 1):
-            for b in range(N + 1 - a):
-                keys.append((a, b))
-    elif kind == "trig":
-        for a in range(-N, N + 1):
-            for b in range(N + 1 - abs(a)):
-                keys.append((a, b))
-    else:
-        for a in range(-N, N + 1):
-            r = N - abs(a)
-            for b in range(-r, r + 1):
-                keys.append((a, b))
-    return sorted(keys)
+    return [(a, b) for a in range(-N, N + 1) for b in range(abs(a) - N, N + 1 - abs(a))
+            if _valid_exponents(kind, a, b)]
 
 
 def _ae_uw(kind: str):
@@ -328,6 +320,8 @@ def _act(kind: str, f: dict, twist: str):
     """The map m -> (a⊗b).m = a m tau(b) on terms dicts, extended linearly
     over the enveloping-algebra dict f; tau is the identity or eps.  f is
     twisted, and for qweyl read in Laurent form, once per map."""
+    if twist not in TWISTS:
+        raise ValueError(f"unknown twist {twist!r}")
     if twist == "eps":
         f = {(k1, k3): c for (k1, k2), cf in f.items()
              for k3, c in _eps(kind, {k2: cf}).items()}
@@ -413,27 +407,29 @@ def _split(vec: dict):
     return slots
 
 
-def _complex_columns(kind: str, twist: str, N: int):
-    """Columns of d0 and d1 over the full window basis.
+def _koszul_columns(keys, act_u, act_w, one):
+    """Columns of d0(m) = (u.m, w.m) and d1(m1, m2) = w.m1 - u.m2 over keys,
+    for two commuting operators act_u and act_w on terms dicts.
 
     Level-1 keys are (0, key) for the u-component and (1, key) for the
     w-component; columns are exact (operator images are never truncated,
     so the composite vanishes identically).
     """
-    if twist not in TWISTS:
-        raise ValueError(f"unknown twist {twist!r}")
-    full = window_keys(kind, N)
-    one = _one(kind)
-    u, w, _, _ = _ae_uw(kind)
-    act_u, act_w = _act(kind, u, twist), _act(kind, w, twist)
     d0: dict = {}
     d1: dict = {}
-    for s in full:
+    for s in keys:
         um, wm = act_u({s: one}), act_w({s: one})
         d0[s] = _join(um, wm)
         d1[(0, s)] = wm
         d1[(1, s)] = {k: -v for k, v in um.items()}
-    return d0, d1, full
+    return d0, d1
+
+
+def _complex_columns(kind: str, twist: str, N: int):
+    """Columns of d0 and d1 of a sector complex over the window basis."""
+    u, w, _, _ = _ae_uw(kind)
+    return _koszul_columns(window_keys(kind, N), _act(kind, u, twist), _act(kind, w, twist),
+                           _one(kind))
 
 
 def build_cochain_complex(kind: str, twist: str, window):
@@ -444,12 +440,12 @@ def build_cochain_complex(kind: str, twist: str, window):
     certificate that consecutive differentials compose to zero.
     """
     win = _window(window, MAX_SECTOR_WINDOW)
-    d0, d1, full = _complex_columns(kind, twist, win.N)
     u, w, _, _ = _ae_uw(kind)
     act_u, act_w = _act(kind, u, twist), _act(kind, w, twist)
+    d0, d1 = _koszul_columns(window_keys(kind, win.N), act_u, act_w, _one(kind))
     composite = {}
-    for s in full:
-        m1, m2 = _split(d0[s])
+    for s, col in d0.items():
+        m1, m2 = _split(col)
         composite[s] = act_w(m1)
         addmul_into(composite[s], act_u(m2), -1)
     return d0, d1, composite
@@ -503,10 +499,9 @@ def _windowed_dims(kind: str, twist: str, windows: tuple) -> list:
     """(h0, h1, h2) on each window of windows, (N,) or (N, N-2), each read
     on its margin 2 below, from the columns of window N alone, over the
     chain of total-degree cuts N-4, N-2, N (N-2, N for one window)."""
-    d0, d1, full = _complex_columns(kind, twist, windows[0])
+    d0, d1 = _complex_columns(kind, twist, windows[0])
     bounds = sorted(windows)
-    chain = [[k for k in full if monomial_degree(kind, k) <= b]
-             for b in [bounds[0] - 2] + bounds]
+    chain = [window_keys(kind, b) for b in [bounds[0] - 2] + bounds]
     return _margin_dims(d0, d1, chain)[::-1]
 
 
@@ -584,7 +579,7 @@ def _invariant_sector_dims(kind: str, twist: str, windows: tuple) -> list:
     columns, and its margin lies inside the certified one.  Each window
     keeps its own eliminations."""
     one = _one(kind)
-    d0, d1, full = _complex_columns(kind, twist, windows[0])
+    d0, d1 = _complex_columns(kind, twist, windows[0])
     rho0, rho1, rho2 = rhos = _sector_involution(kind, twist)
     _verify_involution(kind, twist, windows[0], rhos, d0, d1)
 
@@ -593,8 +588,7 @@ def _invariant_sector_dims(kind: str, twist: str, windows: tuple) -> list:
 
     out = []
     for N in windows:
-        window = [k for k in full if monomial_degree(kind, k) <= N]
-        margin = [k for k in window if monomial_degree(kind, k) <= N - 2]
+        window, margin = window_keys(kind, N), window_keys(kind, N - 2)
         margin1 = [(i, s) for i in (0, 1) for s in margin]
         levels = [
             (kernel_combos(((s, d0[s]) for s in margin), one), [], rho0),
@@ -625,10 +619,11 @@ def crossed_z2_cohomology(kind: str, window=10):
 #
 # Over the enveloping algebra (pairs a⊗b with (a⊗b)(c⊗d) = ac ⊗ db), the
 # resolution reads  0 -> E -> E^2 -> E -> A  with right multiplication by
-# (w, -u) and then by (u, w).  Applying Hom(-, E) turns right into left
-# multiplication; the factor-swap anti-automorphism s(a⊗b) = b⊗a carries
-# the dual complex back onto the original because s(u) and s(w) are unit
-# multiples of u and w.  duality_check certifies this at matrix level on
+# (w, -u) and then by (u, w): up to the basis change stated in duality_check,
+# the Koszul complex of right multiplication by u and w (_koszul_columns).
+# Applying Hom(-, E) turns right into left multiplication; the factor-swap
+# anti-automorphism s(a⊗b) = b⊗a carries the dual complex back onto the
+# original because s(u) and s(w) are unit multiples of u and w.  duality_check certifies this at matrix level on
 # the window, together with windowed exactness and the identification of
 # the top cohomology with the algebra itself.
 
@@ -658,13 +653,8 @@ def _ae_scale(f: dict, c) -> dict:
 
 def _ae_window(kind: str, N: int) -> list:
     singles = window_keys(kind, N)
-    out = []
-    for k1 in singles:
-        d1 = monomial_degree(kind, k1)
-        for k2 in singles:
-            if d1 + monomial_degree(kind, k2) <= N:
-                out.append((k1, k2))
-    return sorted(out)
+    return [(k1, k2) for k1 in singles for k2 in singles
+            if monomial_degree(k1) + monomial_degree(k2) <= N]
 
 
 def duality_check(kind: str, window=None) -> CheckReport:
@@ -695,31 +685,31 @@ def duality_check(kind: str, window=None) -> CheckReport:
 
     basis, margin = _ae_window(kind, N), _ae_window(kind, N - 2)
 
-    # E -> E^2 -> E is xi -> (xi.w, -xi.u) (first), then (xi1, xi2) ->
-    # xi1.u + xi2.w (second; the report counts from the algebra end).  Every
-    # check reads these once-computed multiples xi.u, xi.w, u.xi and w.xi
-    first, second, left = {}, {}, {}
-    for xi in basis:
-        el = {xi: one}
-        xu, xw = _ae_mul(kind, el, u), _ae_mul(kind, el, w)
-        first[xi] = _join(xw, {k: -v for k, v in xu.items()})
-        second[(0, xi)], second[(1, xi)] = xu, xw
-        left[xi] = (_ae_mul(kind, u, el), _ae_mul(kind, w, el))
+    # The resolution xi -> (xi.w, -xi.u), (xi1, xi2) -> xi1.u + xi2.w (the
+    # report counts from the algebra end) is the Koszul complex (d0, d1) of
+    # right multiplication by u and w up to the level-1 basis change
+    # (xi1, xi2) -> (-xi2, xi1) and the sign of the last map, so its margin
+    # dimensions are equal.  Its dual is the Koszul complex of left
+    # multiplication, with last map dual_d1.  Every check reads these columns.
+    d0, d1 = _koszul_columns(basis, lambda m: _ae_mul(kind, m, u),
+                             lambda m: _ae_mul(kind, m, w), one)
+    _, dual_d1 = _koszul_columns(basis, lambda m: _ae_mul(kind, u, m),
+                                 lambda m: _ae_mul(kind, w, m), one)
 
-    # composite xi.w.u - xi.u.w vanishes identically on the full window
-    flag = all(_ae_mul(kind, second[(1, xi)], u) == _ae_mul(kind, second[(0, xi)], w)
-               for xi in basis)
+    # composite xi.u.w - xi.w.u vanishes identically on the full window
+    flag = all(_ae_mul(kind, xu, w) == _ae_mul(kind, xw, u)
+               for xu, xw in map(_split, d0.values()))
     checks.append((flag, "consecutive differentials compose to zero on the full window"))
 
     # dual differential matrices = swap-transported Koszul matrices; the
     # window and the margin are closed under the factor swap
-    flag = all(_ae_swap(left[(k2, k1)][i])
-               == _ae_scale(_ae_mul(kind, second[(i, (k1, k2))], nu), -one)
-               for k1, k2 in margin for i, nu in ((0, nu_u), (1, nu_w)))
+    flag = all(_ae_swap(dual_d1[(i, (k2, k1))])
+               == _ae_scale(_ae_mul(kind, d1[(i, (k1, k2))], nu), -one)
+               for k1, k2 in margin for i, nu in ((0, nu_w), (1, nu_u)))
     checks.append((flag, "dual differentials match the swap-transported Koszul matrices"))
 
     # windowed exactness: the margin homology is (0, 0, rank of mu on the margin)
-    [(h0, h1, h2)] = _margin_dims(first, second, [margin, basis])
+    [(h0, h1, h2)] = _margin_dims(d0, d1, [margin, basis])
     mu_rank = rank_of(_mono_mul(kind, *k1, *k2) for k1, k2 in margin)
     checks.append((h0 == 0, "second differential is injective on the margin"))
     checks.append((h1 == 0, "margin kernel of the first differential equals the "
@@ -729,7 +719,7 @@ def duality_check(kind: str, window=None) -> CheckReport:
 
     # top cohomology of the dual complex: left ideal (u, w) has margin
     # codimension equal to the windowed algebra dimension
-    codim = rank_modulo((col for pair in left.values() for col in pair), margin)
+    codim = rank_modulo(dual_d1.values(), margin)
     algebra_margin = len(window_keys(kind, N - 2))
     checks.append((codim == algebra_margin,
                    "top dual cohomology on the margin has the dimension of the "

@@ -30,6 +30,10 @@ class CheckReport:
     lines: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        # type(), not isinstance: a truthy string or int is no pass flag
+        if type(self.name) is not str or type(self.passed) is not bool:
+            raise ValueError(f"a report needs a str name and a bool pass flag, "
+                             f"got {self.name!r} and {self.passed!r}")
         object.__setattr__(self, "lines", tuple(str(x) for x in self.lines))
 
     @classmethod
@@ -156,8 +160,10 @@ def parse(data: bytes):
     A csv table comes back equal.  A csv series comes back with the same
     terms, but its q_bound and t_bound are the largest n and i among the
     rows present (0 when there are none), not the bounds it was emitted with.
-    A missing key, or a degree, dimension or coefficient that is not an
-    int (bools included), raises ValueError.
+    Every malformed payload raises ValueError: a missing key, a value of
+    the wrong JSON type, a degree, dimension or coefficient that is not an
+    int (bools included), a report name that is not a string, a pass flag
+    that is not a bool, and report lines that are not a list of strings.
     """
     text = data.decode()
     stripped = text.lstrip()
@@ -171,9 +177,15 @@ def parse(data: bytes):
             if schema == _TABLE_SCHEMA:
                 return BettiTable({int(k): v for k, v in doc["dims"].items()})
             if schema == _REPORT_SCHEMA:
-                return CheckReport(doc["name"], doc["passed"], tuple(doc["lines"]))
+                lines = doc["lines"]
+                if not isinstance(lines, list) or not all(type(x) is str for x in lines):
+                    raise ValueError("report lines must be a list of strings")
+                return CheckReport(doc["name"], doc["passed"], tuple(lines))
         except KeyError as exc:
             raise ValueError(f"{schema} payload lacks the key {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            # a value of the wrong JSON type, such as a number where a list belongs
+            raise ValueError(f"{schema} payload is malformed: {exc}") from None
         raise ValueError(f"unknown schema {schema!r}")
     lines = [ln for ln in text.splitlines() if ln]
     if not lines:

@@ -28,7 +28,7 @@ one coefficient table.
 
 from __future__ import annotations
 
-from .betti import AlgebraPreset, BettiTable, super_sym_powers
+from .betti import AlgebraPreset, BettiTable, check_duality, super_sym_powers
 from .series import BiSeries
 
 PRESETS: dict[str, AlgebraPreset] = {
@@ -53,13 +53,6 @@ def gamma_preset(nu: int) -> AlgebraPreset:
 def surface_preset(b0: int, b1: int, b2: int) -> AlgebraPreset:
     """User-supplied d=2 table (the orbifold / Hilbert-scheme use case)."""
     return AlgebraPreset("surface", 2, BettiTable({0: b0, 1: b1, 2: b2}))
-
-
-def _validate(coh: BettiTable, d: int):
-    if d <= 0 or d % 2:
-        raise ValueError("duality dimension d must be even and positive")
-    if coh.max_degree > d:
-        raise ValueError("table support exceeds the duality dimension")
 
 
 def _slot_width(colours: int, n: int) -> int:
@@ -136,7 +129,7 @@ def hh_cohomology_wreath(coh: BettiTable, d: int, n: int) -> BettiTable:
     Same partition sum as in homology, but a part of size i is first
     shifted up by d(i-1).  The result is supported in [0, nd].
     """
-    _validate(coh, d)
+    check_duality(coh, d)
     return _partition_sum(_sym_power_terms(coh, d, n), n)
 
 
@@ -148,7 +141,7 @@ def generating_series_sum(
     Evaluated directly from the partition decomposition; this is the
     oracle route against which the infinite product is checked.
     """
-    _validate(coh, d)
+    check_duality(coh, d)
     if t_bound is None:
         t_bound = d * q_bound
     out = BiSeries(q_bound, t_bound)
@@ -181,7 +174,7 @@ def generating_series_product(
                 prod_k (1 + q^m t^{k+d(m-1)})^{+b_k}   for odd k,
     truncated at q^q_bound.
     """
-    _validate(coh, d)
+    check_duality(coh, d)
     if t_bound is None:
         t_bound = d * q_bound
     factors = [(-1, d, k - d, -b) if k % 2 == 0 else (1, d, k - d, b)
@@ -234,10 +227,9 @@ def hilb_poincare(surface_coh: BettiTable, n: int) -> BettiTable:
     """Orbifold Poincare polynomial of the n-th symmetric power of a d=2 table.
 
     For the one-point table {0:1} this reproduces the Poincare polynomials
-    of Hilbert schemes of points on the affine plane.
+    of Hilbert schemes of points on the affine plane.  A table supported
+    above degree 2 is refused by the one duality check, check_duality.
     """
-    if surface_coh.max_degree > 2:
-        raise ValueError("surface table must be supported in degrees [0, 2]")
     return hh_cohomology_wreath(surface_coh, 2, n)
 
 
@@ -248,7 +240,7 @@ def deformation_parameter_count(coh: BettiTable, d: int, n: int) -> int:
     d = 2 this works out to b2 + b1(b1-1)/2 + 1; for d > 2 the extra +1
     disappears.  Requires a one-dimensional degree-0 part.
     """
-    _validate(coh, d)
+    check_duality(coh, d)
     _check_deform_args(coh, n)
     return hh_cohomology_wreath(coh, d, n)[2]
 

@@ -94,6 +94,71 @@ def test_window_counts():
     assert len(window_keys("qweyl", 8)) == 145  # 2N^2 + 2N + 1
 
 
+def per_kind_window_keys(kind, N):
+    # reference: one loop per kind over its exponent domain
+    keys = []
+    if kind == "weyl":
+        for a in range(N + 1):
+            for b in range(N + 1 - a):
+                keys.append((a, b))
+    elif kind == "trig":
+        for a in range(-N, N + 1):
+            for b in range(N + 1 - abs(a)):
+                keys.append((a, b))
+    else:
+        for a in range(-N, N + 1):
+            r = N - abs(a)
+            for b in range(-r, r + 1):
+                keys.append((a, b))
+    return sorted(keys)
+
+
+def per_kind_degree(kind, key):
+    a, b = key
+    if kind == "weyl":
+        return a + b
+    if kind == "trig":
+        return abs(a) + b
+    return abs(a) + abs(b)
+
+
+@pytest.mark.parametrize("kind", ["weyl", "trig", "qweyl"])
+def test_window_keys_and_ae_window_match_the_per_kind_loops(kind):
+    for N in range(17):
+        singles = per_kind_window_keys(kind, N)
+        assert window_keys(kind, N) == singles
+        assert koszul._ae_window(kind, N) == sorted(
+            (k1, k2) for k1 in singles for k2 in singles
+            if per_kind_degree(kind, k1) + per_kind_degree(kind, k2) <= N)
+
+
+def column_by_column_resolution(kind, basis, u, w):
+    # reference: xi -> (xi.w, -xi.u), then (xi1, xi2) -> xi1.u + xi2.w
+    one = koszul._one(kind)
+    first, second = {}, {}
+    for xi in basis:
+        el = {xi: one}
+        xu, xw = koszul._ae_mul(kind, el, u), koszul._ae_mul(kind, el, w)
+        first[xi] = {(0, k): v for k, v in xw.items()}
+        first[xi].update(((1, k), -v) for k, v in xu.items())
+        second[(0, xi)], second[(1, xi)] = xu, xw
+    return first, second
+
+
+@pytest.mark.parametrize("kind, w_is_u", [
+    ("weyl", False), ("trig", False), ("qweyl", False), ("weyl", True)])
+def test_koszul_builder_has_the_margin_dims_of_the_resolution(kind, w_is_u):
+    u, w, _, _ = koszul._ae_uw(kind)
+    if w_is_u:
+        w = u
+    for N in (4, 5, 6):
+        chain = [koszul._ae_window(kind, N - 2), koszul._ae_window(kind, N)]
+        first, second = column_by_column_resolution(kind, chain[1], u, w)
+        d0, d1 = koszul._koszul_columns(chain[1], lambda m: koszul._ae_mul(kind, m, u),
+                                        lambda m: koszul._ae_mul(kind, m, w), koszul._one(kind))
+        assert koszul._margin_dims(d0, d1, chain) == koszul._margin_dims(first, second, chain)
+
+
 def test_window_too_small():
     with pytest.raises(ValueError):
         FilteredWindow(3)
@@ -188,8 +253,8 @@ def single_window_dims(d0, d1, margin, one):
 def test_chain_matches_single_windows(kind, twist, N):
     want = []
     for W in (N, N - 2):
-        d0, d1, full = koszul._complex_columns(kind, twist, W)
-        margin = [k for k in full if koszul.monomial_degree(kind, k) <= W - 2]
+        d0, d1 = koszul._complex_columns(kind, twist, W)
+        margin = [k for k in d0 if koszul.monomial_degree(k) <= W - 2]
         want.append(single_window_dims(d0, d1, margin, koszul._one(kind)))
     assert koszul._windowed_dims(kind, twist, (N, N - 2)) == want
     assert koszul._windowed_dims(kind, twist, (N,)) == want[:1]

@@ -121,6 +121,29 @@ def test_parse_missing_key_is_a_value_error(payload, key):
         parse(json.dumps(payload).encode())
 
 
+_SERIES = {"schema": "wreath-hochschild/series-v1", "q_bound": 1, "t_bound": 1}
+_REPORT = {"schema": "wreath-hochschild/report-v1", "name": "x", "passed": True, "lines": []}
+
+
+@pytest.mark.parametrize("payload", [
+    dict(_SERIES, terms=5),
+    dict(_SERIES, terms=[5]),
+    {"schema": "wreath-hochschild/table-v1", "dims": [1, 2]},
+    dict(_REPORT, passed="no"),
+    dict(_REPORT, lines="ab"),
+    dict(_REPORT, name=5),
+], ids=["terms 5", "terms [5]", "dims list", "passed no", "lines ab", "name 5"])
+def test_parse_refuses_malformed_payloads_with_value_error(payload):
+    with pytest.raises(ValueError):
+        parse(json.dumps(payload).encode())
+
+
+@pytest.mark.parametrize("name, passed", [("x", "no"), ("x", 1), (5, True)])
+def test_check_report_refuses_a_non_bool_flag_and_a_non_str_name(name, passed):
+    with pytest.raises(ValueError):
+        CheckReport(name, passed)
+
+
 def test_emit_deterministic():
     series = closed_form("PB_trig", 4)
     assert emit(series, "json") == emit(series, "json")

@@ -1,6 +1,7 @@
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +48,15 @@ def test_preset_validation():
             pass
         else:
             assert False
+
+
+def test_support_beyond_the_duality_dimension_has_one_message():
+    for bad in (lambda: AlgebraPreset("x", 2, BettiTable({3: 1})),
+                lambda: AlgebraPreset("x", 4, {0: 1, 6: 1}),
+                lambda: hilb_poincare(BettiTable({3: 1}), 2),
+                lambda: hh_cohomology_wreath(BettiTable({4: 1}), 2, 2)):
+        with pytest.raises(ValueError, match="^table support exceeds the duality dimension$"):
+            bad()
 
 
 def test_homology_wreath_examples():
