@@ -503,3 +503,68 @@ def test_integer_basis_changes_keep_dims_tables_and_reports_exact(k, entries):
     report = verify_homolog_i(B, n=2, max_level=0)
     assert report.passed
     assert not any(re.search(r"\d\.\d|e[+-]\d", line) for line in report.lines)
+
+
+# -- group closure and the type B sectors -----------------------------------
+
+
+def two_sided_closure(algebra, gens):
+    """Every composite of the generators, found by composing each new
+    element with every element found so far on both sides: a second route
+    to the group that GroupAction.generate closes."""
+    ident = [{i: 1} for i in range(algebra.dim)]
+    elements, seen, frontier = [ident], {bruteforce._columns_key(ident)}, list(gens)
+    while frontier:
+        g = frontier.pop()
+        key = bruteforce._columns_key(g)
+        if key in seen:
+            continue
+        seen.add(key)
+        elements.append(g)
+        frontier.extend(bruteforce._compose(g, e) for e in elements)
+        frontier.extend(bruteforce._compose(e, g) for e in elements)
+    return elements
+
+
+def slot_action(A, n, sigma):
+    return [{p: 1} for p in slot_permutation(A, n, sigma)]
+
+
+def type_b_generators(A, n):
+    """Z/2 wreath S_n on A^(tensor n), A = Q[x]/(x^k): x -> -x in the
+    first slot, the transposition of the first two slots and the n-cycle."""
+    B = tensor_power(A, n)
+    sign = [{i: (-1) ** decode_index(i, A.dim, n)[0]} for i in range(B.dim)]
+    return [sign, slot_action(A, n, (2, 1) + tuple(range(3, n + 1))),
+            slot_action(A, n, tuple(range(2, n + 1)) + (1,))]
+
+
+@pytest.mark.parametrize("k, n, gens, order", [
+    (3, 2, type_b_generators, 8),
+    (3, 3, type_b_generators, 48),
+    (2, 3, lambda A, n: [slot_action(A, n, (2, 1, 3)), slot_action(A, n, (2, 3, 1))], 6),
+], ids=["B2 on (k[x]/x^3)^2", "B3 on (k[x]/x^3)^3", "S3 on (k[x]/x^2)^3"])
+def test_generate_reaches_the_two_sided_closure(k, n, gens, order):
+    A = FiniteDimAlgebra.truncated_polynomial(k)
+    B = tensor_power(A, n)
+    G = GroupAction.generate(B, gens(A, n))
+    ref = GroupAction(B, two_sided_closure(B, gens(A, n)))
+    assert G.order == ref.order == order
+    # the same elements, and a relabelling that carries one table to the other
+    where = {bruteforce._columns_key(cols): i for i, cols in enumerate(ref.elements)}
+    perm = [where[bruteforce._columns_key(cols)] for cols in G.elements]
+    assert sorted(perm) == list(range(order))
+    assert perm[G.identity] == ref.identity
+    assert all(ref.table[perm[a]][perm[b]] == perm[G.table[a][b]]
+               for a in range(order) for b in range(order))
+
+
+def test_type_b_sectors_sum_to_the_crossed_product_dims():
+    A = FiniteDimAlgebra.truncated_polynomial(3)
+    B = tensor_power(A, 2)
+    G = GroupAction.generate(B, type_b_generators(A, 2))
+    total = [0, 0, 0]
+    for cls in G.conjugacy_classes():
+        dims = bruteforce._sector_invariant_dims(B, G, cls[0], 2, bruteforce.DEFAULT_SIZE_CAP)
+        total = [t + d for t, d in zip(total, dims)]
+    assert total == [9, 4, 4]

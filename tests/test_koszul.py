@@ -16,7 +16,7 @@ from wreath_hochschild.koszul import (
     multiply,
     window_keys,
 )
-from wreath_hochschild.linalg import CertificateError, rank_of
+from wreath_hochschild.linalg import CertificateError, addmul_into, rank_of
 from wreath_hochschild.ratfunc import RatFunc
 
 M = RankOneElement.monomial
@@ -492,3 +492,28 @@ def test_weyl_and_trig_columns_hold_ints():
     # an integral Fraction is stored as an int, a proper one as a Fraction
     el = RankOneElement("weyl", {(0, 0): Fraction(4, 2), (1, 0): Fraction(1, 2)})
     assert [type(v) for v in el.terms.values()] == [int, Fraction]
+
+
+def test_multiply_is_the_term_by_term_monomial_product():
+    def reference(x, y):
+        acc = {}
+        for (a, b), cx in x.terms.items():
+            for (c, d), cy in y.terms.items():
+                addmul_into(acc, koszul._mono_mul(x.kind, a, b, c, d), cx * cy)
+        return RankOneElement(x.kind, acc)
+
+    rng = random.Random(31)
+    for kind in ("weyl", "trig", "qweyl"):
+        for _ in range(10):
+            x, y = rand_element(kind, rng), rand_element(kind, rng)
+            assert multiply(x, y) == reference(x, y)
+    # qweyl coefficients inside and outside Z[q, 1/q]
+    laurent = set()
+    for _ in range(30):
+        x, y = (RankOneElement("qweyl", {(rng.randint(-2, 2), rng.randint(-2, 2)):
+                                         qweyl_coefficient(rng)
+                                         for _ in range(rng.randint(1, 3))})
+                for _ in range(2))
+        laurent.update(c.laurent() is None for c in (*x.terms.values(), *y.terms.values()))
+        assert multiply(x, y) == reference(x, y)
+    assert laurent == {False, True}
