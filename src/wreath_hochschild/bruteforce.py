@@ -18,12 +18,13 @@ as ints where integral, and ranks and kernels come from the exact sparse
 elimination of linalg.  hh_dims works on the normalised complex, with
 legs in B/k.1; bar_columns, bar_differential and bar_apply keep the full
 complex, which the homotopy identity and the sector dimensions of
-afls_check use.  Complex sizes grow as dim(B)^level, so every rank
-computation is guarded by a size cap (dense-equivalent entry count of
-the largest matrix of the full complex); HH_SIZE_CAP in the environment
-overrides it (a nonnegative integer, else ValueError).  Every map given
-by its columns runs through linalg.apply_columns, and every tensor
-product of sparse vectors (A tensor B, TwistedBimodule) through _expand.
+afls_check use.  Complex sizes grow as dim(B)^level, so every entry
+point, homotopy_identity_check included, first checks a size cap
+(dense-equivalent entry count of the largest matrix of the full complex)
+from dimensions alone, before anything is built; HH_SIZE_CAP in the
+environment overrides it (a nonnegative integer, else ValueError).
+Bimodule actions are tabulated at construction.  Every map given by its
+columns runs through linalg.apply_columns, and every tensor product of sparse vectors (A tensor B, TwistedBimodule) through _expand.
 """
 
 from __future__ import annotations
@@ -66,12 +67,16 @@ def _resolve_cap(size_cap: int | None) -> int:
     return int(env)
 
 
-def _check_cap(domain: int, codomain: int, cap: int, what: str):
-    if domain * codomain > cap:
-        raise SizeCapExceeded(
-            f"{what}: matrix {domain} x {codomain} exceeds size cap {cap} "
-            f"(set HH_SIZE_CAP to override)"
-        )
+def _check_bar_cap(b_dim: int, m_dim: int, top: int, cap: int):
+    """Refuse a full bar complex (algebra of dimension b_dim, coefficients
+    of dimension m_dim) with a differential at level 1 .. top above cap."""
+    for k in range(1, top + 1):
+        domain, codomain = b_dim ** k * m_dim, b_dim ** (k - 1) * m_dim
+        if domain * codomain > cap:
+            raise SizeCapExceeded(
+                f"bar differential at level {k}: matrix {domain} x {codomain} "
+                f"exceeds size cap {cap} (set HH_SIZE_CAP to override)"
+            )
 
 
 class FiniteDimAlgebra:
@@ -284,8 +289,8 @@ class RegularBimodule:
 class AutoTwistedBimodule:
     """M = B with the right action twisted by an automorphism phi:
     b.m = bm and m.b = m phi(b).  For phi a group element g this is the
-    sector module Bg of a crossed product.  The right action on a basis
-    pair is computed on first use and kept."""
+    sector module Bg of a crossed product.  The right action is tabulated
+    at construction, _right[m][b] = m.b."""
 
     __slots__ = ("algebra", "dim", "columns", "_right")
 
@@ -293,16 +298,13 @@ class AutoTwistedBimodule:
         self.algebra = algebra
         self.dim = algebra.dim
         self.columns = columns
-        self._right: dict = {}  # (m, b) -> m.b, filled on first use
+        self._right = [[apply_columns(row, col) for col in columns] for row in algebra.table]
 
     def left_basis(self, b: int, m: int) -> dict:
         return self.algebra.table[b][m]
 
     def right_basis(self, m: int, b: int) -> dict:
-        out = self._right.get((m, b))
-        if out is None:
-            out = self._right[(m, b)] = apply_columns(self.algebra.table[m], self.columns[b])
-        return out
+        return self._right[m][b]
 
 
 class TwistedBimodule:
@@ -316,8 +318,8 @@ class TwistedBimodule:
 
     Both actions are read slotwise off the structure constants of A, not
     through slot_permutation or AutoTwistedBimodule, so the tests can
-    compare the two.  Each action on a basis pair is computed on first
-    use and kept; callers must not mutate the dicts returned.
+    compare the two.  They are tabulated at construction, _left[b][m] =
+    b.m and _right[m][b] = m.b; callers must not mutate the dicts returned.
     """
 
     __slots__ = ("base", "n", "dim", "_left", "_right")
@@ -328,26 +330,18 @@ class TwistedBimodule:
         self.base = base
         self.n = n
         self.dim = base.dim ** n
-        self._left: dict = {}  # (b, m) -> b.m
-        self._right: dict = {}  # (m, b) -> m.b
+        d, table = base.dim, base.table
+        slots = [decode_index(i, d, n) for i in range(self.dim)]
+        self._left = [[_expand([table[x][y] for x, y in zip(bs, ms)], d) for ms in slots]
+                      for bs in slots]
+        self._right = [[_expand([table[x][y] for x, y in zip(ms, bs[1:] + bs[:1])], d)
+                        for bs in slots] for ms in slots]
 
     def left_basis(self, b: int, m: int) -> dict:
-        out = self._left.get((b, m))
-        if out is None:
-            d, table = self.base.dim, self.base.table
-            bs, ms = decode_index(b, d, self.n), decode_index(m, d, self.n)
-            out = self._left[(b, m)] = _expand(
-                [table[x][y] for x, y in zip(bs, ms)], d)
-        return out
+        return self._left[b][m]
 
     def right_basis(self, m: int, b: int) -> dict:
-        out = self._right.get((m, b))
-        if out is None:
-            d, table = self.base.dim, self.base.table
-            ms, bs = decode_index(m, d, self.n), decode_index(b, d, self.n)
-            out = self._right[(m, b)] = _expand(
-                [table[x][y] for x, y in zip(ms, bs[1:] + bs[:1])], d)
-        return out
+        return self._right[m][b]
 
 
 # -- group actions and crossed products ---------------------------------
@@ -387,15 +381,14 @@ class GroupAction:
 
     @classmethod
     def generate(cls, algebra: FiniteDimAlgebra, generators) -> "GroupAction":
-        """Close a set of automorphism matrices under composition."""
+        """Close a set of automorphism matrices under composition: the
+        identity, closed under x -> x s for each generator s."""
         gens = [list(g) for g in generators]
         for g in gens:
             if not algebra.is_automorphism(g):
                 raise ValueError("generator is not an algebra automorphism")
-        ident = [{i: 1} for i in range(algebra.dim)]
-        elements = [ident]
-        seen = {_columns_key(ident)}
-        frontier = list(gens)
+        elements, seen = [], set()
+        frontier = [[{i: 1} for i in range(algebra.dim)]]
         while frontier:
             g = frontier.pop()
             key = _columns_key(g)
@@ -405,8 +398,7 @@ class GroupAction:
             elements.append(g)
             if len(elements) > 1024:
                 raise ValueError("group closure exceeds 1024 elements")
-            frontier.extend(_compose(g, e) for e in elements)
-            frontier.extend(_compose(e, g) for e in elements)
+            frontier.extend(_compose(g, s) for s in gens)
         return cls(algebra, elements)
 
     @property
@@ -537,10 +529,7 @@ def hh_dims(B: FiniteDimAlgebra, M, max_level: int,
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
-    cap = _resolve_cap(size_cap)
-    full = [B.dim ** k * M.dim for k in range(max_level + 2)]
-    for k in range(1, max_level + 2):
-        _check_cap(full[k], full[k - 1], cap, f"bar differential at level {k}")
+    _check_bar_cap(B.dim, M.dim, max_level + 1, _resolve_cap(size_cap))
     legs, table = _unit_quotient(B)
     cdims = [len(legs) ** k * M.dim for k in range(max_level + 2)]
     ranks = [0]
@@ -563,14 +552,16 @@ def verify_homolog_i(A: FiniteDimAlgebra, n: int = 2, sigma=None,
     AutoTwistedBimodule.  The two dimension lists must agree level by
     level.
     """
-    lhs = hh_dims(A, RegularBimodule(A), max_level, size_cap)
+    cap = _resolve_cap(size_cap)
+    _check_bar_cap(A.dim ** n, A.dim ** n, max_level + 1, cap)
+    lhs = hh_dims(A, RegularBimodule(A), max_level, cap)
     B = tensor_power(A, n)
     if sigma is None:
         twisted = TwistedBimodule(A, n)
     else:
         perm = slot_permutation(A, n, sigma)
         twisted = AutoTwistedBimodule(B, [{p: 1} for p in perm])
-    rhs = hh_dims(B, twisted, max_level, size_cap)
+    rhs = hh_dims(B, twisted, max_level, cap)
     lines = tuple(
         f"level {i}: HH(A)={lhs[i]} HH(tensor power, twisted)={rhs[i]}"
         for i in range(max_level + 1)
@@ -622,10 +613,12 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
 
         C - rot(C) = d( sum_{j=0}^{m-1} (-1)^{j(m-1)} s^j(C) tensor 1 ).
 
-    The check samples random exact cycles and evaluates both sides.
+    The check samples random exact cycles and evaluates both sides.  The
+    size cap is checked on the full differential at level max(m - 1, 1).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    _check_bar_cap(A.dim ** n, A.dim ** n, max(m - 1, 1), _resolve_cap(None))
     B = tensor_power(A, n)
     rho = rotation_permutation(A, n)
     M = AutoTwistedBimodule(B, [{p: 1} for p in rho])
@@ -688,20 +681,19 @@ def _sector_invariant_dims(B: FiniteDimAlgebra, G: GroupAction, g: int,
     """dims of the centralizer-invariant part of HH_i(B, Bg), i <= max_level.
 
     The centralizer acts slotwise on chains; invariant_dim averages that
-    action over homology representatives.
+    action over homology representatives.  Each level's columns are built
+    once, for the boundaries of one level and the cycles of the next.
     """
+    _check_bar_cap(B.dim, B.dim, max_level + 1, cap)
     M = AutoTwistedBimodule(B, G.elements[g])
     actions = [partial(_act_on_chain, G.elements[h]) for h in G.centralizer(g)]
+    cycles = [{key: 1} for key in chain_keys(B, M, 0)]
     dims = []
     for i in range(max_level + 1):
-        _check_cap(B.dim ** (i + 1) * M.dim, B.dim ** i * M.dim, cap,
-                   f"sector level {i + 1}")
-        if i == 0:
-            cycles = [{key: 1} for key in chain_keys(B, M, 0)]
-        else:
-            cycles = kernel_combos(bar_columns(B, M, i))
-        boundaries = (img for _, img in bar_columns(B, M, i + 1))
-        dims.append(invariant_dim(boundaries, cycles, actions))
+        columns = list(bar_columns(B, M, i + 1))
+        dims.append(invariant_dim((img for _, img in columns), cycles, actions))
+        if i < max_level:
+            cycles = kernel_combos(columns)
     return dims
 
 
@@ -716,6 +708,7 @@ def afls_check(B: FiniteDimAlgebra, G: GroupAction, max_level: int = 2,
     the normalised complex (hh_dims), the sectors on the full one.
     """
     cap = _resolve_cap(size_cap)
+    _check_bar_cap(G.order * B.dim, G.order * B.dim, max_level + 1, cap)
     cross = crossed_product(G)
     lhs = hh_dims(cross, RegularBimodule(cross), max_level, cap)
     rhs = [0] * (max_level + 1)

@@ -13,8 +13,8 @@ sign convention.  Elements are stored in the fixed normal order
 x-monomial, then group element, then p-monomial, with coefficients that
 are polynomials in k over the rationals (dense tuples of ints, with a
 Fraction only where a denominator appears, as in the 1/n! of the
-spherical idempotent, added and multiplied by poly_add and poly_mul of
-ratfunc), so flatness statements are checked over the polynomial ring
+spherical idempotent, added, multiplied and evaluated by poly_add,
+poly_mul and poly_eval of ratfunc), so flatness statements are checked over the polynomial ring
 rather than at a numeric k.  Setting k = 0 recovers the
 crossed product of S_n with n commuting Weyl pairs;
 crossed_weyl_normal_order implements that algebra directly, without the
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .linalg import add_term, exact_scalar
 from .presets_io import CheckReport
-from .ratfunc import poly_add, poly_mul
+from .ratfunc import poly_add, poly_eval, poly_mul
 
 KP_ZERO = ()
 KP_ONE = (1,)
@@ -55,13 +55,6 @@ def _kp_add_into(target: dict, key, c: tuple) -> None:
         target[key] = acc
     else:
         target.pop(key, None)
-
-
-def _kp_eval(a: tuple, value):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * value + c
-    return acc
 
 
 def _identity(n: int) -> tuple:
@@ -291,8 +284,6 @@ class CherednikElement:
             and self.terms == other.terms
         )
 
-    __hash__ = None
-
     def __add__(self, other):
         if not isinstance(other, CherednikElement) or other.n != self.n:
             return NotImplemented
@@ -326,7 +317,7 @@ class CherednikElement:
         value = exact_scalar(value)
         out = {}
         for mono, c in self.terms.items():
-            v = _kp_eval(c, value)
+            v = poly_eval(c, value)
             if v:
                 out[mono] = v
         return out

@@ -29,7 +29,8 @@ automorphism eps (x,p -> -x,-p resp. X,P -> inverses), gives a cochain
 complex 0 -> M -> M^2 -> M -> 0 with d0(m) = (u.m, w.m) and
 d1(m1, m2) = w.m1 - u.m2, where the one action _act gives
 (a⊗b).m = a m tau(b) for the sector twist tau: the Koszul complex of the
-two commuting operators m -> u.m and m -> w.m.  One builder,
+two commuting operators m -> u.m and m -> w.m.  The product multiply is
+the same action: x y is the untwisted action of x⊗1 on y.  One builder,
 _koszul_columns, writes the columns of such a complex for any two
 commuting operators.  The order-2 symmetry of a sector complex is eps
 after conjugation by the units: eps on M, (m1, m2) -> (-eps(nu_u.m1),
@@ -106,10 +107,6 @@ class FilteredWindow:
         if not isinstance(N, int) or N < 4:
             raise ValueError("window too small (N < 4)")
         self.N = N
-
-    @property
-    def margin(self) -> int:
-        return self.N - 2
 
     def __repr__(self):
         return f"FilteredWindow({self.N})"
@@ -261,16 +258,14 @@ def _mono_mul(kind: str, a: int, b: int, c: int, d: int):
 
 
 def multiply(x: RankOneElement, y: RankOneElement) -> RankOneElement:
-    """Product, normal-ordered with the x-generator left of the p-generator."""
+    """Product, normal-ordered with the x-generator left of the p-generator:
+    the untwisted sector action of x⊗1 on y."""
     if not isinstance(x, RankOneElement) or not isinstance(y, RankOneElement):
         raise ValueError("multiply expects two RankOneElements")
     if x.kind != y.kind:
         raise ValueError(f"kind mismatch: {x.kind} vs {y.kind}")
-    acc: dict = {}
-    for (a, b), cx in x.terms.items():
-        for (c, d), cy in y.terms.items():
-            addmul_into(acc, _mono_mul(x.kind, a, b, c, d), cx * cy)
-    return RankOneElement(x.kind, acc)
+    left = {(k, (0, 0)): c for k, c in x.terms.items()}
+    return RankOneElement(x.kind, _act(x.kind, left, "id")(y.terms))
 
 
 def _eps(kind: str, terms: dict) -> dict:

@@ -61,8 +61,11 @@ def load_preset(name: str) -> AlgebraPreset:
     if name.lstrip().startswith("{"):
         data = json.loads(name)
     elif os.path.exists(name):
-        with open(name, "rb") as fh:
-            data = json.load(fh)
+        try:
+            with open(name, "rb") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read preset file {name!r}: {exc.strerror}") from None
     else:
         known = ", ".join(sorted(PRESETS))
         raise ValueError(f"unknown preset {name!r} (known: {known}, gamma:<nu>, or JSON)")
@@ -164,18 +167,21 @@ def parse(data: bytes):
     the wrong JSON type, a degree, dimension or coefficient that is not an
     int (bools included), a report name that is not a string, a pass flag
     that is not a bool, and report lines that are not a list of strings.
+    emit never writes a repeat, so a payload that names one JSON key,
+    degree or (n, i) term twice is refused too.
     """
     text = data.decode()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_once)
         schema = doc.get("schema")
         try:
             if schema == _SERIES_SCHEMA:
-                return BiSeries.from_terms(doc["q_bound"], doc["t_bound"],
-                                           [tuple(t) for t in doc["terms"]])
+                terms = [tuple(t) for t in doc["terms"]]
+                _once(((n, i), c) for n, i, c in terms)
+                return BiSeries.from_terms(doc["q_bound"], doc["t_bound"], terms)
             if schema == _TABLE_SCHEMA:
-                return BettiTable({int(k): v for k, v in doc["dims"].items()})
+                return BettiTable(_once((int(k), v) for k, v in doc["dims"].items()))
             if schema == _REPORT_SCHEMA:
                 lines = doc["lines"]
                 if not isinstance(lines, list) or not all(type(x) is str for x in lines):
@@ -193,10 +199,21 @@ def parse(data: bytes):
     header = lines[0]
     if header == "n,i,dim":
         terms = [tuple(int(x) for x in ln.split(",")) for ln in lines[1:]]
+        _once(((n, i), c) for n, i, c in terms)
         qb = max((n for n, _, _ in terms), default=0)
         tb = max((i for _, i, _ in terms), default=0)
         return BiSeries.from_terms(qb, tb, terms)
     if header == "degree,dim":
         rows = [tuple(int(x) for x in ln.split(",")) for ln in lines[1:]]
-        return BettiTable(dict(rows))
+        return BettiTable(_once(rows))
     raise ValueError("unrecognized payload")
+
+
+def _once(pairs) -> dict:
+    """dict(pairs), refusing a key that appears twice."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"payload names {key!r} twice")
+        out[key] = value
+    return out

@@ -21,9 +21,10 @@ that needs no gcd at all: from_laurent builds it directly, and laurent()
 reads it back (None for a value outside Z[q, 1/q]), so sums of q-powers
 can be added up as integers and made a RatFunc once.
 
-Shared helpers: poly_add and poly_mul, which take Fraction coefficients
-too, also carry the k-polynomials of cherednik, and poly_str prints the
-polynomials of the RatFunc and BiSeries reprs and of presets_io plain.
+Shared helpers: poly_add, poly_mul and poly_eval (Horner's rule), which
+take Fraction coefficients too, also carry the k-polynomials of
+cherednik, and poly_str prints the polynomials of the RatFunc and
+BiSeries reprs and of presets_io plain.
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ def poly_add(a, b):
     for i, c in enumerate(b):
         out[i] += c
     return _strip(out)
+
+
+def poly_eval(a, x):
+    """The polynomial a at x, by Horner's rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 def _neg(a):
@@ -329,9 +338,7 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def evaluate(self, q: Fraction) -> Fraction:
-        num = sum(Fraction(c) * q ** i for i, c in enumerate(self.num))
-        den = sum(Fraction(c) * q ** i for i, c in enumerate(self.den))
-        return num / den
+        return Fraction(poly_eval(self.num, q)) / poly_eval(self.den, q)
 
     def __repr__(self):
         n, d = poly_str(enumerate(self.num), "q"), poly_str(enumerate(self.den), "q")

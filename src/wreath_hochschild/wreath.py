@@ -75,8 +75,8 @@ def _sym_power_terms(table: BettiTable, shift: int, n: int) -> tuple[int, int, l
     One expansion serves every part size: for an even s, S^p(V[s]) =
     S^p(V)[p*s], so the shift * (i - 1) of a part of size i is applied by
     the walk, which adds it up over the parts of each partition."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a nonnegative int, got {n!r}")
     width = _slot_width(table.total_dim, n)
     return width, shift, [sum(v << width * k for k, v in s.dims().items())
                           for s in super_sym_powers(table, n)]
@@ -182,27 +182,20 @@ def generating_series_product(
     return _euler_product(factors, q_bound, t_bound)
 
 
-# The six classical series, transcribed literally as factor lists.
-# Each factor is (sign, t_slope, t_offset, power): for every m >= 1
-# multiply by (1 + sign q^m t^{t_slope*m + t_offset})^power.
-_CLOSED_FORMS: dict[str, list[tuple[int, int, int, int]]] = {
-    "PA": [(-1, 2, -2, -1)],
-    "PA_trig": [(-1, 2, -2, -1), (1, 2, -1, 1)],
-    "PA_q": [(-1, 2, -2, -1), (-1, 2, 0, -1), (1, 2, -1, 2)],
-    "PB": [(-1, 2, -2, -1), (-1, 2, 0, -1)],
-    "PB_trig": [(-1, 2, -2, -1), (-1, 2, 0, -2)],
-    "PB_q": [(-1, 2, -2, -1), (-1, 2, 0, -5)],
+# The six classical series, transcribed literally as factor lists, each
+# with the preset whose product formula reproduces it.  Each factor is
+# (sign, t_slope, t_offset, power): for every m >= 1 multiply by
+# (1 + sign q^m t^{t_slope*m + t_offset})^power.
+_CLOSED_FORMS: dict[str, tuple[str, list[tuple[int, int, int, int]]]] = {
+    "PA": ("weyl", [(-1, 2, -2, -1)]),
+    "PA_trig": ("trig", [(-1, 2, -2, -1), (1, 2, -1, 1)]),
+    "PA_q": ("qweyl", [(-1, 2, -2, -1), (-1, 2, 0, -1), (1, 2, -1, 2)]),
+    "PB": ("z2_weyl", [(-1, 2, -2, -1), (-1, 2, 0, -1)]),
+    "PB_trig": ("z2_trig", [(-1, 2, -2, -1), (-1, 2, 0, -2)]),
+    "PB_q": ("z2_qweyl", [(-1, 2, -2, -1), (-1, 2, 0, -5)]),
 }
 
-# preset whose product formula reproduces each closed form
-CLOSED_FORM_PRESETS: dict[str, str] = {
-    "PA": "weyl",
-    "PA_trig": "trig",
-    "PA_q": "qweyl",
-    "PB": "z2_weyl",
-    "PB_trig": "z2_trig",
-    "PB_q": "z2_qweyl",
-}
+CLOSED_FORM_PRESETS: dict[str, str] = {label: form[0] for label, form in _CLOSED_FORMS.items()}
 
 
 def closed_form(label: str, q_bound: int, t_bound: int | None = None) -> BiSeries:
@@ -211,7 +204,7 @@ def closed_form(label: str, q_bound: int, t_bound: int | None = None) -> BiSerie
         raise ValueError(f"unknown closed form {label!r}")
     if t_bound is None:
         t_bound = 2 * q_bound
-    return _euler_product(_CLOSED_FORMS[label], q_bound, t_bound)
+    return _euler_product(_CLOSED_FORMS[label][1], q_bound, t_bound)
 
 
 def gamma_series(nu: int, q_bound: int, t_bound: int | None = None) -> BiSeries:

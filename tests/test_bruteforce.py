@@ -568,3 +568,34 @@ def test_type_b_sectors_sum_to_the_crossed_product_dims():
         dims = bruteforce._sector_invariant_dims(B, G, cls[0], 2, bruteforce.DEFAULT_SIZE_CAP)
         total = [t + d for t, d in zip(total, dims)]
     assert total == [9, 4, 4]
+
+
+def test_oversized_requests_are_refused_before_anything_is_built(monkeypatch):
+    cube = FiniteDimAlgebra.truncated_polynomial(3)
+    sign = GroupAction.generate(cube, [sign_action(3)])
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("something was built before the cap check")
+
+    for name in ("tensor_power", "crossed_product", "RegularBimodule", "TwistedBimodule",
+                 "AutoTwistedBimodule", "slot_permutation", "rotation_permutation"):
+        monkeypatch.setattr(bruteforce, name, no_build)
+    dual, z2 = FiniteDimAlgebra.truncated_polynomial(2), z2_algebra()
+    for call in (lambda: verify_homolog_i(dual, n=9, max_level=2),
+                 lambda: verify_homolog_i(z2, n=3, sigma=(3, 1, 2), max_level=1, size_cap=10 ** 4),
+                 lambda: homotopy_identity_check(z2, n=3, m=5),
+                 lambda: homotopy_identity_check(dual, n=12, m=1),
+                 # the sectors (dim 3) fit under the cap, the crossed product (dim 6) does not
+                 lambda: afls_check(cube, sign, max_level=4)):
+        with pytest.raises(SizeCapExceeded, match="exceeds size cap"):
+            call()
+    monkeypatch.setenv("HH_SIZE_CAP", "63")  # level 1 of (Z/2)^2 has 16 x 4 entries
+    with pytest.raises(SizeCapExceeded):
+        homotopy_identity_check(z2, n=2, m=1)
+
+
+def test_the_cap_admits_the_largest_verify_cases():
+    # homotopy: (Z/2)^3 at m = 4 samples level 3, 4096 x 512 entries
+    assert homotopy_identity_check(z2_algebra(), n=3, m=4, trials=3).passed
+    # afls: the sectors of the crossed product refused above fit on their own
+    bruteforce._check_bar_cap(3, 3, 5, bruteforce.DEFAULT_SIZE_CAP)

@@ -99,6 +99,16 @@ def test_unknown_preset(capsys):
     assert "error:" in err
 
 
+def test_unreadable_preset_path_is_a_usage_error(capsys, tmp_path):
+    # a directory exists but cannot be read as a preset file
+    code, out, err = run(capsys, "betti", "--preset", str(tmp_path), "-n", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read preset file ")
+    assert repr(str(tmp_path)) in err
+    with pytest.raises(ValueError, match="cannot read preset file"):
+        load_preset(str(tmp_path))
+
+
 def test_size_caps_refuse_before_any_work(monkeypatch, capsys):
     calls = []
 

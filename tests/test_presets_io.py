@@ -219,3 +219,16 @@ def test_csv_series_round_trip_up_to_bounds_property(s):
     assert back.q_bound == max((n for n, _, _ in terms), default=0)
     assert back.t_bound == max((i for _, i, _ in terms), default=0)
     assert emit(back, "csv") == emit(s, "csv")
+
+
+@pytest.mark.parametrize("payload", [
+    b"degree,dim\n1,2\n1,3",
+    b"n,i,dim\n1,0,2\n1,0,3",
+    b'{"schema": "wreath-hochschild/series-v1", "q_bound": 1, "t_bound": 1,'
+    b' "terms": [[1, 0, 2], [1, 0, 3]]}',
+    b'{"schema": "wreath-hochschild/table-v1", "dims": {"1": 2, "01": 3}}',
+    b'{"schema": "wreath-hochschild/table-v1", "dims": {"1": 2, "1": 3}}',
+], ids=["csv table", "csv series", "json series", "json table", "json key"])
+def test_parse_refuses_a_degree_or_term_named_twice(payload):
+    with pytest.raises(ValueError, match="twice"):
+        parse(payload)

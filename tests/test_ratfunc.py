@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wreath_hochschild.ratfunc import RatFunc, _content, _exact_div, _pgcd, _strip
+from wreath_hochschild.ratfunc import RatFunc, _content, _exact_div, _pgcd, _strip, poly_eval
 
 
 def rand_ratfunc(rng, deg=3):
@@ -302,3 +302,18 @@ def test_laurent_constructor_refuses_non_integer_coefficients():
     for bad in ({0: 1.5}, {1: 1, 2: Fraction(1, 2)}, {-1: 2.0}):
         with pytest.raises(TypeError, match="non-integer coefficient"):
             RatFunc.from_laurent(bad)
+
+
+def test_poly_eval_is_the_power_sum():
+    rng = random.Random(17)
+    for _ in range(200):
+        coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.5:
+            coeffs = [Fraction(c, rng.randint(1, 4)) for c in coeffs]
+        x = rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 5))])
+        assert poly_eval(tuple(coeffs), x) == sum(c * x ** i for i, c in enumerate(coeffs))
+    # an integer point keeps an integer polynomial integral, and evaluate
+    # still gives an exact Fraction
+    assert type(poly_eval((1, 2, 3), 2)) is int
+    value = RatFunc((1, 1), (2,)).evaluate(3)
+    assert (type(value), value) == (Fraction, Fraction(2))
