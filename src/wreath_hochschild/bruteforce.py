@@ -24,7 +24,8 @@ point, homotopy_identity_check included, first checks a size cap
 from dimensions alone, before anything is built; HH_SIZE_CAP in the
 environment overrides it (a nonnegative integer, else ValueError).
 Bimodule actions are tabulated at construction.  Every map given by its
-columns runs through linalg.apply_columns, and every tensor product of sparse vectors (A tensor B, TwistedBimodule) through _expand.
+columns runs through linalg.apply_columns, and every tensor product of
+sparse vectors (A tensor B, TwistedBimodule) through _expand.
 """
 
 from __future__ import annotations

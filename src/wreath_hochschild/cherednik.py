@@ -14,9 +14,9 @@ x-monomial, then group element, then p-monomial, with coefficients that
 are polynomials in k over the rationals (dense tuples of ints, with a
 Fraction only where a denominator appears, as in the 1/n! of the
 spherical idempotent, added, multiplied and evaluated by poly_add,
-poly_mul and poly_eval of ratfunc), so flatness statements are checked over the polynomial ring
-rather than at a numeric k.  Setting k = 0 recovers the
-crossed product of S_n with n commuting Weyl pairs;
+poly_mul and poly_eval of ratfunc), so flatness statements are checked
+over the polynomial ring rather than at a numeric k.  Setting k = 0
+recovers the crossed product of S_n with n commuting Weyl pairs;
 crossed_weyl_normal_order implements that algebra directly, without the
 rewriting engine, and serves as an oracle for the k -> 0 specialization
 of every normal form.

@@ -21,10 +21,9 @@ that needs no gcd at all: from_laurent builds it directly, and laurent()
 reads it back (None for a value outside Z[q, 1/q]), so sums of q-powers
 can be added up as integers and made a RatFunc once.
 
-Shared helpers: poly_add, poly_mul and poly_eval (Horner's rule), which
-take Fraction coefficients too, also carry the k-polynomials of
-cherednik, and poly_str prints the polynomials of the RatFunc and
-BiSeries reprs and of presets_io plain.
+Shared helpers: poly_add, poly_mul and poly_eval, which take Fraction
+coefficients too, also carry the k-polynomials of cherednik; poly_str
+prints the RatFunc and BiSeries polynomials and those of presets_io plain.
 """
 
 from __future__ import annotations
