@@ -5,118 +5,60 @@ and cohomology of S_n acting on n-fold tensor powers of a fixed algebra,
 packages them into bivariate generating series with closed product forms,
 and cross-checks the structural identities behind those formulas with
 brute-force chain-level computations at small size.
+
+Every public name loads on first use: `wh.X`, `from wreath_hochschild
+import X` and `import *` import the submodule that owns X then, and not
+before, so a caller of the series layer never loads the chain-level ones.
 """
 
-from .betti import AlgebraPreset, BettiTable, super_sym_powers
-from .bruteforce import (
-    AutoTwistedBimodule,
-    FiniteDimAlgebra,
-    GroupAction,
-    RegularBimodule,
-    SizeCapExceeded,
-    TwistedBimodule,
-    afls_check,
-    crossed_product,
-    hh_dims,
-    homotopy_identity_check,
-    rotation_permutation,
-    tensor_power,
-    verify_homolog_i,
-)
-from .cherednik import (
-    CherednikElement,
-    NormalMonomial,
-    associativity_check,
-    confluence_check,
-    crossed_weyl_normal_order,
-    normal_monomial_count,
-    normal_order,
-    pbw_dimension_check,
-    spherical_check,
-    spherical_idempotent,
-    spherical_product,
-)
-from .koszul import (
-    FilteredWindow,
-    RankOneElement,
-    WindowInstability,
-    build_cochain_complex,
-    crossed_z2_cohomology,
-    duality_check,
-    hh_cohomology_rank_one,
-)
-from .linalg import CertificateError
-from .partitions import Partition, count_by_length, partition_count, partitions
-from .presets_io import CheckReport, emit, load_preset, parse
-from .series import BiSeries
-from .wreath import (
-    PRESETS,
-    closed_form,
-    deformation_parameter_count,
-    gamma_preset,
-    gamma_series,
-    generating_series_product,
-    generating_series_sum,
-    hh_cohomology_wreath,
-    hh_homology_wreath,
-    hilb_poincare,
-    surface_preset,
-)
+import importlib
 
-__all__ = [
-    "AlgebraPreset",
-    "AutoTwistedBimodule",
-    "BettiTable",
-    "BiSeries",
-    "CertificateError",
-    "CheckReport",
-    "CherednikElement",
-    "FilteredWindow",
-    "FiniteDimAlgebra",
-    "GroupAction",
-    "NormalMonomial",
-    "PRESETS",
-    "Partition",
-    "RankOneElement",
-    "RegularBimodule",
-    "SizeCapExceeded",
-    "TwistedBimodule",
-    "WindowInstability",
-    "afls_check",
-    "associativity_check",
-    "build_cochain_complex",
-    "closed_form",
-    "confluence_check",
-    "count_by_length",
-    "crossed_product",
-    "crossed_weyl_normal_order",
-    "crossed_z2_cohomology",
-    "deformation_parameter_count",
-    "duality_check",
-    "emit",
-    "gamma_preset",
-    "gamma_series",
-    "generating_series_product",
-    "generating_series_sum",
-    "hh_cohomology_rank_one",
-    "hh_cohomology_wreath",
-    "hh_dims",
-    "hh_homology_wreath",
-    "hilb_poincare",
-    "homotopy_identity_check",
-    "load_preset",
-    "normal_monomial_count",
-    "normal_order",
-    "parse",
-    "partition_count",
-    "partitions",
-    "pbw_dimension_check",
-    "rotation_permutation",
-    "spherical_check",
-    "spherical_idempotent",
-    "spherical_product",
-    "super_sym_powers",
-    "surface_preset",
-    "tensor_power",
-    "verify_homolog_i",
-]
+# The one public name that is also a submodule's name.  Importing a submodule
+# binds it as a package attribute, so the function is bound here first: after
+# that the import is cached and nothing rebinds the name.
+from .partitions import partitions
+
+# public name -> owning submodule, one row per submodule
+_EXPORTS = {
+    "betti": ("AlgebraPreset", "BettiTable", "super_sym_powers"),
+    "bruteforce": (
+        "AutoTwistedBimodule", "FiniteDimAlgebra", "GroupAction", "RegularBimodule",
+        "SizeCapExceeded", "TwistedBimodule", "afls_check", "crossed_product", "hh_dims",
+        "homotopy_identity_check", "rotation_permutation", "tensor_power",
+        "verify_homolog_i",
+    ),
+    "cherednik": (
+        "CherednikElement", "NormalMonomial", "associativity_check", "confluence_check",
+        "crossed_weyl_normal_order", "normal_monomial_count", "normal_order",
+        "pbw_dimension_check", "spherical_check", "spherical_idempotent",
+        "spherical_product",
+    ),
+    "koszul": (
+        "FilteredWindow", "RankOneElement", "WindowInstability", "build_cochain_complex",
+        "crossed_z2_cohomology", "duality_check", "hh_cohomology_rank_one",
+    ),
+    "linalg": ("CertificateError",),
+    "partitions": ("Partition", "count_by_length", "partition_count", "partitions"),
+    "presets_io": ("CheckReport", "emit", "load_preset", "parse"),
+    "series": ("BiSeries",),
+    "wreath": (
+        "PRESETS", "closed_form", "deformation_parameter_count", "gamma_preset",
+        "gamma_series", "generating_series_product", "generating_series_sum",
+        "hh_cohomology_wreath", "hh_homology_wreath", "hilb_poincare", "surface_preset",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups are plain dict hits
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

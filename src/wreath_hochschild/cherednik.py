@@ -245,12 +245,19 @@ def _reduce_words(pending: dict, n: int, rightmost: bool) -> dict:
 # elements
 
 
+def _check_rank(n) -> None:
+    # type(), not isinstance: True is refused, not read as n = 1
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive int, got {n!r}")
+
+
 class CherednikElement:
     """Finitely supported combination of normal monomials over Q[k]."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=()):
+        _check_rank(n)
         self.n = n
         clean: dict = {}
         items = terms.items() if isinstance(terms, dict) else terms
@@ -336,8 +343,7 @@ def normal_order(word, n: int, strategy: str = "leftmost") -> CherednikElement:
     "rightmost" pick which redex is expanded first and exist so that
     confluence_check can compare them.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_rank(n)
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     atoms = _parse_atoms(word, n)
@@ -375,6 +381,7 @@ def crossed_weyl_normal_order(word, n: int) -> dict:
     through p^b by permuting exponents.  Returns monomial -> coefficient,
     an int (the k = 0 relations have integer coefficients).
     """
+    _check_rank(n)
     atoms = _parse_atoms(word, n)
     zero = (0,) * n
     terms = {NormalMonomial(zero, _identity(n), zero): 1}
@@ -408,6 +415,7 @@ def crossed_weyl_normal_order(word, n: int) -> dict:
 
 def spherical_idempotent(n: int) -> CherednikElement:
     """The symmetrizer e = (1/n!) sum of all group elements."""
+    _check_rank(n)
     zero = (0,) * n
     c = Fraction(1, factorial(n))
     return CherednikElement(

@@ -17,6 +17,10 @@ first (exit 2 unless a nonnegative integer); randomized suites take
 --seed.  betti, hilb and deform read the q^n coefficient of the product
 series; every table command refuses a q bound (-n or --max-q) above
 MAX_SERIES_Q and a t bound above MAX_SERIES_T, with exit 2 before any work.
+
+The table commands load only the series layer.  Only verify and cherednik
+load the chain-level layers (bruteforce, koszul, cherednik, linalg and
+ratfunc), by importing them inside the functions that use them.
 """
 
 import argparse
@@ -24,30 +28,6 @@ import random
 import sys
 
 from .betti import BettiTable
-from .bruteforce import (
-    FiniteDimAlgebra,
-    GroupAction,
-    _resolve_cap,
-    afls_check,
-    homotopy_identity_check,
-    slot_permutation,
-    verify_homolog_i,
-)
-from .cherednik import (
-    associativity_check,
-    confluence_check,
-    normal_order,
-    pbw_dimension_check,
-    spherical_check,
-)
-from .koszul import (
-    KINDS,
-    TWISTS,
-    build_cochain_complex,
-    crossed_z2_cohomology,
-    duality_check,
-    hh_cohomology_rank_one,
-)
 from .partitions import count_by_length
 from .presets_io import CheckReport, emit, load_preset
 from .wreath import (
@@ -125,6 +105,8 @@ def _cmd_deform(args) -> int:
 
 
 def _cmd_cherednik(args) -> int:
+    from .cherednik import normal_order
+
     print(normal_order(args.word, args.n))
     return 0
 
@@ -197,6 +179,15 @@ def verify_wreath(seed: int = 0) -> list:
 
 
 def verify_bruteforce(seed: int = 0) -> list:
+    from .bruteforce import (
+        FiniteDimAlgebra,
+        GroupAction,
+        afls_check,
+        homotopy_identity_check,
+        slot_permutation,
+        verify_homolog_i,
+    )
+
     reports = []
     dual = FiniteDimAlgebra.truncated_polynomial(2)
     z2 = FiniteDimAlgebra.group_algebra([[0, 1], [1, 0]])
@@ -227,6 +218,15 @@ def _preset_dims(name: str) -> tuple:
 
 
 def verify_koszul(seed: int = 0) -> list:
+    from .koszul import (
+        KINDS,
+        TWISTS,
+        build_cochain_complex,
+        crossed_z2_cohomology,
+        duality_check,
+        hh_cohomology_rank_one,
+    )
+
     checks = [(
         all(
             not any(build_cochain_complex(kind, twist, 6)[2].values())
@@ -251,6 +251,13 @@ def verify_koszul(seed: int = 0) -> list:
 
 
 def verify_cherednik(seed: int = 0) -> list:
+    from .cherednik import (
+        associativity_check,
+        confluence_check,
+        pbw_dimension_check,
+        spherical_check,
+    )
+
     reports = [confluence_check(2, 4), confluence_check(3, 3)]
     reports.extend(pbw_dimension_check(n, 3) for n in (2, 3))
     reports.extend(associativity_check(n, trials=100, seed=seed) for n in (2, 3))
@@ -267,6 +274,8 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    from .bruteforce import _resolve_cap
+
     _resolve_cap(None)  # a malformed HH_SIZE_CAP is a usage error, before any suite
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     all_ok = True

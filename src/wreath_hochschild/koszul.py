@@ -104,7 +104,9 @@ class FilteredWindow:
     __slots__ = ("N",)
 
     def __init__(self, N: int):
-        if not isinstance(N, int) or N < 4:
+        if type(N) is not int:
+            raise ValueError(f"window must be an int >= 4, got {N!r}")
+        if N < 4:
             raise ValueError("window too small (N < 4)")
         self.N = N
 

@@ -12,8 +12,7 @@ import os
 from dataclasses import dataclass, field
 
 from .betti import AlgebraPreset, BettiTable
-from .ratfunc import poly_str
-from .series import BiSeries
+from .series import BiSeries, poly_str
 from .wreath import PRESETS, gamma_preset
 
 _SERIES_SCHEMA = "wreath-hochschild/series-v1"

@@ -22,14 +22,17 @@ reads it back (None for a value outside Z[q, 1/q]), so sums of q-powers
 can be added up as integers and made a RatFunc once.
 
 Shared helpers: poly_add, poly_mul and poly_eval, which take Fraction
-coefficients too, also carry the k-polynomials of cherednik; poly_str
-prints the RatFunc and BiSeries polynomials and those of presets_io plain.
+coefficients too, also carry the k-polynomials of cherednik.  The one
+polynomial printer, poly_str, lives in series, so that the table commands
+print without loading this module; it is imported here for __repr__.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .series import poly_str
 
 # polynomials: tuples of ints, lowest degree first, no trailing zeros
 
@@ -337,6 +340,8 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def evaluate(self, q: Fraction) -> Fraction:
+        if type(q) not in (int, Fraction):
+            raise TypeError(f"evaluate needs an int or Fraction point, got {q!r}")
         return Fraction(poly_eval(self.num, q)) / poly_eval(self.den, q)
 
     def __repr__(self):
@@ -349,24 +354,3 @@ def _new(num, den) -> RatFunc:
     out = object.__new__(RatFunc)
     out.num, out.den = _reduce(num, den)
     return out
-
-
-def poly_str(terms, var: str) -> str:
-    """Render (degree, coefficient) pairs, in ascending degree, as a
-    polynomial in var; zero coefficients are skipped, and nothing is "0"."""
-    out = ""
-    for i, c in terms:
-        if not c:
-            continue
-        if i == 0:
-            term = str(c)
-        else:
-            mono = var if i == 1 else f"{var}^{i}"
-            term = mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}"
-        if not out:
-            out = term
-        elif term.startswith("-"):
-            out += f" - {term[1:]}"
-        else:
-            out += f" + {term}"
-    return out or "0"

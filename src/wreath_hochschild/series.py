@@ -4,13 +4,14 @@ A BiSeries stores the coefficients of sum_{n,i} c[n][i] q^n t^i for
 0 <= n <= q_bound and 0 <= i <= t_bound.  All arithmetic is exact;
 products are truncated to the shared bounds.  The q variable counts
 the wreath index n, the t variable counts (co)homological degree.
+
+poly_str, the one polynomial printer, lives here, at the bottom of the
+table stack: BiSeries, presets_io plain output and RatFunc all use it.
 """
 
 from __future__ import annotations
 
 import math
-
-from .ratfunc import poly_str
 
 
 class BiSeries:
@@ -196,3 +197,24 @@ class BiSeries:
                 parts.append(f"q^{n}*({poly})" if n else poly)
         body = " + ".join(parts) if parts else "0"
         return f"BiSeries[q<={self.q_bound}, t<={self.t_bound}]({body})"
+
+
+def poly_str(terms, var: str) -> str:
+    """Render (degree, coefficient) pairs, in ascending degree, as a
+    polynomial in var; zero coefficients are skipped, and nothing is "0"."""
+    out = ""
+    for i, c in terms:
+        if not c:
+            continue
+        if i == 0:
+            term = str(c)
+        else:
+            mono = var if i == 1 else f"{var}^{i}"
+            term = mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += f" - {term[1:]}"
+        else:
+            out += f" + {term}"
+    return out or "0"

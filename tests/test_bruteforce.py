@@ -349,7 +349,7 @@ def test_non_cycle_sample_is_a_certificate_error(monkeypatch, capsys):
     with pytest.raises(CertificateError, match="not a cycle"):
         homotopy_identity_check(z2_algebra(), 2, 2)
     # the slow twisted-coefficient reductions are not under test here
-    monkeypatch.setattr(cli, "verify_homolog_i",
+    monkeypatch.setattr(bruteforce, "verify_homolog_i",
                         lambda A, n, max_level: CheckReport("stub", True))
     assert cli.main(["verify", "bruteforce"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -253,3 +253,16 @@ def test_normal_forms_of_random_words_stay_exact(case):
     compressed = spherical_product(elem)
     assert all(type(c) in (int, Fraction) for c in coefficient_values(compressed))
     assert "." not in str(compressed)
+
+
+@pytest.mark.parametrize("n", [2.0, True, 0, -1, "2"])
+@pytest.mark.parametrize("entry", [
+    lambda n: normal_order("x1", n),
+    lambda n: crossed_weyl_normal_order("x1", n),
+    spherical_idempotent,
+    CherednikElement,
+], ids=["normal_order", "crossed_weyl_normal_order", "spherical_idempotent",
+        "CherednikElement"])
+def test_entry_points_refuse_an_n_that_is_not_a_positive_int(entry, n):
+    with pytest.raises(ValueError, match="n must be a positive int"):
+        entry(n)

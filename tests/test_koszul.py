@@ -166,6 +166,14 @@ def test_window_too_small():
         hh_cohomology_rank_one("weyl", "id", 2)
 
 
+def test_window_must_be_an_int_of_at_least_4():
+    for N in (6.0, True, "6", None):
+        with pytest.raises(ValueError, match=r"window must be an int >= 4, got "):
+            FilteredWindow(N)
+    with pytest.raises(ValueError, match=r"window too small \(N < 4\)"):
+        FilteredWindow(3)
+
+
 def test_cochain_composite_is_zero():
     for kind in ("weyl", "trig", "qweyl"):
         for twist in ("id", "eps"):

@@ -317,3 +317,10 @@ def test_poly_eval_is_the_power_sum():
     assert type(poly_eval((1, 2, 3), 2)) is int
     value = RatFunc((1, 1), (2,)).evaluate(3)
     assert (type(value), value) == (Fraction, Fraction(2))
+
+
+@pytest.mark.parametrize("q", [0.5, True, "2"])
+def test_evaluate_refuses_an_inexact_point(q):
+    # the constructor refuses floats already; a point must be exact too
+    with pytest.raises(TypeError, match="int or Fraction"):
+        RatFunc((1, 1), (2,)).evaluate(q)
