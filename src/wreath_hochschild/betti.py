@@ -108,10 +108,11 @@ class AlgebraPreset:
 
 
 def check_duality(table: BettiTable, d: int) -> None:
-    """Refuse a duality dimension d that is not even and positive, and a
+    """Refuse a duality dimension d that is not an even positive int, and a
     cohomology table supported above degree d."""
-    if d <= 0 or d % 2:
-        raise ValueError("duality dimension d must be even and positive")
+    # type(), not isinstance: 2.0 and True are refused, not read as ints
+    if type(d) is not int or d <= 0 or d % 2:
+        raise ValueError(f"duality dimension d must be an even positive int, got {d!r}")
     if table.max_degree > d:
         raise ValueError("table support exceeds the duality dimension")
 

@@ -66,13 +66,6 @@ def _compose(sigma: tuple, tau: tuple) -> tuple:
     return tuple(sigma[t] for t in tau)
 
 
-def _inverse(sigma: tuple) -> tuple:
-    inv = [0] * len(sigma)
-    for i, v in enumerate(sigma):
-        inv[v] = i
-    return tuple(inv)
-
-
 def _transposition(n: int, i: int, j: int) -> tuple:
     one = list(range(n))
     one[i], one[j] = one[j], one[i]
@@ -190,7 +183,7 @@ def _rewrite(word, t: int, n: int) -> list:
         return out
     if a == "p" and b == "s":
         # p_i sigma = sigma p_{sigma^{-1}(i)}
-        return [(pre + (v, ("p", _inverse(v[1])[u[1]])) + post, KP_ONE)]
+        return [(pre + (v, ("p", v[1].index(u[1]))) + post, KP_ONE)]
     if a == "s" and b == "x":
         # sigma x_i = x_{sigma(i)} sigma
         return [(pre + (("x", u[1][v[1]]), u) + post, KP_ONE)]
@@ -357,15 +350,12 @@ def multiply(a: CherednikElement, b: CherednikElement) -> CherednikElement:
     if a.n != b.n:
         raise ValueError("rank mismatch")
     n = a.n
-    pairs = []
+    pending: dict = {}
     for m1, c1 in a.terms.items():
         w1 = _monomial_word(m1, n)
         for m2, c2 in b.terms.items():
-            c = poly_mul(c1, c2)
-            junction = {w1 + _monomial_word(m2, n): KP_ONE}
-            for mono, red in _reduce_words(junction, n, False).items():
-                pairs.append((mono, poly_mul(c, red)))
-    return CherednikElement(n, pairs)
+            _kp_add_into(pending, w1 + _monomial_word(m2, n), poly_mul(c1, c2))
+    return CherednikElement(n, _reduce_words(pending, n, False))
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +448,7 @@ def confluence_check(n: int, max_deg: int) -> CheckReport:
     Also compares the k = 0 specialization of every normal form with the
     independent crossed-product engine.
     """
+    _check_rank(n)
     failure, total = None, 0
     for total, word in enumerate(_all_words(n, max_deg), 1):
         left = normal_order(word, n, "leftmost")
@@ -488,6 +479,7 @@ def _all_monomials(n: int, max_deg: int) -> list:
 
 def normal_monomial_count(n: int, max_deg: int) -> int:
     """Number of normal monomials of (x, p)-degree <= max_deg."""
+    _check_rank(n)
     return len(_all_monomials(n, max_deg))
 
 
@@ -500,6 +492,7 @@ def pbw_dimension_check(n: int, max_deg: int) -> CheckReport:
     filtration with a k-free top part (so the associated graded algebra
     is the k = 0 crossed product on the same monomial basis).
     """
+    _check_rank(n)
     expected = factorial(n) * comb(2 * n + max_deg, max_deg)
     count = normal_monomial_count(n, max_deg)
     filtered = graded = True
@@ -521,6 +514,7 @@ def pbw_dimension_check(n: int, max_deg: int) -> CheckReport:
 
 def associativity_check(n: int, trials: int = 100, seed: int = 0) -> CheckReport:
     """Exact associativity of multiply on random low-degree elements."""
+    _check_rank(n)
     rng = random.Random(seed)
     monos = _all_monomials(n, 2)
 
@@ -545,6 +539,7 @@ def associativity_check(n: int, trials: int = 100, seed: int = 0) -> CheckReport
 
 def spherical_check(n: int) -> CheckReport:
     """Symmetrizer identities: e^2 = e, sigma e = e sigma = e, bi-invariance."""
+    _check_rank(n)
     e = spherical_idempotent(n)
     zero = (0,) * n
     group = [
@@ -568,20 +563,14 @@ def spherical_check(n: int) -> CheckReport:
 
 
 def _cycles(perm: tuple) -> list:
-    seen = [False] * len(perm)
-    cycles = []
+    seen, cycles = set(), []
     for i in range(len(perm)):
-        if seen[i] or perm[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        cycles.append(cyc)
+        if i not in seen and perm[i] != i:
+            cyc = [i]
+            while perm[cyc[-1]] != i:
+                cyc.append(perm[cyc[-1]])
+            seen.update(cyc)
+            cycles.append(cyc)
     return cycles
 
 

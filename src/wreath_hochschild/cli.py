@@ -15,8 +15,11 @@ failed check, and the remaining suites still run.  The brute-force size
 cap honours the HH_SIZE_CAP environment variable, which verify checks
 first (exit 2 unless a nonnegative integer); randomized suites take
 --seed.  betti, hilb and deform read the q^n coefficient of the product
-series; every table command refuses a q bound (-n or --max-q) above
-MAX_SERIES_Q and a t bound above MAX_SERIES_T, with exit 2 before any work.
+series, as wreath's hilb_poincare and deformation_parameter_count do; the
+partition walk behind hh_homology_wreath, hh_cohomology_wreath and
+generating_series_sum is only the oracle of verify wreath.  Every table
+command refuses a q bound (-n or --max-q) above MAX_SERIES_Q and a t bound
+above MAX_SERIES_T, with exit 2 before any work; the library has no cap.
 
 The table commands load only the series layer.  Only verify and cherednik
 load the chain-level layers (bruteforce, koszul, cherednik, linalg and
@@ -32,7 +35,7 @@ from .partitions import count_by_length
 from .presets_io import CheckReport, emit, load_preset
 from .wreath import (
     CLOSED_FORM_PRESETS,
-    _check_deform_args,
+    _wreath_table,
     closed_form,
     deformation_parameter_count,
     generating_series_product,
@@ -57,13 +60,6 @@ def _check_bounds(q_bound: int, t_bound: int, q_flag: str, t_rule: str):
         raise ValueError(f"t bound {t_bound} ({t_rule}) is above the cap of {MAX_SERIES_T}")
 
 
-def _wreath_table(coh: BettiTable, d: int, n: int, t_bound: int) -> BettiTable:
-    """The q^n slice of the product series to t^t_bound: all of the n-th
-    wreath table once t_bound >= d * n, its top degree."""
-    _check_bounds(n, t_bound, "-n", "d * n")
-    return BettiTable(generating_series_product(coh, d, n, t_bound).q_coefficient(n))
-
-
 def _cmd_series(args) -> int:
     preset = load_preset(args.preset)
     if args.group == "B":
@@ -81,6 +77,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_betti(args) -> int:
     preset = load_preset(args.preset)
+    _check_bounds(args.n, preset.d * args.n, "-n", "d * n")
     table = _wreath_table(preset.betti, preset.d, args.n, preset.d * args.n)
     sys.stdout.buffer.write(emit(table, args.format))
     return 0
@@ -91,16 +88,17 @@ def _cmd_hilb(args) -> int:
         dims = [int(v) for v in args.betti.split(",")]
     except ValueError:
         raise ValueError(f"--betti expects comma-separated integers, got {args.betti!r}")
-    table = _wreath_table(BettiTable(dict(enumerate(dims))), 2, args.n, 2 * args.n)
-    sys.stdout.buffer.write(emit(table, args.format))
+    table = BettiTable(dict(enumerate(dims)))
+    _check_bounds(args.n, 2 * args.n, "-n", "d * n")
+    sys.stdout.buffer.write(emit(hilb_poincare(table, args.n), args.format))
     return 0
 
 
 def _cmd_deform(args) -> int:
     preset = load_preset(args.preset)
-    _check_deform_args(preset.betti, args.n)
-    # the count is the degree-2 entry, so t^2 is all the series needs
-    print(_wreath_table(preset.betti, preset.d, args.n, 2)[2])
+    # the count reads the series to t^2 only, whatever d is
+    _check_bounds(args.n, 2, "-n", "d * n")
+    print(deformation_parameter_count(preset.betti, preset.d, args.n))
     return 0
 
 
@@ -141,24 +139,15 @@ def verify_wreath(seed: int = 0) -> list:
                                            [(bad is None, text)]))
 
     pa = closed_form("PA", 12)
-    stat = all(
-        pa.q_coefficient(n).get(2 * (n - parts), 0) == count
-        for n in range(13)
-        for parts, count in count_by_length(n).items()
-    )
-    total = all(
-        sum(pa.q_coefficient(n).values()) == sum(count_by_length(n).values())
-        for n in range(13)
-    )
     point = BettiTable({0: 1})
+    # row n of the statistic: t^(2(n-l)) -> number of partitions of n with l parts
+    stat = [{2 * (n - parts): c for parts, c in count_by_length(n).items()}
+            for n in range(13)]
     reports.append(CheckReport.from_checks("wreath partition statistic", [
-        (stat and total,
+        (all(pa.q_coefficient(n) == stat[n] for n in range(13)),
          "q^n t^(2(n-l)) coefficients count partitions of n with l parts, n <= 12"),
-        (all(
-            hilb_poincare(point, n).dims()
-            == {2 * (n - parts): c for parts, c in count_by_length(n).items()}
-            for n in range(11)
-        ), "one-point orbifold polynomials match the partition statistic, n <= 10"),
+        (all(hilb_poincare(point, n).dims() == stat[n] for n in range(11)),
+         "one-point orbifold polynomials match the partition statistic, n <= 10"),
     ]))
 
     checks = []

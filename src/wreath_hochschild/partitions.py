@@ -18,8 +18,9 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
-        if any(p <= 0 for p in parts):
+        parts = tuple(parts)
+        # type(), not isinstance: 2.5, True and "2" are refused, not converted
+        if any(type(p) is not int or p <= 0 for p in parts):
             raise ValueError("parts must be positive integers")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
@@ -61,8 +62,8 @@ def partitions(n: int) -> Iterator[Partition]:
 
     partitions(0) yields the single empty partition.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a nonnegative int, got {n!r}")
 
     def gen(rest: int, maxpart: int):
         if rest == 0:

@@ -61,6 +61,8 @@ class BiSeries:
 
     def q_coefficient(self, n: int) -> dict[int, int]:
         """The coefficient of q^n as a t-polynomial {degree: coeff}, zeros dropped."""
+        if not 0 <= n <= self.q_bound:
+            raise IndexError("coefficient outside truncation bounds")
         row = self.coeff[n]
         return {i: c for i, c in enumerate(row) if c}
 

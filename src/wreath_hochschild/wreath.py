@@ -7,6 +7,9 @@ power, and in cohomology each part of size i is shifted up by d(i-1).
 Summing q^n times the Poincare polynomial over n produces a bivariate
 series with an infinite-product form; both routes are implemented and the
 named classical cases are additionally transcribed as literal products.
+hilb_poincare and deformation_parameter_count read the q^n slice of the
+product, as the CLI table commands do; the partition sum is the oracle,
+behind hh_homology_wreath, hh_cohomology_wreath and generating_series_sum.
 
 The partition sum is a depth-first walk over (part size i, multiplicity p),
 largest part first.  Every partition is one leaf, no subtree is shared and
@@ -45,7 +48,7 @@ PRESETS: dict[str, AlgebraPreset] = {
 
 def gamma_preset(nu: int) -> AlgebraPreset:
     """Preset for a finite-subgroup crossed product with nu conjugacy classes."""
-    if nu < 1:
+    if type(nu) is not int or nu < 1:
         raise ValueError("nu must be a positive integer")
     return AlgebraPreset(f"gamma:{nu}", 2, BettiTable({0: 1, 2: nu - 1}))
 
@@ -209,11 +212,17 @@ def closed_form(label: str, q_bound: int, t_bound: int | None = None) -> BiSerie
 
 def gamma_series(nu: int, q_bound: int, t_bound: int | None = None) -> BiSeries:
     """prod_m (1 - q^m t^{2(m-1)})^{-1} (1 - q^m t^{2m})^{1-nu}."""
-    if nu < 1:
+    if type(nu) is not int or nu < 1:
         raise ValueError("nu must be a positive integer")
     if t_bound is None:
         t_bound = 2 * q_bound
     return _euler_product([(-1, 2, -2, -1), (-1, 2, 0, 1 - nu)], q_bound, t_bound)
+
+
+def _wreath_table(coh: BettiTable, d: int, n: int, t_bound: int) -> BettiTable:
+    """The q^n slice of the product series to t^t_bound: all of the n-th
+    wreath table once t_bound >= d * n, its top degree."""
+    return BettiTable(generating_series_product(coh, d, n, t_bound).q_coefficient(n))
 
 
 def hilb_poincare(surface_coh: BettiTable, n: int) -> BettiTable:
@@ -223,7 +232,7 @@ def hilb_poincare(surface_coh: BettiTable, n: int) -> BettiTable:
     of Hilbert schemes of points on the affine plane.  A table supported
     above degree 2 is refused by the one duality check, check_duality.
     """
-    return hh_cohomology_wreath(surface_coh, 2, n)
+    return _wreath_table(surface_coh, 2, n, 2 * n)
 
 
 def deformation_parameter_count(coh: BettiTable, d: int, n: int) -> int:
@@ -231,16 +240,12 @@ def deformation_parameter_count(coh: BettiTable, d: int, n: int) -> int:
 
     Defined as the degree-2 entry of the wreath cohomology table.  For
     d = 2 this works out to b2 + b1(b1-1)/2 + 1; for d > 2 the extra +1
-    disappears.  Requires a one-dimensional degree-0 part.
+    disappears.  Requires a one-dimensional degree-0 part and n >= 2.
     """
     check_duality(coh, d)
-    _check_deform_args(coh, n)
-    return hh_cohomology_wreath(coh, d, n)[2]
-
-
-def _check_deform_args(coh: BettiTable, n: int):
-    """Refuse a degree-0 entry other than 1 and an n below 2."""
     if coh[0] != 1:
         raise ValueError("degree-0 entry must be 1")
     if n < 2:
         raise ValueError("n must be at least 2")
+    # the count is the degree-2 entry, so t^2 is all the series needs
+    return _wreath_table(coh, d, n, 2)[2]

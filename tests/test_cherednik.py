@@ -261,8 +261,14 @@ def test_normal_forms_of_random_words_stay_exact(case):
     lambda n: crossed_weyl_normal_order("x1", n),
     spherical_idempotent,
     CherednikElement,
+    lambda n: confluence_check(n, 2),
+    lambda n: pbw_dimension_check(n, 1),
+    lambda n: associativity_check(n, 1),
+    spherical_check,
+    lambda n: normal_monomial_count(n, 1),
 ], ids=["normal_order", "crossed_weyl_normal_order", "spherical_idempotent",
-        "CherednikElement"])
+        "CherednikElement", "confluence_check", "pbw_dimension_check",
+        "associativity_check", "spherical_check", "normal_monomial_count"])
 def test_entry_points_refuse_an_n_that_is_not_a_positive_int(entry, n):
     with pytest.raises(ValueError, match="n must be a positive int"):
         entry(n)

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from wreath_hochschild.partitions import (
     Partition,
     count_by_length,
@@ -58,13 +60,19 @@ def test_multiplicities():
 
 
 def test_partition_validation():
-    for bad in [(1, 2), (0,), (-1,), (2, 3, 1)]:
+    for bad in [(1, 2), (0,), (-1,), (2, 3, 1), (2.5,), (True,), ("2",)]:
         try:
             Partition(bad)
         except ValueError:
             pass
         else:
             assert False, f"expected ValueError for {bad}"
+
+
+def test_partitions_refuse_an_n_that_is_not_an_int():
+    for bad in (True, 2.5, "2", -1):
+        with pytest.raises(ValueError, match="^n must be a nonnegative int"):
+            list(partitions(bad))
 
 
 def test_count_by_length_row_sums():

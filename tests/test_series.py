@@ -90,6 +90,13 @@ def test_apply_factor_positive_power_is_binomial():
     assert s.q_coefficient(4) == {}
 
 
+def test_q_coefficient_refuses_an_n_outside_the_truncation():
+    s = BiSeries.one(3, 3)
+    for n in (-1, 4, 9):
+        with pytest.raises(IndexError, match="^coefficient outside truncation bounds$"):
+            s.q_coefficient(n)
+
+
 def test_apply_factor_rejects_divergent_expansion():
     one = BiSeries.one(4, 4)
     try:

@@ -41,7 +41,11 @@ def test_preset_catalog():
 def test_preset_validation():
     for bad in (lambda: AlgebraPreset("x", 3, BettiTable({0: 1})),
                 lambda: AlgebraPreset("x", 2, BettiTable({3: 1})),
-                lambda: gamma_preset(0)):
+                lambda: gamma_preset(0),
+                lambda: AlgebraPreset("x", 2.0, BettiTable({0: 1})),
+                lambda: AlgebraPreset("x", True, BettiTable({0: 1})),
+                lambda: gamma_preset(True),
+                lambda: gamma_preset(2.5)):
         try:
             bad()
         except ValueError:
@@ -95,7 +99,12 @@ def test_validation_errors():
                 lambda: hh_homology_wreath(ok, -2),
                 lambda: closed_form("nope", 3),
                 lambda: gamma_series(0, 3),
-                lambda: hilb_poincare(BettiTable({3: 1}), 2)):
+                lambda: hilb_poincare(BettiTable({3: 1}), 2),
+                lambda: hh_cohomology_wreath(ok, 2.0, 3),
+                lambda: generating_series_product(ok, 2.0, 3),
+                lambda: generating_series_sum(ok, 2.0, 3),
+                lambda: gamma_series(True, 3),
+                lambda: gamma_series(2.5, 3)):
         try:
             bad()
         except ValueError:
@@ -356,3 +365,12 @@ def test_partition_walk_matches_literal_sum_property(table_d, shifted, n):
 def test_walk_routes_refuse_an_n_that_is_not_an_int(route, n):
     with pytest.raises(ValueError):
         route(n)
+
+
+def test_library_tables_read_the_product_not_the_walk(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a library table reached the partition walk")
+
+    monkeypatch.setattr(wreath, "_partition_sum", forbidden)
+    assert hilb_poincare(BettiTable({0: 1}), 6) == {0: 1, 2: 1, 4: 2, 6: 3, 8: 3, 10: 1}
+    assert deformation_parameter_count(PRESETS["qweyl"].betti, 2, 6) == 3
