@@ -527,6 +527,10 @@ def hh_dims(B: FiniteDimAlgebra, M, max_level: int,
     (Loday, Cyclic Homology, 1.1.14), so a level has (dim B - 1)^k * dim M
     basis chains instead of dim(B)^k * dim M; it has the homology of the
     full bar complex.  The size cap still applies to the full complex.
+    Each rank is read off the rows of the level-k differential, its
+    transpose: a level has dim B - 1 times fewer rows than columns, so
+    elimination meets fewer, longer vectors.  Where a kernel is needed
+    (the sectors of afls_check, _random_cycles), columns are kept.
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
@@ -535,7 +539,11 @@ def hh_dims(B: FiniteDimAlgebra, M, max_level: int,
     cdims = [len(legs) ** k * M.dim for k in range(max_level + 2)]
     ranks = [0]
     for k in range(1, max_level + 2):
-        ranks.append(rank_of(_d_basis(table, M, key, k) for key in _keys(legs, M, k)))
+        rows: dict = {}
+        for key in _keys(legs, M, k):
+            for r, c in _d_basis(table, M, key, k).items():
+                rows.setdefault(r, {})[key] = c
+        ranks.append(rank_of(rows.values()))
     return [cdims[k] - ranks[k] - ranks[k + 1] for k in range(max_level + 1)]
 
 

@@ -71,6 +71,11 @@ def _slot_width(colours: int, n: int) -> int:
     return max(1, counts[n].bit_length())
 
 
+def _check_n(n) -> None:
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a nonnegative int, got {n!r}")
+
+
 def _sym_power_terms(table: BettiTable, shift: int, n: int) -> tuple[int, int, list[int]]:
     """(B, shift, packed): the slot width B for n and the super symmetric
     powers S^0 .. S^n of table, each packed as sum dim * 2^(B*degree).
@@ -78,8 +83,7 @@ def _sym_power_terms(table: BettiTable, shift: int, n: int) -> tuple[int, int, l
     One expansion serves every part size: for an even s, S^p(V[s]) =
     S^p(V)[p*s], so the shift * (i - 1) of a part of size i is applied by
     the walk, which adds it up over the parts of each partition."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a nonnegative int, got {n!r}")
+    _check_n(n)
     width = _slot_width(table.total_dim, n)
     return width, shift, [sum(v << width * k for k, v in s.dims().items())
                           for s in super_sym_powers(table, n)]
@@ -230,8 +234,10 @@ def hilb_poincare(surface_coh: BettiTable, n: int) -> BettiTable:
 
     For the one-point table {0:1} this reproduces the Poincare polynomials
     of Hilbert schemes of points on the affine plane.  A table supported
-    above degree 2 is refused by the one duality check, check_duality.
+    above degree 2 is refused by the one duality check, check_duality,
+    and an n that is not a nonnegative int with the walk's message.
     """
+    _check_n(n)
     return _wreath_table(surface_coh, 2, n, 2 * n)
 
 
@@ -240,11 +246,12 @@ def deformation_parameter_count(coh: BettiTable, d: int, n: int) -> int:
 
     Defined as the degree-2 entry of the wreath cohomology table.  For
     d = 2 this works out to b2 + b1(b1-1)/2 + 1; for d > 2 the extra +1
-    disappears.  Requires a one-dimensional degree-0 part and n >= 2.
+    disappears.  Requires a one-dimensional degree-0 part and an int n >= 2.
     """
     check_duality(coh, d)
     if coh[0] != 1:
         raise ValueError("degree-0 entry must be 1")
+    _check_n(n)
     if n < 2:
         raise ValueError("n must be at least 2")
     # the count is the degree-2 entry, so t^2 is all the series needs

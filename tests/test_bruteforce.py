@@ -29,7 +29,7 @@ from wreath_hochschild.bruteforce import (
     tensor_power,
     verify_homolog_i,
 )
-from wreath_hochschild.linalg import CertificateError, apply_columns, rank_of
+from wreath_hochschild.linalg import CertificateError, Echelon, apply_columns, rank_of
 from wreath_hochschild.presets_io import CheckReport
 
 ONE = Fraction(1)
@@ -408,6 +408,30 @@ def normalisation_cases():
                          ids=[c[0] for c in normalisation_cases()])
 def test_normalised_hh_dims_match_full_bar_complex(label, B, M, top):
     assert hh_dims(B, M, top) == full_complex_dims(B, M, top)
+
+
+@pytest.mark.parametrize("label, B, M, top", normalisation_cases(),
+                         ids=[c[0] for c in normalisation_cases()])
+def test_hh_dims_ranks_each_level_from_its_rows(monkeypatch, label, B, M, top):
+    # level k has (dim B - 1)^k * dim M columns but at most
+    # (dim B - 1)^(k - 1) * dim M rows, and only the rows are inserted
+    inserts = []
+    insert = Echelon.insert
+
+    def counted(self, vec):
+        inserts[-1] += 1
+        return insert(self, vec)
+
+    def per_level(vectors):
+        inserts.append(0)
+        return rank_of(vectors)
+
+    monkeypatch.setattr(Echelon, "insert", counted)
+    monkeypatch.setattr(bruteforce, "rank_of", per_level)
+    hh_dims(B, M, top)
+    assert len(inserts) == top + 1
+    for k, count in enumerate(inserts, 1):
+        assert count <= (B.dim - 1) ** (k - 1) * M.dim, (k, count)
 
 
 def test_twist_of_shifted_unit_algebra_is_an_automorphism():

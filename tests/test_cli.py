@@ -198,6 +198,8 @@ def test_tables_do_not_walk_partitions(monkeypatch, capsys):
      "degree-0 entry must be 1"),
     (("deform", "--preset", "qweyl", "-n", "1"), "n must be at least 2"),
     (("betti", "--preset", "qweyl", "-n", "-1"), "bounds must be nonnegative"),
+    (("hilb", "--betti", "1,0,0", "-n", "-1"), "n must be a nonnegative int, got -1"),
+    (("deform", "--preset", "qweyl", "-n", "-1"), "n must be a nonnegative int, got -1"),
     (("hilb", "--betti", "1,0,0,1", "-n", "3"), "table support exceeds the duality dimension"),
 ])
 def test_table_inputs_refused(capsys, argv, message):

@@ -525,3 +525,55 @@ def test_multiply_is_the_term_by_term_monomial_product():
         laurent.update(c.laurent() is None for c in (*x.terms.values(), *y.terms.values()))
         assert multiply(x, y) == reference(x, y)
     assert laurent == {False, True}
+
+
+def test_monomial_product_table_is_never_changed_by_a_caller(monkeypatch):
+    table = koszul._mono_mul
+    table.cache_clear()
+    asked = set()
+
+    def recording(*args):
+        asked.add(args)
+        return table(*args)
+
+    def reports():
+        return [(duality_check(kind).lines, crossed_z2_cohomology(kind, 8))
+                for kind in ("weyl", "trig")]
+
+    monkeypatch.setattr(koszul, "_mono_mul", recording)
+    cold = reports()
+    # every entry of the table was asked for above, and still holds its product
+    assert table.cache_info().currsize == len(asked) > 0
+    for args in asked:
+        assert table(*args) == table.__wrapped__(*args)
+    assert reports() == cold
+
+
+def normal_ordered_by_commutations(kind, a, b, c, d):
+    """x^a p^b x^c p^d normal-ordered by rewriting one adjacent p x at a
+    time, with p x = x p - 1 (weyl) or p X = X (p - 1) (trig); the letter
+    "y" is X^-1, which only stands left of every p."""
+    done, todo = {}, {("y" if a < 0 else "x",) * abs(a) + ("p",) * b
+                      + ("x",) * c + ("p",) * d: 1}
+    while todo:
+        word, coeff = todo.popitem()
+        i = next((i for i in range(len(word) - 1) if word[i:i + 2] == ("p", "x")), None)
+        if i is None:
+            koszul.add_term(done, (word.count("x") - word.count("y"), word.count("p")), coeff)
+            continue
+        head, tail = word[:i], word[i + 2:]
+        rest = () if kind == "weyl" else ("x",)
+        koszul.add_term(todo, head + ("x", "p") + tail, coeff)
+        koszul.add_term(todo, head + rest + tail, -coeff)
+    return done
+
+
+@pytest.mark.parametrize("kind", ["weyl", "trig"])
+def test_monomial_product_against_one_commutation_at_a_time(kind):
+    lefts = range(0, 3) if kind == "weyl" else range(-2, 3)
+    for a in lefts:
+        for b in range(5):
+            for c in range(5):
+                for d in range(3):
+                    want = normal_ordered_by_commutations(kind, a, b, c, d)
+                    assert koszul._mono_mul(kind, a, b, c, d) == want, (a, b, c, d)

@@ -355,7 +355,7 @@ def test_partition_walk_matches_literal_sum_property(table_d, shifted, n):
     assert own == reference_partition_sum(table, shift, n)
 
 
-@pytest.mark.parametrize("n", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
+@pytest.mark.parametrize("n", [1.5, 2.0, True, "3"], ids=["1.5", "2.0", "True", "str"])
 @pytest.mark.parametrize("route", [
     lambda n: hh_homology_wreath(PRESETS["qweyl"].betti, n),
     lambda n: hh_cohomology_wreath(PRESETS["qweyl"].betti, 2, n),
@@ -363,7 +363,7 @@ def test_partition_walk_matches_literal_sum_property(table_d, shifted, n):
     lambda n: deformation_parameter_count(PRESETS["qweyl"].betti, 2, n),
 ], ids=["homology", "cohomology", "hilb", "deform"])
 def test_walk_routes_refuse_an_n_that_is_not_an_int(route, n):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^n must be a nonnegative int, got {n!r}$"):
         route(n)
 
 
