@@ -239,16 +239,18 @@ def monomial_degree(key: tuple) -> int:
     return abs(a) + abs(b)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _mono_mul(kind: str, a: int, b: int, c: int, d: int):
     """Normal-ordered product of two monomials, as a terms dict.
 
     One memoised table per process: the same few products recur across
     windows and checks (duality_check("weyl", 6) alone asks for 212
-    distinct products 8522 times), and at the window caps of every kind
-    it holds 7290 entries.  The returned dict is shared with every later
-    caller, so callers only read it: _act and _ae_mul iterate it or add
-    it into their own output, and rank_of copies its input."""
+    distinct products 8522 times).  The checks of every kind at the
+    window caps fill 7290 entries, so they never evict; the bound keeps
+    products of large elements from growing the table for the life of
+    the process.  The returned dict is shared with every later caller,
+    so callers only read it: _act and _ae_mul iterate it or add it into
+    their own output, and rank_of copies its input."""
     if kind == "qweyl":
         # P^b X^c = q^{-bc} X^c P^b
         return {(a + c, b + d): RatFunc.q_power(-b * c)}
