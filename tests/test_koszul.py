@@ -555,6 +555,7 @@ def normal_ordered_by_commutations(kind, a, b, c, d):
     "y" is X^-1, which only stands left of every p."""
     done, todo = {}, {("y" if a < 0 else "x",) * abs(a) + ("p",) * b
                       + ("x",) * c + ("p",) * d: 1}
+    rest = () if kind == "weyl" else ("x",)
     while todo:
         word, coeff = todo.popitem()
         i = next((i for i in range(len(word) - 1) if word[i:i + 2] == ("p", "x")), None)
@@ -562,7 +563,6 @@ def normal_ordered_by_commutations(kind, a, b, c, d):
             koszul.add_term(done, (word.count("x") - word.count("y"), word.count("p")), coeff)
             continue
         head, tail = word[:i], word[i + 2:]
-        rest = () if kind == "weyl" else ("x",)
         koszul.add_term(todo, head + ("x", "p") + tail, coeff)
         koszul.add_term(todo, head + rest + tail, -coeff)
     return done
