@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .series import check_count
+
 
 class BettiTable:
     """Immutable map {degree: dimension} with zero entries dropped."""
@@ -125,8 +127,7 @@ def super_sym_powers(table: BettiTable, pmax: int):
 
     Returns a list of BettiTable, index p in 0..pmax.
     """
-    if pmax < 0:
-        raise ValueError("pmax must be nonnegative")
+    check_count(pmax, "pmax")
     # rows[p] = t-polynomial {degree: coeff} multiplying z^p
     rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(pmax)]
     for j in sorted(table.dims()):

@@ -48,6 +48,7 @@ from .linalg import (
     rank_of,
 )
 from .presets_io import CheckReport
+from .series import check_count
 
 DEFAULT_SIZE_CAP = 10 ** 7
 
@@ -137,8 +138,7 @@ class FiniteDimAlgebra:
     @classmethod
     def truncated_polynomial(cls, k: int) -> "FiniteDimAlgebra":
         """Q[x]/(x^k), basis 1, x, ..., x^{k-1}."""
-        if k < 1:
-            raise ValueError("k must be positive")
+        check_count(k, "k", 1)
         table = [
             [({i + j: 1} if i + j < k else {}) for j in range(k)]
             for i in range(k)
@@ -229,8 +229,7 @@ def _invert(columns):
 
 
 def tensor_power(A: FiniteDimAlgebra, n: int) -> FiniteDimAlgebra:
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_count(n, "n", 1)
     B = A
     for _ in range(n - 1):
         B = B.tensor(A)
@@ -326,8 +325,7 @@ class TwistedBimodule:
     __slots__ = ("base", "n", "dim", "_left", "_right")
 
     def __init__(self, base: FiniteDimAlgebra, n: int):
-        if n < 1:
-            raise ValueError("n must be positive")
+        check_count(n, "n", 1)
         self.base = base
         self.n = n
         self.dim = base.dim ** n
@@ -478,8 +476,7 @@ def _keys(legs, M, k: int):
 
 def bar_columns(B: FiniteDimAlgebra, M, k: int):
     """Yield (basis key, differential image) across the level-k basis."""
-    if k < 1:
-        raise ValueError("level must be >= 1")
+    check_count(k, "level", 1)
     for key in chain_keys(B, M, k):
         yield key, _d_basis(B.table, M, key, k)
 
@@ -532,8 +529,7 @@ def hh_dims(B: FiniteDimAlgebra, M, max_level: int,
     elimination meets fewer, longer vectors.  Where a kernel is needed
     (the sectors of afls_check, _random_cycles), columns are kept.
     """
-    if max_level < 0:
-        raise ValueError("max_level must be nonnegative")
+    check_count(max_level, "max_level")
     _check_bar_cap(B.dim, M.dim, max_level + 1, _resolve_cap(size_cap))
     legs, table = _unit_quotient(B)
     cdims = [len(legs) ** k * M.dim for k in range(max_level + 2)]
@@ -561,6 +557,8 @@ def verify_homolog_i(A: FiniteDimAlgebra, n: int = 2, sigma=None,
     AutoTwistedBimodule.  The two dimension lists must agree level by
     level.
     """
+    check_count(n, "n", 1)
+    check_count(max_level, "max_level")
     cap = _resolve_cap(size_cap)
     _check_bar_cap(A.dim ** n, A.dim ** n, max_level + 1, cap)
     lhs = hh_dims(A, RegularBimodule(A), max_level, cap)
@@ -625,8 +623,8 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
     The check samples random exact cycles and evaluates both sides.  The
     size cap is checked on the full differential at level max(m - 1, 1).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_count(n, "n", 1)
+    check_count(m, "m", 1)
     _check_bar_cap(A.dim ** n, A.dim ** n, max(m - 1, 1), _resolve_cap(None))
     B = tensor_power(A, n)
     rho = rotation_permutation(A, n)
@@ -716,6 +714,7 @@ def afls_check(B: FiniteDimAlgebra, G: GroupAction, max_level: int = 2,
     must reproduce the left side level by level.  The left side runs on
     the normalised complex (hh_dims), the sectors on the full one.
     """
+    check_count(max_level, "max_level")
     cap = _resolve_cap(size_cap)
     _check_bar_cap(G.order * B.dim, G.order * B.dim, max_level + 1, cap)
     cross = crossed_product(G)

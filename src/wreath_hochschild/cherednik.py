@@ -32,6 +32,7 @@ from typing import NamedTuple
 from .linalg import add_term, exact_scalar
 from .presets_io import CheckReport
 from .ratfunc import poly_add, poly_eval, poly_mul
+from .series import check_count
 
 KP_ZERO = ()
 KP_ONE = (1,)
@@ -218,30 +219,29 @@ def _monomial_word(mono: NormalMonomial, n: int) -> tuple:
 
 
 def _reduce_words(pending: dict, n: int, rightmost: bool) -> dict:
-    """Rewrite a k-polynomial combination of words into normal monomials."""
+    """Rewrite a k-polynomial combination of words into normal monomials.
+
+    No rule lengthens a word, so the words wait in one dict per length and
+    the longest go first: a word is rewritten only after every longer word
+    has added its share to it, not once for each longer word reaching it."""
+    work = [{} for _ in range(max(map(len, pending), default=0) + 1)]
+    for word, coeff in pending.items():
+        work[len(word)][word] = coeff
     out = {}
-    work = dict(pending)
-    while work:
-        word, coeff = work.popitem()
-        if not coeff:
-            continue
-        t = _find_redex(word, rightmost)
-        if t is None:
-            _kp_add_into(out, _monomial_of(word, n), coeff)
-            continue
-        for nxt, c in _rewrite(word, t, n):
-            _kp_add_into(work, nxt, poly_mul(coeff, c))
+    for bucket in reversed(work):
+        while bucket:
+            word, coeff = bucket.popitem()
+            t = _find_redex(word, rightmost)
+            if t is None:
+                _kp_add_into(out, _monomial_of(word, n), coeff)
+                continue
+            for nxt, c in _rewrite(word, t, n):
+                _kp_add_into(work[len(nxt)], nxt, poly_mul(coeff, c))
     return out
 
 
 # ---------------------------------------------------------------------------
 # elements
-
-
-def _check_rank(n) -> None:
-    # type(), not isinstance: True is refused, not read as n = 1
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be a positive int, got {n!r}")
 
 
 class CherednikElement:
@@ -250,7 +250,7 @@ class CherednikElement:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=()):
-        _check_rank(n)
+        check_count(n, "n", 1)
         self.n = n
         clean: dict = {}
         items = terms.items() if isinstance(terms, dict) else terms
@@ -336,7 +336,7 @@ def normal_order(word, n: int, strategy: str = "leftmost") -> CherednikElement:
     "rightmost" pick which redex is expanded first and exist so that
     confluence_check can compare them.
     """
-    _check_rank(n)
+    check_count(n, "n", 1)
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     atoms = _parse_atoms(word, n)
@@ -371,7 +371,7 @@ def crossed_weyl_normal_order(word, n: int) -> dict:
     through p^b by permuting exponents.  Returns monomial -> coefficient,
     an int (the k = 0 relations have integer coefficients).
     """
-    _check_rank(n)
+    check_count(n, "n", 1)
     atoms = _parse_atoms(word, n)
     zero = (0,) * n
     terms = {NormalMonomial(zero, _identity(n), zero): 1}
@@ -403,15 +403,17 @@ def crossed_weyl_normal_order(word, n: int) -> dict:
 # spherical subalgebra
 
 
+def _group(n: int) -> list:
+    """The monomials 1 sigma 1, one for each sigma in S_n."""
+    zero = (0,) * n
+    return [NormalMonomial(zero, sig, zero) for sig in permutations(range(n))]
+
+
 def spherical_idempotent(n: int) -> CherednikElement:
     """The symmetrizer e = (1/n!) sum of all group elements."""
-    _check_rank(n)
-    zero = (0,) * n
+    check_count(n, "n", 1)
     c = Fraction(1, factorial(n))
-    return CherednikElement(
-        n,
-        {NormalMonomial(zero, tuple(sig), zero): (c,) for sig in permutations(range(n))},
-    )
+    return CherednikElement(n, {mono: (c,) for mono in _group(n)})
 
 
 def spherical_product(a: CherednikElement) -> CherednikElement:
@@ -448,7 +450,8 @@ def confluence_check(n: int, max_deg: int) -> CheckReport:
     Also compares the k = 0 specialization of every normal form with the
     independent crossed-product engine.
     """
-    _check_rank(n)
+    check_count(n, "n", 1)
+    check_count(max_deg, "max_deg")
     failure, total = None, 0
     for total, word in enumerate(_all_words(n, max_deg), 1):
         left = normal_order(word, n, "leftmost")
@@ -479,7 +482,8 @@ def _all_monomials(n: int, max_deg: int) -> list:
 
 def normal_monomial_count(n: int, max_deg: int) -> int:
     """Number of normal monomials of (x, p)-degree <= max_deg."""
-    _check_rank(n)
+    check_count(n, "n", 1)
+    check_count(max_deg, "max_deg")
     return len(_all_monomials(n, max_deg))
 
 
@@ -492,7 +496,8 @@ def pbw_dimension_check(n: int, max_deg: int) -> CheckReport:
     filtration with a k-free top part (so the associated graded algebra
     is the k = 0 crossed product on the same monomial basis).
     """
-    _check_rank(n)
+    check_count(n, "n", 1)
+    check_count(max_deg, "max_deg")
     expected = factorial(n) * comb(2 * n + max_deg, max_deg)
     count = normal_monomial_count(n, max_deg)
     filtered = graded = True
@@ -514,7 +519,8 @@ def pbw_dimension_check(n: int, max_deg: int) -> CheckReport:
 
 def associativity_check(n: int, trials: int = 100, seed: int = 0) -> CheckReport:
     """Exact associativity of multiply on random low-degree elements."""
-    _check_rank(n)
+    check_count(n, "n", 1)
+    check_count(trials, "trials", 1)
     rng = random.Random(seed)
     monos = _all_monomials(n, 2)
 
@@ -539,13 +545,9 @@ def associativity_check(n: int, trials: int = 100, seed: int = 0) -> CheckReport
 
 def spherical_check(n: int) -> CheckReport:
     """Symmetrizer identities: e^2 = e, sigma e = e sigma = e, bi-invariance."""
-    _check_rank(n)
+    check_count(n, "n", 1)
     e = spherical_idempotent(n)
-    zero = (0,) * n
-    group = [
-        CherednikElement(n, {NormalMonomial(zero, tuple(sig), zero): KP_ONE})
-        for sig in permutations(range(n))
-    ]
+    group = [CherednikElement(n, {mono: KP_ONE}) for mono in _group(n)]
     compressed = spherical_product(normal_order("x1 p1", n))
     return CheckReport.from_checks(f"cherednik spherical n={n}", [
         (multiply(e, e) == e, "e is idempotent"),

@@ -76,6 +76,7 @@ from .linalg import (
 )
 from .presets_io import CheckReport
 from .ratfunc import RatFunc
+from .series import check_count
 
 KINDS = ("weyl", "trig", "qweyl")
 TWISTS = ("id", "eps")
@@ -85,11 +86,11 @@ TWISTS = ("id", "eps")
 # timings are medians of 3 fresh processes on a 2-vCPU machine under
 # CPython 3.11.  Sector windows (hh_cohomology_rank_one,
 # crossed_z2_cohomology, build_cochain_complex): crossed_z2_cohomology
-# ("qweyl") takes 0.19 s at N = 8, 0.32 s at 10, 0.67 s at 12 and 1.2 s
+# ("qweyl") takes 0.08 s at N = 8, 0.16 s at 10, 0.29 s at 12 and 0.59 s
 # at 14; the qweyl eps sector windows (_windowed_dims, under the cap
-# check) 0.04 s at 12, 0.06 s at 14, 0.08 s at 16 and 0.13 s at 20.
+# check) 0.04 s at 12, 0.05 s at 14, 0.07 s at 16 and 0.14 s at 20.
 # Enveloping-algebra windows (duality_check): "qweyl" takes 0.32 s at
-# N = 6, 0.91 s at 8 and 3.0 s at 10; "weyl" 0.11 s at 8 and 0.28 s at 10.
+# N = 6, 1.04 s at 8 and 2.2 s at 10; "weyl" 0.05 s at 8 and 0.13 s at 10.
 MAX_SECTOR_WINDOW = 14
 MAX_DUALITY_WINDOW = 10
 
@@ -105,10 +106,7 @@ class FilteredWindow:
     __slots__ = ("N",)
 
     def __init__(self, N: int):
-        if type(N) is not int:
-            raise ValueError(f"window must be an int >= 4, got {N!r}")
-        if N < 4:
-            raise ValueError("window too small (N < 4)")
+        check_count(N, "window", 4)
         self.N = N
 
     def __repr__(self):
@@ -459,6 +457,10 @@ def build_cochain_complex(kind: str, twist: str, window):
     return d0, d1, composite
 
 
+def _level1(keys) -> list:
+    return [(j, s) for j in (0, 1) for s in keys]
+
+
 def _margin_dims(d0: dict, d1: dict, chain: list) -> list:
     """(h0, h1, h2) of a windowed two-step complex on each window of a
     nested chain C0 ⊂ C1 ⊂ ... ⊂ Ck of level-0 key lists, window C_i read
@@ -477,9 +479,6 @@ def _margin_dims(d0: dict, d1: dict, chain: list) -> list:
     uses, so the image meets the margin span in the rows led by a margin
     key: margin span modulo image is |margin| minus those pivots.
     """
-    def level1(keys):
-        return [(j, s) for j in (0, 1) for s in keys]
-
     def sweep(cols: dict, lift, units_of):
         depth: dict = {}
         for i in range(len(chain) - 1, -1, -1):
@@ -496,8 +495,8 @@ def _margin_dims(d0: dict, d1: dict, chain: list) -> list:
                 modulo.append(len(units_of(chain[i - 1])) - led)
         return ranks, modulo
 
-    rank0, mod0 = sweep(d0, list, level1)
-    rank1, mod1 = sweep(d1, level1, list)
+    rank0, mod0 = sweep(d0, list, _level1)
+    rank1, mod1 = sweep(d1, _level1, list)
     # h0 = margin kernel of d0; h1 = (2|margin| - rank1) - (2|margin| - mod0)
     return [(len(chain[i]) - rank0[i], mod0[i] - rank1[i], mod1[i])
             for i in range(len(chain) - 1)]
@@ -597,10 +596,9 @@ def _invariant_sector_dims(kind: str, twist: str, windows: tuple) -> list:
     out = []
     for N in windows:
         window, margin = window_keys(kind, N), window_keys(kind, N - 2)
-        margin1 = [(i, s) for i in (0, 1) for s in margin]
         levels = [
             (kernel_combos(((s, d0[s]) for s in margin), one), [], rho0),
-            (kernel_combos(((key, d1[key]) for key in margin1), one),
+            (kernel_combos(((key, d1[key]) for key in _level1(margin)), one),
              [d0[s] for s in window], rho1),
             ([{k: one} for k in margin],
              [d1[(i, s)] for s in window for i in (0, 1)], rho2),

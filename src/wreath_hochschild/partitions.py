@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .series import check_count
+
 
 class Partition:
     """A partition of a nonnegative integer, parts weakly decreasing."""
@@ -62,8 +64,7 @@ def partitions(n: int) -> Iterator[Partition]:
 
     partitions(0) yields the single empty partition.
     """
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a nonnegative int, got {n!r}")
+    check_count(n, "n")
 
     def gen(rest: int, maxpart: int):
         if rest == 0:

@@ -92,54 +92,41 @@ def _primitive(a):
     return tuple(x // c for x in a)
 
 
-def _pseudo_rem(a, b):
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a reduced mod b."""
-    db = len(b) - 1
-    lead = b[-1]
+def _divmod(a, b):
+    """(q, r) with a = q*b + r and deg r < deg b, for b != (); ValueError
+    when a quotient coefficient is not an integer."""
+    db, lead = len(b) - 1, b[-1]
     r = list(a)
+    q = [0] * max(len(a) - db, 0)
     for i in range(len(a) - 1 - db, -1, -1):
-        coef = r[db + i]
-        for j in range(len(r)):
-            r[j] *= lead
+        coef, rem = divmod(r[db + i], lead)
+        if rem:
+            raise ValueError("inexact polynomial division")
+        q[i] = coef
         if coef:
             for j, y in enumerate(b):
                 r[i + j] -= coef * y
-    return _strip(r)
+    return _strip(q), _strip(r)
 
 
 def _pgcd(a, b):
-    """gcd of integer polynomials, primitive with positive leading coeff."""
+    """gcd of integer polynomials, primitive with positive leading coeff;
+    each step divides lc(b)^max(deg a - deg b + 1, 0) * a by b."""
     a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _primitive(_pseudo_rem(a, b))
+        scale = b[-1] ** max(len(a) - len(b) + 1, 0)
+        a, b = b, _primitive(_divmod(tuple(scale * x for x in a), b)[1])
     if a and a[-1] < 0:
         a = _neg(a)
     return a if a else ()
 
 
 def _exact_div(a, b):
-    """Exact polynomial quotient a // b (remainder must be zero)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return ()
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
+    """Exact polynomial quotient a / b (remainder must be zero)."""
+    q, r = _divmod(a, b)
+    if r:
         raise ValueError("inexact polynomial division")
-    r = list(a)
-    q = [0] * (da - db + 1)
-    for i in range(da - db, -1, -1):
-        coef = r[db + i]
-        if coef % b[-1]:
-            raise ValueError("inexact polynomial division")
-        coef //= b[-1]
-        q[i] = coef
-        if coef:
-            for j, y in enumerate(b):
-                r[i + j] -= coef * y
-    if _strip(r):
-        raise ValueError("inexact polynomial division")
-    return _strip(q)
+    return q
 
 
 def _reduce(num, den):
@@ -309,9 +296,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num:
-            raise ZeroDivisionError("division by zero")
-        return _new(poly_mul(o.num, self.den), poly_mul(o.den, self.num))
+        return o / self
 
     def __pow__(self, k: int):
         if k < 0:

@@ -5,8 +5,8 @@ A BiSeries stores the coefficients of sum_{n,i} c[n][i] q^n t^i for
 products are truncated to the shared bounds.  The q variable counts
 the wreath index n, the t variable counts (co)homological degree.
 
-poly_str, the one polynomial printer, lives here, at the bottom of the
-table stack: BiSeries, presets_io plain output and RatFunc all use it.
+poly_str, the one polynomial printer, and check_count, the one count rule,
+live here, at the bottom of the table stack, where every layer reaches them.
 """
 
 from __future__ import annotations
@@ -199,6 +199,14 @@ class BiSeries:
                 parts.append(f"q^{n}*({poly})" if n else poly)
         body = " + ".join(parts) if parts else "0"
         return f"BiSeries[q<={self.q_bound}, t<={self.t_bound}]({body})"
+
+
+def check_count(value, name: str, low: int = 0) -> None:
+    """Refuse, with ValueError, a value that is not an int (True, 2.0 and
+    "2" included: type(), not isinstance) or is below low."""
+    if type(value) is not int or value < low:
+        kind = {0: "a nonnegative int", 1: "a positive int"}.get(low, f"an int >= {low}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def poly_str(terms, var: str) -> str:

@@ -32,7 +32,7 @@ one coefficient table.
 from __future__ import annotations
 
 from .betti import AlgebraPreset, BettiTable, check_duality, super_sym_powers
-from .series import BiSeries
+from .series import BiSeries, check_count
 
 PRESETS: dict[str, AlgebraPreset] = {
     # flat polynomial-type algebras, all with duality dimension 2
@@ -48,8 +48,7 @@ PRESETS: dict[str, AlgebraPreset] = {
 
 def gamma_preset(nu: int) -> AlgebraPreset:
     """Preset for a finite-subgroup crossed product with nu conjugacy classes."""
-    if type(nu) is not int or nu < 1:
-        raise ValueError("nu must be a positive integer")
+    check_count(nu, "nu", 1)
     return AlgebraPreset(f"gamma:{nu}", 2, BettiTable({0: 1, 2: nu - 1}))
 
 
@@ -71,11 +70,6 @@ def _slot_width(colours: int, n: int) -> int:
     return max(1, counts[n].bit_length())
 
 
-def _check_n(n) -> None:
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a nonnegative int, got {n!r}")
-
-
 def _sym_power_terms(table: BettiTable, shift: int, n: int) -> tuple[int, int, list[int]]:
     """(B, shift, packed): the slot width B for n and the super symmetric
     powers S^0 .. S^n of table, each packed as sum dim * 2^(B*degree).
@@ -83,7 +77,7 @@ def _sym_power_terms(table: BettiTable, shift: int, n: int) -> tuple[int, int, l
     One expansion serves every part size: for an even s, S^p(V[s]) =
     S^p(V)[p*s], so the shift * (i - 1) of a part of size i is applied by
     the walk, which adds it up over the parts of each partition."""
-    _check_n(n)
+    check_count(n, "n")
     width = _slot_width(table.total_dim, n)
     return width, shift, [sum(v << width * k for k, v in s.dims().items())
                           for s in super_sym_powers(table, n)]
@@ -216,8 +210,7 @@ def closed_form(label: str, q_bound: int, t_bound: int | None = None) -> BiSerie
 
 def gamma_series(nu: int, q_bound: int, t_bound: int | None = None) -> BiSeries:
     """prod_m (1 - q^m t^{2(m-1)})^{-1} (1 - q^m t^{2m})^{1-nu}."""
-    if type(nu) is not int or nu < 1:
-        raise ValueError("nu must be a positive integer")
+    check_count(nu, "nu", 1)
     if t_bound is None:
         t_bound = 2 * q_bound
     return _euler_product([(-1, 2, -2, -1), (-1, 2, 0, 1 - nu)], q_bound, t_bound)
@@ -237,7 +230,7 @@ def hilb_poincare(surface_coh: BettiTable, n: int) -> BettiTable:
     above degree 2 is refused by the one duality check, check_duality,
     and an n that is not a nonnegative int with the walk's message.
     """
-    _check_n(n)
+    check_count(n, "n")
     return _wreath_table(surface_coh, 2, n, 2 * n)
 
 
@@ -251,7 +244,7 @@ def deformation_parameter_count(coh: BettiTable, d: int, n: int) -> int:
     check_duality(coh, d)
     if coh[0] != 1:
         raise ValueError("degree-0 entry must be 1")
-    _check_n(n)
+    check_count(n, "n")
     if n < 2:
         raise ValueError("n must be at least 2")
     # the count is the degree-2 entry, so t^2 is all the series needs

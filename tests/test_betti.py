@@ -33,6 +33,12 @@ def test_table_refuses_non_int_degrees_and_dims(bad):
         BettiTable(bad)
 
 
+@pytest.mark.parametrize("pmax", [-1, 2.0, True, "2"])
+def test_super_sym_powers_refuse_a_pmax_that_is_not_a_nonnegative_int(pmax):
+    with pytest.raises(ValueError, match=f"^pmax must be a nonnegative int, got {pmax!r}$"):
+        super_sym_powers(BettiTable({0: 1}), pmax)
+
+
 def test_shift():
     t = BettiTable({0: 1, 1: 2})
     assert t.shift(4) == {4: 1, 5: 2}

@@ -618,6 +618,38 @@ def test_oversized_requests_are_refused_before_anything_is_built(monkeypatch):
         homotopy_identity_check(z2, n=2, m=1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda A, G: hh_dims(A, RegularBimodule(A), 1.5), "max_level must be a nonnegative int, got 1.5"),
+    (lambda A, G: hh_dims(A, RegularBimodule(A), True), "max_level must be a nonnegative int, got True"),
+    (lambda A, G: hh_dims(A, RegularBimodule(A), -1), "max_level must be a nonnegative int, got -1"),
+    (lambda A, G: FiniteDimAlgebra.truncated_polynomial(2.0), "k must be a positive int, got 2.0"),
+    (lambda A, G: FiniteDimAlgebra.truncated_polynomial(0), "k must be a positive int, got 0"),
+    (lambda A, G: tensor_power(A, 2.0), "n must be a positive int, got 2.0"),
+    (lambda A, G: TwistedBimodule(A, 0), "n must be a positive int, got 0"),
+    (lambda A, G: list(bar_columns(A, RegularBimodule(A), 0)), "level must be a positive int, got 0"),
+    (lambda A, G: homotopy_identity_check(A, 2, 1.5), "m must be a positive int, got 1.5"),
+    (lambda A, G: homotopy_identity_check(A, 2.0, 2), "n must be a positive int, got 2.0"),
+    (lambda A, G: verify_homolog_i(A, n=2.0), "n must be a positive int, got 2.0"),
+    (lambda A, G: verify_homolog_i(A, max_level=-1), "max_level must be a nonnegative int, got -1"),
+    (lambda A, G: afls_check(A, G, max_level=1.5), "max_level must be a nonnegative int, got 1.5"),
+], ids=["hh_float", "hh_bool", "hh_negative", "truncated_float", "truncated_zero",
+        "tensor_float", "twisted_zero", "bar_level_zero", "homotopy_m_float",
+        "homotopy_n_float", "homolog_n_float", "homolog_negative", "afls_float"])
+def test_counts_are_refused_before_anything_is_built(monkeypatch, call, message):
+    A = FiniteDimAlgebra.truncated_polynomial(2)
+    G = GroupAction.generate(A, [sign_action(2)])
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("something was built before the count check")
+
+    for name in ("_check_bar_cap", "_unit_quotient", "_d_basis", "crossed_product",
+                 "AutoTwistedBimodule", "slot_permutation", "rotation_permutation"):
+        monkeypatch.setattr(bruteforce, name, no_build)
+    monkeypatch.setattr(FiniteDimAlgebra, "tensor", no_build)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(A, G)
+
+
 def test_the_cap_admits_the_largest_verify_cases():
     # homotopy: (Z/2)^3 at m = 4 samples level 3, 4096 x 512 entries
     assert homotopy_identity_check(z2_algebra(), n=3, m=4, trials=3).passed

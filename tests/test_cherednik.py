@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wreath_hochschild import cherednik
 from wreath_hochschild.cherednik import (
     CherednikElement,
     _kp,
@@ -63,6 +64,27 @@ def test_bad_words():
 def test_strategy_independence():
     for word in ("p1 p2 x1", "p1 x1 p1 x1", "s12 p1 x2 s12"):
         assert normal_order(word, 2, "leftmost") == normal_order(word, 2, "rightmost")
+
+
+def test_long_words_are_rewritten_longest_first(monkeypatch):
+    # (p1 x1)^6 at n = 3: a last-in, first-out work list rewrote 69456 words
+    calls = []
+    rewrite = cherednik._rewrite
+    monkeypatch.setattr(cherednik, "_rewrite", lambda *args: calls.append(1) or rewrite(*args))
+    assert len(normal_order(" ".join(["p1 x1"] * 6), 3).terms) == 1006
+    assert len(calls) <= 25000
+
+
+def test_powers_of_p1_x1_agree_across_strategies_and_the_letter_fold():
+    for k in range(1, 7):
+        word = " ".join(["p1 x1"] * k)
+        left = normal_order(word, 3, "leftmost")
+        assert normal_order(word, 3, "rightmost") == left
+        if k <= 5:
+            fold = CherednikElement.one(3)
+            for letter in word.split():
+                fold = multiply(fold, normal_order(letter, 3))
+            assert fold == left
 
 
 def test_multiply_matches_word_reduction():
@@ -272,3 +294,24 @@ def test_normal_forms_of_random_words_stay_exact(case):
 def test_entry_points_refuse_an_n_that_is_not_a_positive_int(entry, n):
     with pytest.raises(ValueError, match="n must be a positive int"):
         entry(n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: confluence_check(2, -1),
+    lambda: confluence_check(2, 1.5),
+    lambda: pbw_dimension_check(2, "2"),
+    lambda: pbw_dimension_check(2, -1),
+    lambda: normal_monomial_count(2, -1),
+    lambda: normal_monomial_count(2, True),
+    lambda: associativity_check(2, trials=-3),
+    lambda: associativity_check(2, trials=0),
+], ids=["confluence_negative", "confluence_float", "pbw_str", "pbw_negative",
+        "count_negative", "count_bool", "associativity_negative", "associativity_zero"])
+def test_check_sizes_are_refused_before_any_word_is_reduced(monkeypatch, call):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    for name in ("_all_words", "_all_monomials", "normal_order", "multiply"):
+        monkeypatch.setattr(cherednik, name, no_work)
+    with pytest.raises(ValueError, match=r"^(max_deg must be a nonnegative|trials must be a positive) int, got "):
+        call()

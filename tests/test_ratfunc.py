@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wreath_hochschild.ratfunc import RatFunc, _content, _exact_div, _pgcd, _strip, poly_eval
+from wreath_hochschild.ratfunc import (
+    RatFunc, _content, _divmod, _exact_div, _pgcd, _strip, poly_eval, poly_mul)
 
 
 def rand_ratfunc(rng, deg=3):
@@ -218,6 +219,52 @@ def test_field_laws(a, b, c):
     if a:
         assert a * (1 / a) == one and a / a == one
         assert pair(1 / a) == reference(a.den, a.num)
+
+
+# -- the one integer long division ---------------------------------------
+
+# divisors with leading coefficient +-1 divide every integer polynomial
+unit_lead = st.builds(lambda low, lead: tuple(low) + (lead,), polys, st.sampled_from((1, -1)))
+
+
+@PROPERTY
+@given(st.lists(coeffs, max_size=8), unit_lead)
+def test_divmod_leaves_a_remainder_of_lower_degree(a, b):
+    a = _strip(tuple(a))
+    q, r = _divmod(a, b)
+    assert _strip(tuple(padd(pmul(q, b), r))) == a
+    assert len(r) < len(b)
+
+
+@PROPERTY
+@given(polys, polys.filter(any))
+def test_exact_division_undoes_a_product(a, b):
+    a, b = _strip(tuple(a)), _strip(tuple(b))
+    assert _exact_div(poly_mul(a, b), b) == a
+
+
+@pytest.mark.parametrize("a, b", [
+    ((1, 0, 1), (1, 1)),  # remainder 2
+    ((1,), (0, 1)),       # deg a < deg b
+    ((1, 1), (2,)),       # quotient 1/2 + q/2 is not integral
+    ((0, 1), (0, 0, 1)),
+])
+def test_inexact_division_is_refused(a, b):
+    with pytest.raises(ValueError, match="^inexact polynomial division$"):
+        _exact_div(a, b)
+
+
+@pytest.mark.parametrize("a, b, g", [
+    ((-1, 0, 1), (-1, 1), (-1, 1)),           # q^2 - 1, q - 1
+    ((-1, 1), (-1, 0, 1), (-1, 1)),           # deg a < deg b
+    ((3, 7, 2), (-1, 1, 6), (1, 2)),          # (2q + 1)(q + 3), (2q + 1)(3q - 1)
+    ((1, 1), (1, 0, 1), (1,)),                # coprime
+    ((0, 2, 4), (0, 0, -6, -12), (0, 1, 2)),  # contents and signs drop out
+    ((), (0, -2), (0, 1)),
+    ((-2, -4), (), (1, 2)),
+])
+def test_pgcd_on_known_pairs(a, b, g):
+    assert _pgcd(a, b) == g
 
 
 @pytest.mark.parametrize("num, den, want", [

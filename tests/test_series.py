@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from wreath_hochschild.series import BiSeries
+from wreath_hochschild.series import BiSeries, check_count
 
 
 def geometric(q_bound, t_bound, q_exp, t_exp):
@@ -46,6 +47,26 @@ def test_mul_truncates():
 def test_series_refuses_non_int_entries(build):
     with pytest.raises(ValueError, match="integ"):
         build()
+
+
+@pytest.mark.parametrize("value, low, message", [
+    (-1, 0, "x must be a nonnegative int, got -1"),
+    (True, 0, "x must be a nonnegative int, got True"),
+    (2.0, 1, "x must be a positive int, got 2.0"),
+    ("2", 1, "x must be a positive int, got '2'"),
+    (0, 1, "x must be a positive int, got 0"),
+    (3, 4, "x must be an int >= 4, got 3"),
+    (None, 4, "x must be an int >= 4, got None"),
+])
+def test_check_count_refuses_non_ints_and_values_below_low(value, low, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_count(value, "x", low)
+
+
+def test_check_count_admits_ints_from_low_up():
+    for low in (0, 1, 4):
+        for value in (low, low + 1, 10 ** 30):
+            assert check_count(value, "x", low) is None
 
 
 def test_bound_mismatch_rejected():
