@@ -16,10 +16,10 @@ by homotopy_identity_check holds literally, with no stray signs.
 Matrices never use floats: structure constants are exact rationals, kept
 as ints where integral, and ranks and kernels come from the exact sparse
 elimination of linalg.  hh_dims works on the normalised complex, with
-legs in B/k.1; bar_columns, bar_differential and bar_apply keep the full
-complex, which the homotopy identity and the sector dimensions of
-afls_check use.  Complex sizes grow as dim(B)^level, so every entry
-point, homotopy_identity_check included, first checks a size cap
+legs in B/k.1; bar_columns and bar_apply keep the full complex, which
+the homotopy identity and the sector dimensions of afls_check use.
+Complex sizes grow as dim(B)^level, so every entry point,
+homotopy_identity_check included, first checks a size cap
 (dense-equivalent entry count of the largest matrix of the full complex)
 from dimensions alone, before anything is built; HH_SIZE_CAP in the
 environment overrides it (a nonnegative integer, else ValueError).
@@ -121,9 +121,6 @@ class FiniteDimAlgebra:
                         raise ValueError(
                             f"multiplication not associative at ({i},{j},{k})"
                         )
-
-    def mul_basis(self, i: int, j: int) -> dict:
-        return self.table[i][j]
 
     def mul(self, u: dict, v: dict) -> dict:
         out: dict = {}
@@ -254,6 +251,7 @@ def encode_tuple(t, dim: int) -> int:
 def slot_permutation(A: FiniteDimAlgebra, n: int, sigma) -> list[int]:
     """Basis permutation of A^(tensor n) with image slot i = source slot
     sigma(i); sigma is 1-indexed, e.g. (2,...,n,1) is the cyclic rotation."""
+    check_count(n, "n", 1)
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError("sigma must be a permutation of 1..n")
     out = []
@@ -264,6 +262,7 @@ def slot_permutation(A: FiniteDimAlgebra, n: int, sigma) -> list[int]:
 
 
 def rotation_permutation(A: FiniteDimAlgebra, n: int) -> list[int]:
+    check_count(n, "n", 1)
     return slot_permutation(A, n, tuple(range(2, n + 1)) + (1,))
 
 
@@ -369,14 +368,8 @@ class GroupAction:
         self.identity = index.get(_columns_key([{i: 1} for i in range(algebra.dim)]))
         if self.identity is None:
             raise ValueError("identity matrix missing from the group")
-        order = len(self.elements)
-        self.inverses = []
-        for g in range(order):
-            inv = next((h for h in range(order)
-                        if self.table[g][h] == self.identity), None)
-            if inv is None or self.table[inv][g] != self.identity:
-                raise ValueError("group element has no inverse")
-            self.inverses.append(inv)
+        # invertible, finite and closed: row g permutes the set, so holds the identity
+        self.inverses = [row.index(self.identity) for row in self.table]
 
     @classmethod
     def generate(cls, algebra: FiniteDimAlgebra, generators) -> "GroupAction":
@@ -479,11 +472,6 @@ def bar_columns(B: FiniteDimAlgebra, M, k: int):
     check_count(k, "level", 1)
     for key in chain_keys(B, M, k):
         yield key, _d_basis(B.table, M, key, k)
-
-
-def bar_differential(B: FiniteDimAlgebra, M, k: int) -> dict:
-    """The level-k differential as a sparse matrix {domain key: image}."""
-    return dict(bar_columns(B, M, k))
 
 
 def bar_apply(B: FiniteDimAlgebra, M, chain: dict, k: int) -> dict:

@@ -125,20 +125,25 @@ def _parse_atoms(word, n: int) -> tuple:
     """
     if isinstance(word, str):
         word = _tokenize(word, n)
+
+    def index(i) -> bool:
+        # type(), not isinstance: True and 1.0 are no generator index
+        return type(i) is int and 1 <= i <= n
+
     atoms = []
     for g in word:
         kind = g[0]
         if kind in ("x", "p"):
-            if len(g) != 2 or not 1 <= g[1] <= n:
+            if len(g) != 2 or not index(g[1]):
                 raise ValueError("generator index out of range")
             atoms.append((kind, g[1] - 1))
         elif kind == "s":
-            if len(g) != 3 or not (1 <= g[1] <= n and 1 <= g[2] <= n) or g[1] == g[2]:
+            if len(g) != 3 or not (index(g[1]) and index(g[2])) or g[1] == g[2]:
                 raise ValueError("generator index out of range")
             atoms.append(("s", _transposition(n, g[1] - 1, g[2] - 1)))
         elif kind == "perm":
             one = tuple(g[1])
-            if sorted(one) != list(range(1, n + 1)):
+            if not all(map(index, one)) or sorted(one) != list(range(1, n + 1)):
                 raise ValueError("not a permutation in one-line notation")
             atoms.append(("s", tuple(v - 1 for v in one)))
         else:
@@ -403,17 +408,11 @@ def crossed_weyl_normal_order(word, n: int) -> dict:
 # spherical subalgebra
 
 
-def _group(n: int) -> list:
-    """The monomials 1 sigma 1, one for each sigma in S_n."""
-    zero = (0,) * n
-    return [NormalMonomial(zero, sig, zero) for sig in permutations(range(n))]
-
-
 def spherical_idempotent(n: int) -> CherednikElement:
     """The symmetrizer e = (1/n!) sum of all group elements."""
     check_count(n, "n", 1)
     c = Fraction(1, factorial(n))
-    return CherednikElement(n, {mono: (c,) for mono in _group(n)})
+    return CherednikElement(n, {mono: (c,) for mono in _all_monomials(n, 0)})
 
 
 def spherical_product(a: CherednikElement) -> CherednikElement:
@@ -470,6 +469,7 @@ def confluence_check(n: int, max_deg: int) -> CheckReport:
 
 
 def _all_monomials(n: int, max_deg: int) -> list:
+    """Normal monomials of (x, p)-degree <= max_deg; degree 0 gives 1 sigma 1."""
     exps = [v for v in product(range(max_deg + 1), repeat=n) if sum(v) <= max_deg]
     out = []
     for sig in permutations(range(n)):
@@ -547,7 +547,7 @@ def spherical_check(n: int) -> CheckReport:
     """Symmetrizer identities: e^2 = e, sigma e = e sigma = e, bi-invariance."""
     check_count(n, "n", 1)
     e = spherical_idempotent(n)
-    group = [CherednikElement(n, {mono: KP_ONE}) for mono in _group(n)]
+    group = [CherednikElement(n, {mono: KP_ONE}) for mono in _all_monomials(n, 0)]
     compressed = spherical_product(normal_order("x1 p1", n))
     return CheckReport.from_checks(f"cherednik spherical n={n}", [
         (multiply(e, e) == e, "e is idempotent"),

@@ -35,17 +35,16 @@ rank_modulo is the dimension of a span of unit vectors modulo a span of
 vectors, read off the pivot leads of one elimination of the vectors with
 those keys ordered last.  invariant_dim is the one averaging-projector
 certificate: the dimension of the part of a homology space fixed by a
-finite group; it absorbs the boundaries untracked, so its combos run
-over the cycles alone.  An exact internal check that does not hold
-raises CertificateError.
+finite group, read as the rank of the averaging projector once that is
+certified idempotent on sparse columns; it absorbs the boundaries
+untracked, so its combos run over the cycles alone.  An exact internal
+check that does not hold raises CertificateError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-from .ratfunc import RatFunc
 
 
 _RATIONAL = (int, Fraction)
@@ -295,11 +294,6 @@ class TrackingEchelon(Echelon):
         r, c, scale = _eliminate(self.pivots, vec, +1)
         return _scaled_out(r, scale), _scaled_out(c, scale)
 
-    def in_span(self, vec: dict):
-        """Combo expressing vec over the inputs, or None if outside the span."""
-        r, c = self.express(vec)
-        return None if r else c
-
 
 def kernel_combos(pairs, one=1) -> list[dict]:
     """Kernel of the linear map given as (label, image vector) pairs.
@@ -316,29 +310,20 @@ def kernel_combos(pairs, one=1) -> list[dict]:
     return out
 
 
-def _integer_trace(trace) -> int:
-    """The trace as an int; anything but an exact integer constant is
-    refused."""
-    if isinstance(trace, RatFunc):
-        if trace.den == (1,) and len(trace.num) <= 1:
-            return trace.num[0] if trace.num else 0
-    elif type(trace) in _RATIONAL and trace.denominator == 1:
-        return int(trace)
-    raise CertificateError(f"projector trace {trace} is not an exact integer")
-
-
 def invariant_dim(boundaries, cycles, actions, one=1) -> int:
     """Dimension of the group-invariant part of span(cycles)/span(boundaries).
 
     actions holds one chain-level map per group element, identity
     included; each must send a cycle into span(cycles + boundaries).
     Homology representatives are the cycles left independent once the
-    boundaries are absorbed; the answer is the trace of the averaging
-    projector (1/|G|) sum_g g on them, certified idempotent with an
-    integer trace.  The boundaries are absorbed first, untracked: their
-    rows carry empty combos, so every combo below is read modulo the
-    boundaries, which leaves its part on the representatives unchanged
-    (combos are linear, and that part is unique).
+    boundaries are absorbed; the averaging projector (1/|G|) sum_g g is
+    built on them one sparse column per representative and certified
+    idempotent, so its rank is its trace: the dimension.  The boundaries
+    are absorbed first, untracked: their rows carry empty combos, so
+    every combo below is read modulo the boundaries, which leaves its
+    part on the representatives unchanged (combos are linear, and that
+    part is unique).  one is TrackingEchelon's unit: it only seeds the
+    combos of field rows.
     """
     tracked = TrackingEchelon(one)
     for img in boundaries:
@@ -349,23 +334,17 @@ def invariant_dim(boundaries, cycles, actions, one=1) -> int:
     for cyc in cycles:
         if tracked.insert(cyc, len(reps)) is None:
             reps.append(cyc)
-    h = len(reps)
-    if not h:
-        return 0
-    zero = one - one
-    proj = [[zero] * h for _ in range(h)]
-    for act in actions:
-        for col, cyc in enumerate(reps):
+    # a Fraction 1/|G|, so that int entries never turn into floats
+    inv = Fraction(1, len(actions))
+    proj = []
+    for cyc in reps:
+        col: dict = {}
+        for act in actions:
             residual, combo = tracked.express(act(cyc))
             if residual:
                 raise CertificateError("group image of a cycle left the cycle space")
-            for row, val in combo.items():
-                proj[row][col] = proj[row][col] + val
-    # a Fraction |G|: with one = 1, int / int would give a float
-    inv = one / Fraction(len(actions))
-    proj = [[v * inv for v in row] for row in proj]
-    square = [[sum((proj[r][k] * proj[k][c] for k in range(h)), zero)
-               for c in range(h)] for r in range(h)]
-    if square != proj:
+            addmul_into(col, combo, inv)
+        proj.append(col)
+    if any(apply_columns(proj, col) != col for col in proj):
         raise CertificateError("averaging operator is not idempotent")
-    return _integer_trace(sum((proj[r][r] for r in range(h)), zero))
+    return rank_of(proj)

@@ -298,18 +298,6 @@ class RatFunc:
             return NotImplemented
         return o / self
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return RatFunc((1,)) / self ** (-k)
-        out = RatFunc((1,))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- structure ----------------------------------------------------
 
     def __bool__(self):

@@ -228,8 +228,9 @@ def hilb_poincare(surface_coh: BettiTable, n: int) -> BettiTable:
     For the one-point table {0:1} this reproduces the Poincare polynomials
     of Hilbert schemes of points on the affine plane.  A table supported
     above degree 2 is refused by the one duality check, check_duality,
-    and an n that is not a nonnegative int with the walk's message.
+    before n is checked, as in deformation_parameter_count.
     """
+    check_duality(surface_coh, 2)
     check_count(n, "n")
     return _wreath_table(surface_coh, 2, n, 2 * n)
 

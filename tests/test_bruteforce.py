@@ -17,7 +17,6 @@ from wreath_hochschild.bruteforce import (
     afls_check,
     bar_apply,
     bar_columns,
-    bar_differential,
     chain_keys,
     crossed_product,
     decode_index,
@@ -41,8 +40,8 @@ def z2_algebra():
 
 def test_truncated_polynomial_multiplication():
     A = FiniteDimAlgebra.truncated_polynomial(3)
-    assert A.mul_basis(1, 1) == {2: ONE}
-    assert A.mul_basis(1, 2) == {}
+    assert A.table[1][1] == {2: ONE}
+    assert A.table[1][2] == {}
     assert A.mul({0: ONE, 1: ONE}, {1: ONE}) == {1: ONE, 2: ONE}
 
 
@@ -97,6 +96,14 @@ def test_slot_permutation():
     assert perm[encode_tuple((1, 0, 0), 2)] == encode_tuple((0, 1, 0), 2)
     with pytest.raises(ValueError):
         slot_permutation(A, 2, (1, 1))
+    # n passes the count rule first, before sigma is built or read
+    for call, message in ((lambda: rotation_permutation(A, 2.0), "got 2.0"),
+                          (lambda: slot_permutation(A, 2.0, (2, 1)), "got 2.0"),
+                          (lambda: rotation_permutation(A, True), "got True"),
+                          (lambda: rotation_permutation(A, 0), "got 0"),
+                          (lambda: slot_permutation(A, 0, ()), "got 0")):
+        with pytest.raises(ValueError, match=f"^n must be a positive int, {message}$"):
+            call()
 
 
 def test_d_squared_is_zero():
@@ -115,7 +122,7 @@ def test_d_squared_is_zero():
 def test_bar_differential_matrix_view():
     A = FiniteDimAlgebra.truncated_polynomial(2)
     M = RegularBimodule(A)
-    d1 = bar_differential(A, M, 1)
+    d1 = dict(bar_columns(A, M, 1))
     assert set(d1) == set(chain_keys(A, M, 1))
     # d(x; 1) = x*1 - 1*x = 0, d(x; x) = x*x - x*x = 0 for commutative A
     assert d1[(1, 0)] == {}

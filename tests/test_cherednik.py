@@ -59,6 +59,13 @@ def test_bad_words():
         normal_order("y1", 2)
     with pytest.raises(ValueError):
         normal_order("p1 x1", 2, strategy="middle")
+    # an index must be an int: not a float, and not True read as 1
+    for word in ([("x", 1.0)], [("s", 1, 2.0)], [("p", 2.0)], [("x", True)]):
+        with pytest.raises(ValueError, match="^generator index out of range$"):
+            normal_order(word, 2)
+    for one_line in ((1.0, 2.0), (True, 2), (2, True)):
+        with pytest.raises(ValueError, match="^not a permutation in one-line notation$"):
+            normal_order([("perm", one_line)], 2)
 
 
 def test_strategy_independence():

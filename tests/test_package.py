@@ -91,3 +91,19 @@ def test_table_commands_load_no_chain_level_layer(argv):
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_the_bar_complex_oracle_loads_no_other_chain_level_layer():
+    # invariant_dim reads the rank of its projector, not a trace, so linalg
+    # needs no rational functions and bruteforce loads neither other oracle
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "import wreath_hochschild.bruteforce\n"
+        "names = ['wreath_hochschild.' + m for m in ('linalg', 'ratfunc', 'koszul', 'cherednik')]\n"
+        "print(*[name for name in names if name in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["wreath_hochschild.linalg"]

@@ -51,13 +51,6 @@ def test_q_power():
         assert (got.num, got.den) == (want.num, want.den)
 
 
-def test_pow():
-    q = RatFunc.variable()
-    assert (q + 1) ** 2 == q * q + 2 * q + 1
-    assert (q + 1) ** 0 == 1
-    assert q ** -2 == RatFunc.q_power(-2)
-
-
 def test_fraction_scalars():
     q = RatFunc.variable()
     half = Fraction(1, 2)
@@ -104,8 +97,6 @@ def test_zero_denominator_rejected():
         q / zero
     with pytest.raises(ZeroDivisionError):
         1 / zero
-    with pytest.raises(ZeroDivisionError):
-        zero ** -1
 
 
 def test_repr_readable():
@@ -342,7 +333,7 @@ def test_laurent_reader_refuses_values_outside_z_q_inverse_q():
                   RatFunc.from_fraction(Fraction(3, 4))):
         assert value.laurent() is None
     assert (1 / q).laurent() == {-1: 1}
-    assert ((q - 1) / q ** 2).laurent() == {-2: -1, -1: 1}
+    assert ((q - 1) / (q * q)).laurent() == {-2: -1, -1: 1}
 
 
 def test_laurent_constructor_refuses_non_integer_coefficients():

@@ -63,6 +63,14 @@ def test_support_beyond_the_duality_dimension_has_one_message():
             bad()
 
 
+def test_the_table_is_checked_before_n():
+    # a table and an n both bad: the table is named, by either entry point
+    for bad in (lambda: hilb_poincare(BettiTable({3: 1}), "2"),
+                lambda: deformation_parameter_count(BettiTable({3: 1}), 2, "2")):
+        with pytest.raises(ValueError, match="^table support exceeds the duality dimension$"):
+            bad()
+
+
 def test_homology_wreath_examples():
     assert hh_homology_wreath(BettiTable({0: 1}), 3) == {0: 3}
     hom = BettiTable({0: 1, 1: 2, 2: 1})
