@@ -23,9 +23,10 @@ homotopy_identity_check included, first checks a size cap
 (dense-equivalent entry count of the largest matrix of the full complex)
 from dimensions alone, before anything is built; HH_SIZE_CAP in the
 environment overrides it (a nonnegative integer, else ValueError).
-Bimodule actions are tabulated at construction.  Every map given by its
-columns runs through linalg.apply_columns, and every tensor product of
-sparse vectors (A tensor B, TwistedBimodule) through _expand.
+A bimodule is dim and two action tables, left[b][m] = b.m and
+right[m][b] = m.b, read by the differential and never mutated.  Every map
+given by its columns runs through linalg.apply_columns, and every tensor
+product of sparse vectors (A tensor B, TwistedBimodule) through _expand.
 """
 
 from __future__ import annotations
@@ -272,38 +273,25 @@ def rotation_permutation(A: FiniteDimAlgebra, n: int) -> list[int]:
 class RegularBimodule:
     """M = B with multiplication as both actions."""
 
-    __slots__ = ("algebra", "dim")
+    __slots__ = ("dim", "left", "right")
 
     def __init__(self, algebra: FiniteDimAlgebra):
-        self.algebra = algebra
         self.dim = algebra.dim
-
-    def left_basis(self, b: int, m: int) -> dict:
-        return self.algebra.table[b][m]
-
-    def right_basis(self, m: int, b: int) -> dict:
-        return self.algebra.table[m][b]
+        self.left = self.right = algebra.table
 
 
 class AutoTwistedBimodule:
     """M = B with the right action twisted by an automorphism phi:
     b.m = bm and m.b = m phi(b).  For phi a group element g this is the
-    sector module Bg of a crossed product.  The right action is tabulated
-    at construction, _right[m][b] = m.b."""
+    sector module Bg of a crossed product."""
 
-    __slots__ = ("algebra", "dim", "columns", "_right")
+    __slots__ = ("dim", "left", "right", "columns")
 
     def __init__(self, algebra: FiniteDimAlgebra, columns):
-        self.algebra = algebra
         self.dim = algebra.dim
+        self.left = algebra.table
         self.columns = columns
-        self._right = [[apply_columns(row, col) for col in columns] for row in algebra.table]
-
-    def left_basis(self, b: int, m: int) -> dict:
-        return self.algebra.table[b][m]
-
-    def right_basis(self, m: int, b: int) -> dict:
-        return self._right[m][b]
+        self.right = [[apply_columns(row, col) for col in columns] for row in algebra.table]
 
 
 class TwistedBimodule:
@@ -315,31 +303,22 @@ class TwistedBimodule:
 
         a (m_1 ... m_n) c = a_1 m_1 c_2, ..., a_{n-1} m_{n-1} c_n, a_n m_n c_1.
 
-    Both actions are read slotwise off the structure constants of A, not
+    Both tables are read slotwise off the structure constants of A, not
     through slot_permutation or AutoTwistedBimodule, so the tests can
-    compare the two.  They are tabulated at construction, _left[b][m] =
-    b.m and _right[m][b] = m.b; callers must not mutate the dicts returned.
+    compare the two.
     """
 
-    __slots__ = ("base", "n", "dim", "_left", "_right")
+    __slots__ = ("dim", "left", "right")
 
     def __init__(self, base: FiniteDimAlgebra, n: int):
         check_count(n, "n", 1)
-        self.base = base
-        self.n = n
-        self.dim = base.dim ** n
         d, table = base.dim, base.table
+        self.dim = d ** n
         slots = [decode_index(i, d, n) for i in range(self.dim)]
-        self._left = [[_expand([table[x][y] for x, y in zip(bs, ms)], d) for ms in slots]
-                      for bs in slots]
-        self._right = [[_expand([table[x][y] for x, y in zip(ms, bs[1:] + bs[:1])], d)
-                        for bs in slots] for ms in slots]
-
-    def left_basis(self, b: int, m: int) -> dict:
-        return self._left[b][m]
-
-    def right_basis(self, m: int, b: int) -> dict:
-        return self._right[m][b]
+        self.left = [[_expand([table[x][y] for x, y in zip(bs, ms)], d) for ms in slots]
+                     for bs in slots]
+        self.right = [[_expand([table[x][y] for x, y in zip(ms, bs[1:] + bs[:1])], d)
+                       for bs in slots] for ms in slots]
 
 
 # -- group actions and crossed products ---------------------------------
@@ -357,9 +336,10 @@ class GroupAction:
         for cols in self.elements:
             if not algebra.is_automorphism(cols):
                 raise ValueError("group element is not an algebra automorphism")
-        index: dict = {}  # _columns_key -> first element with those columns
+        index: dict = {}  # _columns_key -> the element with those columns
         for i, cols in enumerate(self.elements):
-            index.setdefault(_columns_key(cols), i)
+            if index.setdefault(_columns_key(cols), i) != i:
+                raise ValueError("group element repeated")
         try:
             self.table = [[index[_columns_key(_compose(a, b))] for b in self.elements]
                           for a in self.elements]
@@ -397,19 +377,14 @@ class GroupAction:
     def order(self) -> int:
         return len(self.elements)
 
-    def apply(self, g: int, vec: dict) -> dict:
-        return apply_columns(self.elements[g], vec)
-
-    def conjugate(self, h: int, g: int) -> int:
-        return self.table[self.table[h][g]][self.inverses[h]]
-
     def conjugacy_classes(self) -> list[list[int]]:
         seen = set()
         classes = []
         for g in range(self.order):
             if g in seen:
                 continue
-            orbit = sorted({self.conjugate(h, g) for h in range(self.order)})
+            orbit = sorted({self.table[self.table[h][g]][self.inverses[h]]
+                            for h in range(self.order)})
             seen.update(orbit)
             classes.append(orbit)
         return classes
@@ -427,7 +402,7 @@ def crossed_product(action: GroupAction) -> FiniteDimAlgebra:
     table = []
     for g in range(action.order):
         for i in range(dim):
-            prods = [B.mul({i: 1}, action.apply(g, {j: 1})).items() for j in range(dim)]
+            prods = [B.mul({i: 1}, col).items() for col in action.elements[g]]
             table.append([{gh * dim + k: c for k, c in prod}
                           for gh in action.table[g] for prod in prods])
     unit = {action.identity * dim + k: c for k, c in B.unit.items()}
@@ -443,7 +418,7 @@ def _d_basis(table, M, key: tuple, k: int) -> dict:
     out: dict = {}
     if k == 0:
         return out
-    for m2, c in M.left_basis(legs[-1], mi).items():
+    for m2, c in M.left[legs[-1]][mi].items():
         add_term(out, legs[:-1] + (m2,), c)
     for i in range(1, k):
         pos = k - i - 1
@@ -451,7 +426,7 @@ def _d_basis(table, M, key: tuple, k: int) -> dict:
         for bmid, c in table[legs[pos]][legs[pos + 1]].items():
             add_term(out, legs[:pos] + (bmid,) + legs[pos + 2:] + (mi,), sign * c)
     sign = -1 if k % 2 else 1
-    for m2, c in M.right_basis(mi, legs[0]).items():
+    for m2, c in M.right[mi][legs[0]].items():
         add_term(out, legs[1:] + (m2,), sign * c)
     return out
 
@@ -534,6 +509,16 @@ def hh_dims(B: FiniteDimAlgebra, M, max_level: int,
 # -- the three structural checks -----------------------------------------
 
 
+def _is_n_cycle(sigma, n: int) -> bool:
+    """Is sigma (1-indexed one-line notation) one cycle through all of 1..n?"""
+    if any(type(i) is not int for i in sigma) or sorted(sigma) != list(range(1, n + 1)):
+        return False
+    i, length = sigma[0], 1
+    while i != 1:
+        i, length = sigma[i - 1], length + 1
+    return length == n
+
+
 def verify_homolog_i(A: FiniteDimAlgebra, n: int = 2, sigma=None,
                      max_level: int = 2, size_cap: int | None = None) -> CheckReport:
     """Compare HH of A, with coefficients in A, against HH of the n-th
@@ -542,11 +527,13 @@ def verify_homolog_i(A: FiniteDimAlgebra, n: int = 2, sigma=None,
     Only the regular bimodule is twisted.  sigma defaults to the cyclic
     rotation (2,...,n,1), whose bimodule TwistedBimodule computes
     slotwise; any other n-cycle is applied as a slot permutation through
-    AutoTwistedBimodule.  The two dimension lists must agree level by
-    level.
+    AutoTwistedBimodule; any other sigma is refused with ValueError.
+    The two dimension lists must agree level by level.
     """
     check_count(n, "n", 1)
     check_count(max_level, "max_level")
+    if sigma is not None and not _is_n_cycle(sigma, n):
+        raise ValueError(f"sigma must be an n-cycle (n = {n}), got {sigma!r}")
     cap = _resolve_cap(size_cap)
     _check_bar_cap(A.dim ** n, A.dim ** n, max_level + 1, cap)
     lhs = hh_dims(A, RegularBimodule(A), max_level, cap)
@@ -589,8 +576,7 @@ def _random_cycles(B, M, level: int, count: int, rng: random.Random):
     out = []
     for t in range(count):
         if harvested and t % 3 == 0:
-            combo = harvested[rng.randrange(len(harvested))]
-            cycle = dict(combo)
+            cycle = dict(harvested[rng.randrange(len(harvested))])
         else:
             cycle = bar_apply(B, M, random_chain(level + 1), level + 1)
         out.append(cycle)
@@ -613,6 +599,7 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
     """
     check_count(n, "n", 1)
     check_count(m, "m", 1)
+    check_count(trials, "trials", 1)
     _check_bar_cap(A.dim ** n, A.dim ** n, max(m - 1, 1), _resolve_cap(None))
     B = tensor_power(A, n)
     rho = rotation_permutation(A, n)
@@ -632,7 +619,6 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
 
     level = m - 1
     failures = 0
-    checked = 0
     for cycle in _random_cycles(B, M, level, trials, rng):
         if level and bar_apply(B, M, cycle, level):
             raise CertificateError("sampled chain is not a cycle")
@@ -645,13 +631,12 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
             addmul_into(arg, append_unit(sc), sign)
             sc = s_op(sc)
         rhs = bar_apply(B, M, arg, m)
-        checked += 1
         if lhs != rhs:
             failures += 1
     return CheckReport(
         f"rotation homotopy identity n={n} m={m}",
         failures == 0,
-        (f"{checked - failures}/{checked} sampled cycles satisfy the identity",),
+        (f"{trials - failures}/{trials} sampled cycles satisfy the identity",),
     )
 
 
@@ -703,16 +688,16 @@ def afls_check(B: FiniteDimAlgebra, G: GroupAction, max_level: int = 2,
     the normalised complex (hh_dims), the sectors on the full one.
     """
     check_count(max_level, "max_level")
+    if (G.algebra.dim, G.algebra.table, G.algebra.unit) != (B.dim, B.table, B.unit):
+        raise ValueError("G acts on another algebra than B")
     cap = _resolve_cap(size_cap)
     _check_bar_cap(G.order * B.dim, G.order * B.dim, max_level + 1, cap)
     cross = crossed_product(G)
     lhs = hh_dims(cross, RegularBimodule(cross), max_level, cap)
     rhs = [0] * (max_level + 1)
     for cls in G.conjugacy_classes():
-        rep = cls[0]
-        sector = _sector_invariant_dims(B, G, rep, max_level, cap)
-        for i in range(max_level + 1):
-            rhs[i] += sector[i]
+        sector = _sector_invariant_dims(B, G, cls[0], max_level, cap)
+        rhs = [r + s for r, s in zip(rhs, sector)]
     lines = tuple(
         f"level {i}: crossed={lhs[i]} sector sum={rhs[i]}"
         for i in range(max_level + 1)

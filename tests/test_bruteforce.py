@@ -194,10 +194,7 @@ def test_twisted_bimodule_n1_is_plain():
     A = FiniteDimAlgebra.truncated_polynomial(2)
     tw = TwistedBimodule(A, 1)
     reg = RegularBimodule(A)
-    for b in range(A.dim):
-        for m in range(A.dim):
-            assert tw.left_basis(b, m) == reg.left_basis(b, m)
-            assert tw.right_basis(m, b) == reg.right_basis(m, b)
+    assert (tw.dim, tw.left, tw.right) == (reg.dim, reg.left, reg.right) == (2, A.table, A.table)
 
 
 def test_twisted_matches_auto_twisted_for_regular_inner():
@@ -206,10 +203,7 @@ def test_twisted_matches_auto_twisted_for_regular_inner():
     B = tensor_power(A, n)
     tw = TwistedBimodule(A, n)
     auto = AutoTwistedBimodule(B, [{p: ONE} for p in rotation_permutation(A, n)])
-    for b in range(B.dim):
-        for m in range(B.dim):
-            assert tw.left_basis(b, m) == auto.left_basis(b, m)
-            assert tw.right_basis(m, b) == auto.right_basis(m, b)
+    assert (tw.left, tw.right) == (auto.left, auto.right)
 
 
 @pytest.mark.parametrize("A", [FiniteDimAlgebra.truncated_polynomial(2), z2_algebra(),
@@ -220,10 +214,7 @@ def test_slotwise_twisted_matches_the_slot_permutation(A, n):
     tw = TwistedBimodule(A, n)
     auto = AutoTwistedBimodule(B, [{p: ONE} for p in rotation_permutation(A, n)])
     assert tw.dim == B.dim
-    for b in range(B.dim):
-        for m in range(B.dim):
-            assert tw.left_basis(b, m) == auto.left_basis(b, m)
-            assert tw.right_basis(m, b) == auto.right_basis(m, b)
+    assert (tw.left, tw.right) == (auto.left, auto.right)
 
 
 def test_bimodule_actions_are_computed_once_on_first_use(monkeypatch):
@@ -232,18 +223,17 @@ def test_bimodule_actions_are_computed_once_on_first_use(monkeypatch):
     B = tensor_power(A, n)
     tw = TwistedBimodule(A, n)
     auto = AutoTwistedBimodule(B, [{p: ONE} for p in rotation_permutation(A, n)])
-    first = {(b, m): (tw.left_basis(b, m), tw.right_basis(m, b), auto.right_basis(m, b))
-             for b in range(B.dim) for m in range(B.dim)}
+    first = (tw.left, tw.right, auto.left, auto.right)
 
     def no_work(*args):
         raise AssertionError("an action was recomputed")
 
     monkeypatch.setattr(bruteforce, "decode_index", no_work)
     monkeypatch.setattr(bruteforce, "addmul_into", no_work)
-    for (b, m), (left, right, auto_right) in first.items():
-        assert tw.left_basis(b, m) is left and tw.right_basis(m, b) is right
-        assert auto.right_basis(m, b) is auto_right
-        assert right == auto_right
+    monkeypatch.setattr(bruteforce, "apply_columns", no_work)
+    assert all(now is then for now, then in zip((tw.left, tw.right, auto.left, auto.right), first))
+    assert auto.left is B.table and RegularBimodule(B).right is B.table
+    assert tw.right == auto.right
 
 
 def test_verify_homolog_i_small():
@@ -312,8 +302,9 @@ def test_group_action_table_and_refusals():
     scale2 = [{0: 1}, {1: 2}, {2: 4}]  # x -> 2x
     G = GroupAction(A, [sign, ident])
     assert (G.table, G.identity, G.inverses) == ([[1, 0], [0, 1]], 1, [0, 1])
-    # a repeated element: every product is read as its first occurrence
-    assert GroupAction(A, [ident, sign, sign]).table == [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+    # a repeated element would weight its class twice in every centralizer average
+    with pytest.raises(ValueError, match="group element repeated"):
+        GroupAction(A, [ident, sign, sign])
     with pytest.raises(ValueError, match="not closed under composition"):
         GroupAction(A, [ident, scale2])
     with pytest.raises(ValueError, match="identity matrix missing"):
@@ -636,12 +627,16 @@ def test_oversized_requests_are_refused_before_anything_is_built(monkeypatch):
     (lambda A, G: list(bar_columns(A, RegularBimodule(A), 0)), "level must be a positive int, got 0"),
     (lambda A, G: homotopy_identity_check(A, 2, 1.5), "m must be a positive int, got 1.5"),
     (lambda A, G: homotopy_identity_check(A, 2.0, 2), "n must be a positive int, got 2.0"),
+    (lambda A, G: homotopy_identity_check(A, 2, 2, trials=-1), "trials must be a positive int, got -1"),
+    (lambda A, G: homotopy_identity_check(A, 2, 2, trials=True), "trials must be a positive int, got True"),
+    (lambda A, G: homotopy_identity_check(A, 2, 2, trials=2.5), "trials must be a positive int, got 2.5"),
     (lambda A, G: verify_homolog_i(A, n=2.0), "n must be a positive int, got 2.0"),
     (lambda A, G: verify_homolog_i(A, max_level=-1), "max_level must be a nonnegative int, got -1"),
     (lambda A, G: afls_check(A, G, max_level=1.5), "max_level must be a nonnegative int, got 1.5"),
 ], ids=["hh_float", "hh_bool", "hh_negative", "truncated_float", "truncated_zero",
         "tensor_float", "twisted_zero", "bar_level_zero", "homotopy_m_float",
-        "homotopy_n_float", "homolog_n_float", "homolog_negative", "afls_float"])
+        "homotopy_n_float", "trials_negative", "trials_bool", "trials_float",
+        "homolog_n_float", "homolog_negative", "afls_float"])
 def test_counts_are_refused_before_anything_is_built(monkeypatch, call, message):
     A = FiniteDimAlgebra.truncated_polynomial(2)
     G = GroupAction.generate(A, [sign_action(2)])
@@ -655,6 +650,65 @@ def test_counts_are_refused_before_anything_is_built(monkeypatch, call, message)
     monkeypatch.setattr(FiniteDimAlgebra, "tensor", no_build)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(A, G)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda A, G, H: GroupAction(A, [G.elements[0], G.elements[1], G.elements[1]]),
+     "group element repeated"),
+    (lambda A, G, H: homotopy_identity_check(A, 2, 1, trials=0),
+     "trials must be a positive int, got 0"),
+    (lambda A, G, H: afls_check(A, H, 1), "G acts on another algebra than B"),
+    (lambda A, G, H: verify_homolog_i(A, n=2, sigma=(1, 2)),
+     "sigma must be an n-cycle (n = 2), got (1, 2)"),
+], ids=["repeated_element", "zero_trials", "afls_other_algebra", "homolog_not_a_cycle"])
+def test_malformed_bar_complex_inputs_are_refused_before_anything_is_built(
+        monkeypatch, call, message):
+    A = FiniteDimAlgebra.truncated_polynomial(2)
+    G = GroupAction.generate(A, [sign_action(2)])
+    H = GroupAction.generate(FiniteDimAlgebra.truncated_polynomial(3), [sign_action(3)])
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("something was built before the input check")
+
+    for name in ("_compose", "_check_bar_cap", "_unit_quotient", "_d_basis", "crossed_product",
+                 "AutoTwistedBimodule", "TwistedBimodule", "slot_permutation",
+                 "rotation_permutation"):
+        monkeypatch.setattr(bruteforce, name, no_build)
+    monkeypatch.setattr(FiniteDimAlgebra, "tensor", no_build)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(A, G, H)
+
+
+def test_group_action_refuses_every_repeat():
+    A = FiniteDimAlgebra.truncated_polynomial(3)
+    ident, sign = [{i: 1} for i in range(3)], sign_action(3)
+    for elements in ([ident, ident], [sign, ident, sign], [ident, sign, [dict(c) for c in sign]]):
+        with pytest.raises(ValueError, match="group element repeated"):
+            GroupAction(A, elements)
+
+
+def test_afls_check_refuses_an_action_on_another_algebra():
+    dual, z2 = FiniteDimAlgebra.truncated_polynomial(2), z2_algebra()
+    on_z2 = GroupAction.generate(z2, [sign_action(2)])
+    # same dim, another table: x^2 = 0 against g^2 = 1
+    with pytest.raises(ValueError, match="another algebra"):
+        afls_check(dual, on_z2, 1)
+    # an equal algebra built separately is the same algebra
+    assert afls_check(z2_algebra(), on_z2, 1).passed
+
+
+@pytest.mark.parametrize("n, sigma", [(2, (1, 2)), (3, (2, 1, 3)), (3, (1, 2, 3)),
+                                      (3, (2, 2, 3)), (3, (2, 3)), (1, ()),
+                                      (2, (2.0, 1.0)), (2, (2, True))])
+def test_verify_homolog_i_refuses_a_sigma_that_is_not_an_n_cycle(n, sigma):
+    with pytest.raises(ValueError, match="sigma must be an n-cycle"):
+        verify_homolog_i(z2_algebra(), n=n, sigma=sigma, max_level=1)
+
+
+def test_verify_homolog_i_admits_every_n_cycle():
+    for n, sigma in ((1, (1,)), (2, (2, 1)), (3, (2, 3, 1)), (3, (3, 1, 2)), (4, (3, 4, 2, 1))):
+        assert verify_homolog_i(FiniteDimAlgebra.truncated_polynomial(2), n=n, sigma=sigma,
+                                max_level=1).passed
 
 
 def test_the_cap_admits_the_largest_verify_cases():
