@@ -9,7 +9,6 @@ in the super sense, so odd degrees contribute exterior-power counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .series import check_count
 
@@ -91,22 +90,59 @@ class BettiTable:
         return BettiTable(out)
 
 
-@dataclass(frozen=True)
-class AlgebraPreset:
+class _Record:
+    """Frozen value record over the fields in a subclass's __slots__.
+
+    Equal, with the same hash, to a record of the same class with equal
+    fields; assigning or deleting a field raises AttributeError; pickle and
+    copy rebuild a record through its constructor, with its checks.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class AlgebraPreset(_Record):
     """A named algebra standing in only through its cohomology dimensions.
 
     d is the duality dimension: the cohomology table must be supported in
     [0, d], and degree-i classes pair with degree-(d-i) homology classes.
     """
 
-    name: str
-    d: int
-    betti: BettiTable
+    __slots__ = ("name", "d", "betti")
 
-    def __post_init__(self):
-        if not isinstance(self.betti, BettiTable):
-            object.__setattr__(self, "betti", BettiTable(self.betti))
-        check_duality(self.betti, self.d)
+    def __init__(self, name: str, d: int, betti: BettiTable):
+        if not isinstance(betti, BettiTable):
+            betti = BettiTable(betti)
+        check_duality(betti, d)
+        super().__init__(name, d, betti)
 
 
 def check_duality(table: BettiTable, d: int) -> None:

@@ -249,11 +249,17 @@ def encode_tuple(t, dim: int) -> int:
     return idx
 
 
+def _is_permutation(sigma, n: int) -> bool:
+    """Is sigma (1-indexed one-line notation) a permutation of 1..n?  Its
+    entries must be ints: True and 2.0 are not read as 1 and 2."""
+    return all(type(i) is int for i in sigma) and sorted(sigma) == list(range(1, n + 1))
+
+
 def slot_permutation(A: FiniteDimAlgebra, n: int, sigma) -> list[int]:
     """Basis permutation of A^(tensor n) with image slot i = source slot
     sigma(i); sigma is 1-indexed, e.g. (2,...,n,1) is the cyclic rotation."""
     check_count(n, "n", 1)
-    if sorted(sigma) != list(range(1, n + 1)):
+    if not _is_permutation(sigma, n):
         raise ValueError("sigma must be a permutation of 1..n")
     out = []
     for idx in range(A.dim ** n):
@@ -511,7 +517,7 @@ def hh_dims(B: FiniteDimAlgebra, M, max_level: int,
 
 def _is_n_cycle(sigma, n: int) -> bool:
     """Is sigma (1-indexed one-line notation) one cycle through all of 1..n?"""
-    if any(type(i) is not int for i in sigma) or sorted(sigma) != list(range(1, n + 1)):
+    if not _is_permutation(sigma, n):
         return False
     i, length = sigma[0], 1
     while i != 1:

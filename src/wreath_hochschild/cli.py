@@ -23,11 +23,13 @@ above MAX_SERIES_T, with exit 2 before any work; the library has no cap.
 
 The table commands load only the series layer.  Only verify and cherednik
 load the chain-level layers (bruteforce, koszul, cherednik, linalg and
-ratfunc), by importing them inside the functions that use them.
+ratfunc), by importing them inside the functions that use them.  Table
+commands also load no dataclasses, json or random module: json only when
+a JSON preset is read or --format json is written, random only in verify
+wreath.
 """
 
 import argparse
-import random
 import sys
 
 from .betti import BettiTable
@@ -114,6 +116,8 @@ def _cmd_cherednik(args) -> int:
 
 
 def verify_wreath(seed: int = 0) -> list:
+    import random
+
     checks = []
     for label in sorted(CLOSED_FORM_PRESETS):
         preset = load_preset(CLOSED_FORM_PRESETS[label])

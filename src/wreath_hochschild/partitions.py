@@ -9,7 +9,7 @@ first and (1, ..., 1) last.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .series import check_count
 

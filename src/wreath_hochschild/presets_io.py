@@ -7,11 +7,9 @@ reconstruct the value.  The plain format is presentation-only.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
 
-from .betti import AlgebraPreset, BettiTable
+from .betti import AlgebraPreset, BettiTable, _Record
 from .series import BiSeries, poly_str
 from .wreath import PRESETS, gamma_preset
 
@@ -20,20 +18,17 @@ _TABLE_SCHEMA = "wreath-hochschild/table-v1"
 _REPORT_SCHEMA = "wreath-hochschild/report-v1"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of one verification suite: a pass flag plus detail lines."""
 
-    name: str
-    passed: bool
-    lines: tuple[str, ...] = field(default_factory=tuple)
+    __slots__ = ("name", "passed", "lines")
 
-    def __post_init__(self):
+    def __init__(self, name: str, passed: bool, lines: tuple[str, ...] = ()):
         # type(), not isinstance: a truthy string or int is no pass flag
-        if type(self.name) is not str or type(self.passed) is not bool:
+        if type(name) is not str or type(passed) is not bool:
             raise ValueError(f"a report needs a str name and a bool pass flag, "
-                             f"got {self.name!r} and {self.passed!r}")
-        object.__setattr__(self, "lines", tuple(str(x) for x in self.lines))
+                             f"got {name!r} and {passed!r}")
+        super().__init__(name, passed, tuple(str(x) for x in lines))
 
     @classmethod
     def from_checks(cls, name: str, checks) -> "CheckReport":
@@ -57,6 +52,8 @@ def load_preset(name: str) -> AlgebraPreset:
         except ValueError:
             raise ValueError(f"bad gamma preset {name!r}: expected gamma:<int>")
         return gamma_preset(nu)
+    import json  # the catalog and gamma presets above never load it
+
     if name.lstrip().startswith("{"):
         data = json.loads(name)
     elif os.path.exists(name):
@@ -153,6 +150,8 @@ def _emit_report(r: CheckReport, format: str) -> bytes:
 
 
 def _json_bytes(doc: dict) -> bytes:
+    import json
+
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
@@ -166,12 +165,16 @@ def parse(data: bytes):
     the wrong JSON type, a degree, dimension or coefficient that is not an
     int (bools included), a report name that is not a string, a pass flag
     that is not a bool, and report lines that are not a list of strings.
+    A JSON table degree and every csv cell must be an integer written as
+    emit writes it, str(int(s)) == s: "+2", " 1", "01" and "1_0" are refused.
     emit never writes a repeat, so a payload that names one JSON key,
     degree or (n, i) term twice is refused too.
     """
     text = data.decode()
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        import json
+
         doc = json.loads(text, object_pairs_hook=_once)
         schema = doc.get("schema")
         try:
@@ -180,7 +183,8 @@ def parse(data: bytes):
                 _once(((n, i), c) for n, i, c in terms)
                 return BiSeries.from_terms(doc["q_bound"], doc["t_bound"], terms)
             if schema == _TABLE_SCHEMA:
-                return BettiTable(_once((int(k), v) for k, v in doc["dims"].items()))
+                # canonical keys name each degree once; the hook refused repeated keys
+                return BettiTable({_int(k): v for k, v in doc["dims"].items()})
             if schema == _REPORT_SCHEMA:
                 lines = doc["lines"]
                 if not isinstance(lines, list) or not all(type(x) is str for x in lines):
@@ -197,15 +201,26 @@ def parse(data: bytes):
         raise ValueError("empty payload")
     header = lines[0]
     if header == "n,i,dim":
-        terms = [tuple(int(x) for x in ln.split(",")) for ln in lines[1:]]
+        terms = [tuple(_int(x) for x in ln.split(",")) for ln in lines[1:]]
         _once(((n, i), c) for n, i, c in terms)
         qb = max((n for n, _, _ in terms), default=0)
         tb = max((i for _, i, _ in terms), default=0)
         return BiSeries.from_terms(qb, tb, terms)
     if header == "degree,dim":
-        rows = [tuple(int(x) for x in ln.split(",")) for ln in lines[1:]]
+        rows = [tuple(_int(x) for x in ln.split(",")) for ln in lines[1:]]
         return BettiTable(_once(rows))
     raise ValueError("unrecognized payload")
+
+
+def _int(text: str) -> int:
+    """int(text), refusing every spelling but the one emit writes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise ValueError(f"{text!r} is not an integer as emit writes one")
+    return value
 
 
 def _once(pairs) -> dict:

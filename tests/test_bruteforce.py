@@ -705,6 +705,12 @@ def test_verify_homolog_i_refuses_a_sigma_that_is_not_an_n_cycle(n, sigma):
         verify_homolog_i(z2_algebra(), n=n, sigma=sigma, max_level=1)
 
 
+@pytest.mark.parametrize("sigma", [(2, True), (2.0, 1.0)], ids=["bool entry", "float entries"])
+def test_slot_permutation_refuses_a_sigma_with_a_non_int_entry(sigma):
+    with pytest.raises(ValueError, match=r"^sigma must be a permutation of 1\.\.n$"):
+        slot_permutation(FiniteDimAlgebra.truncated_polynomial(2), 2, sigma)
+
+
 def test_verify_homolog_i_admits_every_n_cycle():
     for n, sigma in ((1, (1,)), (2, (2, 1)), (3, (2, 3, 1)), (3, (3, 1, 2)), (4, (3, 4, 2, 1))):
         assert verify_homolog_i(FiniteDimAlgebra.truncated_polynomial(2), n=n, sigma=sigma,

@@ -93,6 +93,26 @@ def test_table_commands_load_no_chain_level_layer(argv):
     assert proc.stdout.split() == []
 
 
+def test_a_table_command_loads_no_dataclasses_json_random_or_typing():
+    # against the modules loaded before the engine import, so that modules
+    # the interpreter's site hooks preload do not count
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "before = set(sys.modules)\n"
+        "from wreath_hochschild import cli\n"
+        "with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):\n"
+        "    assert cli.main(['deform', '--preset', 'weyl', '-n', '2']) == 0\n"
+        "added = set(sys.modules) - before\n"
+        "print(*[name for name in ('dataclasses', 'inspect', 'json', 'random', 'typing')\n"
+        "        if name in added])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_the_bar_complex_oracle_loads_no_other_chain_level_layer():
     # invariant_dim reads the rank of its projector, not a trace, so linalg
     # needs no rational functions and bruteforce loads neither other oracle
