@@ -20,6 +20,14 @@ recovers the crossed product of S_n with n commuting Weyl pairs;
 crossed_weyl_normal_order implements that algebra directly, without the
 rewriting engine, and serves as an oracle for the k -> 0 specialization
 of every normal form.
+
+Input is validated at the public edge: word parsing and the
+CherednikElement constructor check every generator, monomial and
+coefficient.  Results are built once and trusted: normal_order and
+multiply wrap the dict the rewriter emits (CherednikElement._trusted)
+without re-checking its monomials or re-coercing its coefficients, and
+the verification suites parse their alphabet once per n and reduce the
+parsed words directly (_normal_form).
 """
 
 import random
@@ -34,7 +42,6 @@ from .presets_io import CheckReport
 from .ratfunc import poly_add, poly_eval, poly_mul
 from .series import check_count
 
-KP_ZERO = ()
 KP_ONE = (1,)
 KP_K = (0, 1)
 
@@ -50,12 +57,15 @@ def _kp(value) -> tuple:
 
 
 def _kp_add_into(target: dict, key, c: tuple) -> None:
-    """target[key] += c for k-polynomials; drops the entry if it cancels."""
-    acc = poly_add(target.get(key, KP_ZERO), c)
+    """target[key] += c for k-polynomials; drops the entry if it cancels.
+
+    c must be trimmed (no trailing zero): a new key stores c as it is."""
+    old = target.get(key)
+    acc = c if old is None else poly_add(old, c)
     if acc:
         target[key] = acc
-    else:
-        target.pop(key, None)
+    elif old is not None:
+        del target[key]
 
 
 def _identity(n: int) -> tuple:
@@ -209,7 +219,8 @@ def _monomial_of(word, n: int) -> NormalMonomial:
             pexp[atom[1]] += 1
         else:
             perm = atom[1]
-    return NormalMonomial(tuple(xexp), perm, tuple(pexp))
+    # tuple.__new__ skips the NamedTuple constructor's Python-level code
+    return tuple.__new__(NormalMonomial, (tuple(xexp), perm, tuple(pexp)))
 
 
 def _monomial_word(mono: NormalMonomial, n: int) -> tuple:
@@ -269,6 +280,15 @@ class CherednikElement:
                 raise ValueError(f"bad monomial {mono!r}")
             _kp_add_into(clean, mono, _kp(coeff))
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "CherednikElement":
+        """Wrap a dict the engine built: canonical normal monomials mapped to
+        trimmed, integer-first k-polynomials.  Nothing is checked or copied."""
+        elem = object.__new__(cls)
+        elem.n = n
+        elem.terms = terms
+        return elem
 
     @classmethod
     def zero(cls, n: int) -> "CherednikElement":
@@ -344,8 +364,17 @@ def normal_order(word, n: int, strategy: str = "leftmost") -> CherednikElement:
     check_count(n, "n", 1)
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    atoms = _parse_atoms(word, n)
-    return CherednikElement(n, _reduce_words({atoms: KP_ONE}, n, strategy == "rightmost"))
+    return _normal_form(_parse_atoms(word, n), n, strategy == "rightmost")
+
+
+def _normal_form(atoms: tuple, n: int, rightmost: bool) -> CherednikElement:
+    """Normal form of a parsed word; the rewriter's integer k-polynomials
+    are final, so the result is built once, unchecked."""
+    return CherednikElement._trusted(n, _reduce_words({atoms: KP_ONE}, n, rightmost))
+
+
+def _int_only(elem: CherednikElement) -> bool:
+    return all(type(v) is int for c in elem.terms.values() for v in c)
 
 
 def multiply(a: CherednikElement, b: CherednikElement) -> CherednikElement:
@@ -355,12 +384,17 @@ def multiply(a: CherednikElement, b: CherednikElement) -> CherednikElement:
     if a.n != b.n:
         raise ValueError("rank mismatch")
     n = a.n
+    right = [(_monomial_word(m2, n), c2) for m2, c2 in b.terms.items()]
     pending: dict = {}
     for m1, c1 in a.terms.items():
         w1 = _monomial_word(m1, n)
-        for m2, c2 in b.terms.items():
-            _kp_add_into(pending, w1 + _monomial_word(m2, n), poly_mul(c1, c2))
-    return CherednikElement(n, _reduce_words(pending, n, False))
+        for w2, c2 in right:
+            _kp_add_into(pending, w1 + w2, poly_mul(c1, c2))
+    terms = _reduce_words(pending, n, False)
+    if not (_int_only(a) and _int_only(b)):
+        # Fractions can sum to an integral value: keep coefficients integer-first
+        terms = {mono: _kp(c) for mono, c in terms.items()}
+    return CherednikElement._trusted(n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +472,14 @@ def _word_label(word) -> str:
     )
 
 
-def _all_words(n: int, max_len: int):
+def _words(n: int, max_len: int):
+    """Every word of length <= max_len, as (public letters, parsed atoms);
+    the alphabet is parsed once."""
+    letters = _word_alphabet(n)
+    pairs = tuple(zip(letters, _parse_atoms(letters, n)))
     for length in range(max_len + 1):
-        yield from product(_word_alphabet(n), repeat=length)
+        for word in product(pairs, repeat=length):
+            yield tuple(g for g, _ in word), tuple(a for _, a in word)
 
 
 def confluence_check(n: int, max_deg: int) -> CheckReport:
@@ -452,9 +491,9 @@ def confluence_check(n: int, max_deg: int) -> CheckReport:
     check_count(n, "n", 1)
     check_count(max_deg, "max_deg")
     failure, total = None, 0
-    for total, word in enumerate(_all_words(n, max_deg), 1):
-        left = normal_order(word, n, "leftmost")
-        if left != normal_order(word, n, "rightmost"):
+    for total, (word, atoms) in enumerate(_words(n, max_deg), 1):
+        left = _normal_form(atoms, n, False)
+        if left != _normal_form(atoms, n, True):
             failure = f"strategies diverge on word {_word_label(word)}"
         elif left.specialize(0) != crossed_weyl_normal_order(word, n):
             failure = (f"k = 0 normal form of {_word_label(word)} disagrees "
@@ -501,12 +540,13 @@ def pbw_dimension_check(n: int, max_deg: int) -> CheckReport:
     expected = factorial(n) * comb(2 * n + max_deg, max_deg)
     count = normal_monomial_count(n, max_deg)
     filtered = graded = True
-    for word in _all_words(n, max_deg):
-        xp_len = sum(1 for g in word if g[0] in ("x", "p"))
-        for mono, c in normal_order(word, n).terms.items():
-            if mono.degree() > xp_len:
+    for _, atoms in _words(n, max_deg):
+        xp_len = sum(1 for a in atoms if a[0] != "s")
+        for mono, c in _normal_form(atoms, n, False).terms.items():
+            degree = mono.degree()
+            if degree > xp_len:
                 filtered = False
-            elif mono.degree() == xp_len and len(c) > 1:
+            elif degree == xp_len and len(c) > 1:
                 graded = False
     return CheckReport.from_checks(f"cherednik pbw flatness n={n}", [
         (count == expected, f"{count} normal monomials of degree <= {max_deg} "

@@ -139,6 +139,21 @@ def test_specialize_at_zero_matches_crossed_product():
             assert normal_order(word, n).specialize(0) == crossed_weyl_normal_order(word, n)
 
 
+def test_crossed_product_oracle_runs_without_the_rewriter(monkeypatch):
+    words = ["p1 x1", "p1 x1 s12 p2 x2", "x2 p2 p1 s12 x1 p1"]
+    expected = [crossed_weyl_normal_order(w, 2) for w in words]
+
+    def no_rewriting(*args, **kwargs):
+        raise AssertionError("the k = 0 oracle called the rewriting engine")
+
+    for name in ("_reduce_words", "_rewrite", "_normal_form", "normal_order", "multiply"):
+        monkeypatch.setattr(cherednik, name, no_rewriting)
+    assert [crossed_weyl_normal_order(w, 2) for w in words] == expected
+    one = NormalMonomial((0, 0), (0, 1), (0, 0))
+    x1p1 = NormalMonomial((1, 0), (0, 1), (1, 0))
+    assert expected[0] == {x1p1: 1, one: -1}
+
+
 def test_crossed_product_drops_k_terms():
     got = crossed_weyl_normal_order("p1 x1", 2)
     one = NormalMonomial((0, 0), (0, 1), (0, 0))
@@ -228,13 +243,14 @@ PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=
 
 
 @st.composite
-def words(draw):
-    n = draw(st.sampled_from((2, 3)))
+def words(draw, n=None, n3_max_len=4):
+    if n is None:
+        n = draw(st.sampled_from((2, 3)))
     index = st.integers(1, n)
     atom = st.one_of(
         st.tuples(st.sampled_from(("x", "p")), index),
         st.lists(index, min_size=2, max_size=2, unique=True).map(lambda ij: ("s", *ij)))
-    return n, draw(st.lists(atom, max_size=5 if n == 2 else 4))
+    return n, draw(st.lists(atom, max_size=5 if n == 2 else n3_max_len))
 
 
 @PROPERTY
@@ -248,6 +264,56 @@ def test_rewriting_is_confluent_and_specializes_to_the_crossed_product(case):
 
 def coefficient_values(elem):
     return [c for coeff in elem.terms.values() for c in coeff]
+
+
+def assert_built_canonical(elem):
+    """elem equals its rebuild through the checking constructor: the same
+    keys, the same coefficient tuples and the same coefficient types."""
+    rebuilt = CherednikElement(elem.n, elem.terms)
+    assert rebuilt.terms == elem.terms
+    assert all(type(m) is NormalMonomial for m in elem.terms)
+    assert ({m: [type(v) for v in c] for m, c in elem.terms.items()}
+            == {m: [type(v) for v in c] for m, c in rebuilt.terms.items()})
+
+
+@PROPERTY
+@given(words(n3_max_len=5), st.sampled_from(("leftmost", "rightmost")))
+def test_normal_order_builds_its_result_canonical(case, strategy):
+    n, word = case
+    assert_built_canonical(normal_order(word, n, strategy))
+
+
+SCALARS = st.one_of(st.integers(-2, 2),
+                    st.fractions(min_value=-2, max_value=2, max_denominator=6))
+
+
+@st.composite
+def elements(draw, n):
+    kind = draw(st.sampled_from(("word", "random", "idempotent")))
+    if kind == "idempotent":
+        return spherical_idempotent(n)
+    if kind == "word":
+        return normal_order(draw(words(n=n, n3_max_len=3))[1], n)
+    monos = draw(st.lists(st.sampled_from(cherednik._all_monomials(n, 2)),
+                          min_size=1, max_size=3))
+    return CherednikElement(n, [(m, tuple(draw(st.lists(SCALARS, max_size=2))))
+                                for m in monos])
+
+
+@st.composite
+def element_pairs(draw):
+    n = draw(st.sampled_from((2, 3)))
+    return n, draw(elements(n)), draw(elements(n))
+
+
+@PROPERTY
+@given(element_pairs())
+def test_multiply_builds_its_result_canonical(case):
+    # the 1/n! of the idempotent and random Fractions can sum to integers
+    n, a, b = case
+    assert_built_canonical(multiply(a, b))
+    assert_built_canonical(spherical_product(a))
+    assert_built_canonical(multiply(spherical_idempotent(n) * factorial(n), b))
 
 
 def test_kp_stores_integral_values_as_ints():
@@ -318,7 +384,7 @@ def test_check_sizes_are_refused_before_any_word_is_reduced(monkeypatch, call):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
-    for name in ("_all_words", "_all_monomials", "normal_order", "multiply"):
+    for name in ("_words", "_all_monomials", "normal_order", "_normal_form", "multiply"):
         monkeypatch.setattr(cherednik, name, no_work)
     with pytest.raises(ValueError, match=r"^(max_deg must be a nonnegative|trials must be a positive) int, got "):
         call()
