@@ -140,15 +140,15 @@ def test_specialize_at_zero_matches_crossed_product():
 
 
 def test_crossed_product_oracle_runs_without_the_rewriter(monkeypatch):
-    words = ["p1 x1", "p1 x1 s12 p2 x2", "x2 p2 p1 s12 x1 p1"]
-    expected = [crossed_weyl_normal_order(w, 2) for w in words]
+    samples = ["p1 x1", "p1 x1 s12 p2 x2", "x2 p2 p1 s12 x1 p1"]
+    expected = [crossed_weyl_normal_order(w, 2) for w in samples]
 
     def no_rewriting(*args, **kwargs):
         raise AssertionError("the k = 0 oracle called the rewriting engine")
 
     for name in ("_reduce_words", "_rewrite", "_normal_form", "normal_order", "multiply"):
         monkeypatch.setattr(cherednik, name, no_rewriting)
-    assert [crossed_weyl_normal_order(w, 2) for w in words] == expected
+    assert [crossed_weyl_normal_order(w, 2) for w in samples] == expected
     one = NormalMonomial((0, 0), (0, 1), (0, 0))
     x1p1 = NormalMonomial((1, 0), (0, 1), (1, 0))
     assert expected[0] == {x1p1: 1, one: -1}
