@@ -590,8 +590,7 @@ def _random_cycles(B, M, level: int, count: int, rng: random.Random):
 
 
 def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
-                            trials: int = 50, seed: int = 0,
-                            size_cap: int | None = None) -> CheckReport:
+                            trials: int = 50, seed: int = 0) -> CheckReport:
     """Chain-level identity behind the rotation-invariance of homology.
 
     Viewing a level-(m-1) chain of the n-th tensor power as an n x m
@@ -602,13 +601,12 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
         C - rot(C) = d( sum_{j=0}^{m-1} (-1)^{j(m-1)} s^j(C) tensor 1 ).
 
     The check samples random exact cycles and evaluates both sides.  The
-    size cap (size_cap, else HH_SIZE_CAP, else the default) is checked on
-    the full differential at level max(m - 1, 1).
+    size cap is checked on the full differential at level max(m - 1, 1).
     """
     check_count(n, "n", 1)
     check_count(m, "m", 1)
     check_count(trials, "trials", 1)
-    _check_bar_cap(A.dim ** n, A.dim ** n, max(m - 1, 1), _resolve_cap(size_cap))
+    _check_bar_cap(A.dim ** n, A.dim ** n, max(m - 1, 1), _resolve_cap(None))
     B = tensor_power(A, n)
     rho = rotation_permutation(A, n)
     M = AutoTwistedBimodule(B, [{p: 1} for p in rho])

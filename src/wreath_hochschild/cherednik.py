@@ -23,11 +23,13 @@ of every normal form.
 
 Input is validated at the public edge: word parsing and the
 CherednikElement constructor check every generator, monomial and
-coefficient.  Results are built once and trusted: normal_order and
-multiply wrap the dict the rewriter emits (CherednikElement._trusted)
-without re-checking its monomials or re-coercing its coefficients, and
-the verification suites parse their alphabet once per n and reduce the
-parsed words directly (_normal_form).
+coefficient.  Normal forms are built once and trusted: normal_order
+wraps the dict the rewriter emits (CherednikElement._trusted) without
+re-checking its monomials or re-coercing its coefficients, and the
+verification suites parse their alphabet once per n and reduce the
+parsed words directly (_normal_form).  multiply still builds its result
+through the checking constructor, which keeps a product of Fraction
+operands integer-first.
 """
 
 import random
@@ -373,10 +375,6 @@ def _normal_form(atoms: tuple, n: int, rightmost: bool) -> CherednikElement:
     return CherednikElement._trusted(n, _reduce_words({atoms: KP_ONE}, n, rightmost))
 
 
-def _int_only(elem: CherednikElement) -> bool:
-    return all(type(v) is int for c in elem.terms.values() for v in c)
-
-
 def multiply(a: CherednikElement, b: CherednikElement) -> CherednikElement:
     """Normal-ordered product, extended bilinearly over Q[k]."""
     if not isinstance(a, CherednikElement) or not isinstance(b, CherednikElement):
@@ -390,11 +388,7 @@ def multiply(a: CherednikElement, b: CherednikElement) -> CherednikElement:
         w1 = _monomial_word(m1, n)
         for w2, c2 in right:
             _kp_add_into(pending, w1 + w2, poly_mul(c1, c2))
-    terms = _reduce_words(pending, n, False)
-    if not (_int_only(a) and _int_only(b)):
-        # Fractions can sum to an integral value: keep coefficients integer-first
-        terms = {mono: _kp(c) for mono, c in terms.items()}
-    return CherednikElement._trusted(n, terms)
+    return CherednikElement(n, _reduce_words(pending, n, False))
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +466,10 @@ def _word_label(word) -> str:
     )
 
 
-def _words(n: int, max_len: int):
-    """Every word of length <= max_len, as (public letters, parsed atoms);
-    the alphabet is parsed once."""
-    letters = _word_alphabet(n)
-    pairs = tuple(zip(letters, _parse_atoms(letters, n)))
+def _words(alphabet, max_len: int):
+    """Every word over alphabet of length <= max_len, shortest first."""
     for length in range(max_len + 1):
-        for word in product(pairs, repeat=length):
-            yield tuple(g for g, _ in word), tuple(a for _, a in word)
+        yield from product(alphabet, repeat=length)
 
 
 def confluence_check(n: int, max_deg: int) -> CheckReport:
@@ -490,8 +480,11 @@ def confluence_check(n: int, max_deg: int) -> CheckReport:
     """
     check_count(n, "n", 1)
     check_count(max_deg, "max_deg")
+    letters = _word_alphabet(n)
+    atom_of = dict(zip(letters, _parse_atoms(letters, n)))
     failure, total = None, 0
-    for total, (word, atoms) in enumerate(_words(n, max_deg), 1):
+    for total, word in enumerate(_words(letters, max_deg), 1):
+        atoms = tuple(map(atom_of.__getitem__, word))
         left = _normal_form(atoms, n, False)
         if left != _normal_form(atoms, n, True):
             failure = f"strategies diverge on word {_word_label(word)}"
@@ -540,7 +533,7 @@ def pbw_dimension_check(n: int, max_deg: int) -> CheckReport:
     expected = factorial(n) * comb(2 * n + max_deg, max_deg)
     count = normal_monomial_count(n, max_deg)
     filtered = graded = True
-    for _, atoms in _words(n, max_deg):
+    for atoms in _words(_parse_atoms(_word_alphabet(n), n), max_deg):
         xp_len = sum(1 for a in atoms if a[0] != "s")
         for mono, c in _normal_form(atoms, n, False).terms.items():
             degree = mono.degree()

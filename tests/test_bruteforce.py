@@ -616,18 +616,6 @@ def test_oversized_requests_are_refused_before_anything_is_built(monkeypatch):
         homotopy_identity_check(z2, n=2, m=1)
 
 
-def test_homotopy_identity_check_takes_an_explicit_size_cap(monkeypatch):
-    z2 = z2_algebra()
-    monkeypatch.delenv("HH_SIZE_CAP", raising=False)
-    # level 1 of (Z/2)^2 has 16 x 4 entries: 63 refuses it, 64 admits it
-    with pytest.raises(SizeCapExceeded, match="exceeds size cap 63"):
-        homotopy_identity_check(z2, n=2, m=1, size_cap=63)
-    assert homotopy_identity_check(z2, n=2, m=1, trials=2, size_cap=64).passed
-    # an explicit cap overrides the environment, as in hh_dims
-    monkeypatch.setenv("HH_SIZE_CAP", "1")
-    assert homotopy_identity_check(z2, n=2, m=1, trials=2, size_cap=64).passed
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda A, G: hh_dims(A, RegularBimodule(A), 1.5), "max_level must be a nonnegative int, got 1.5"),
     (lambda A, G: hh_dims(A, RegularBimodule(A), True), "max_level must be a nonnegative int, got True"),
