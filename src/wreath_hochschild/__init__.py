@@ -34,7 +34,7 @@ _EXPORTS = {
         "spherical_product",
     ),
     "koszul": (
-        "FilteredWindow", "RankOneElement", "WindowInstability", "build_cochain_complex",
+        "RankOneElement", "WindowInstability", "build_cochain_complex",
         "crossed_z2_cohomology", "duality_check", "hh_cohomology_rank_one",
     ),
     "linalg": ("CertificateError",),

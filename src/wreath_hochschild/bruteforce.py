@@ -21,8 +21,10 @@ the homotopy identity and the sector dimensions of afls_check use.
 Complex sizes grow as dim(B)^level, so every entry point,
 homotopy_identity_check included, first checks a size cap
 (dense-equivalent entry count of the largest matrix of the full complex)
-from dimensions alone, before anything is built; HH_SIZE_CAP in the
-environment overrides it (a nonnegative integer, else ValueError).
+from dimensions alone, before anything is built, through series.check_cap,
+the one admission rule, raising SizeCapExceeded; HH_SIZE_CAP in the
+environment overrides it (a nonnegative integer, else ValueError).  A
+group closure above 1024 elements is refused by the same rule.
 A bimodule is dim and two action tables, left[b][m] = b.m and
 right[m][b] = m.b, read by the differential and never mutated.  Every map
 given by its columns runs through linalg.apply_columns, and every tensor
@@ -49,7 +51,7 @@ from .linalg import (
     rank_of,
 )
 from .presets_io import CheckReport
-from .series import check_count
+from .series import check_cap, check_count
 
 DEFAULT_SIZE_CAP = 10 ** 7
 
@@ -71,15 +73,13 @@ def _resolve_cap(size_cap: int | None) -> int:
 
 
 def _check_bar_cap(b_dim: int, m_dim: int, top: int, cap: int):
-    """Refuse a full bar complex (algebra of dimension b_dim, coefficients
-    of dimension m_dim) with a differential at level 1 .. top above cap."""
+    """Refuse, with SizeCapExceeded, a full bar complex (algebra of dimension
+    b_dim, coefficients of dimension m_dim) with a differential at level
+    1 .. top of more than cap dense entries."""
     for k in range(1, top + 1):
         domain, codomain = b_dim ** k * m_dim, b_dim ** (k - 1) * m_dim
-        if domain * codomain > cap:
-            raise SizeCapExceeded(
-                f"bar differential at level {k}: matrix {domain} x {codomain} "
-                f"exceeds size cap {cap} (set HH_SIZE_CAP to override)"
-            )
+        check_cap(f"bar differential at level {k}: matrix {domain} x {codomain} "
+                  "(set HH_SIZE_CAP to override)", domain * codomain, cap, SizeCapExceeded)
 
 
 class FiniteDimAlgebra:
@@ -374,8 +374,7 @@ class GroupAction:
                 continue
             seen.add(key)
             elements.append(g)
-            if len(elements) > 1024:
-                raise ValueError("group closure exceeds 1024 elements")
+            check_cap("group closure", len(elements), 1024)
             frontier.extend(_compose(g, s) for s in gens)
         return cls(algebra, elements)
 
@@ -663,14 +662,15 @@ def _act_on_chain(cols, chain: dict) -> dict:
 
 
 def _sector_invariant_dims(B: FiniteDimAlgebra, G: GroupAction, g: int,
-                           max_level: int, cap: int) -> list[int]:
+                           max_level: int) -> list[int]:
     """dims of the centralizer-invariant part of HH_i(B, Bg), i <= max_level.
 
     The centralizer acts slotwise on chains; invariant_dim averages that
     action over homology representatives.  Each level's columns are built
     once, for the boundaries of one level and the cycles of the next.
+    Nothing is capped here: afls_check admits the crossed product, of
+    dimension |G| dim B, whose bar complex bounds this one.
     """
-    _check_bar_cap(B.dim, B.dim, max_level + 1, cap)
     M = AutoTwistedBimodule(B, G.elements[g])
     actions = [partial(_act_on_chain, G.elements[h]) for h in G.centralizer(g)]
     cycles = [{key: 1} for key in chain_keys(B, M, 0)]
@@ -702,7 +702,7 @@ def afls_check(B: FiniteDimAlgebra, G: GroupAction, max_level: int = 2,
     lhs = hh_dims(cross, RegularBimodule(cross), max_level, cap)
     rhs = [0] * (max_level + 1)
     for cls in G.conjugacy_classes():
-        sector = _sector_invariant_dims(B, G, cls[0], max_level, cap)
+        sector = _sector_invariant_dims(B, G, cls[0], max_level)
         rhs = [r + s for r, s in zip(rhs, sector)]
     lines = tuple(
         f"level {i}: crossed={lhs[i]} sector sum={rhs[i]}"

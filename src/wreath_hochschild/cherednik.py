@@ -273,9 +273,10 @@ class CherednikElement:
         clean: dict = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for mono, coeff in items:
+            # tuples of ints (type(), not isinstance: bools and floats are refused)
             if (
-                len(mono.xexp) != n
-                or len(mono.pexp) != n
+                any(type(f) is not tuple or len(f) != n for f in mono)
+                or {*map(type, mono.xexp + mono.perm + mono.pexp)} != {int}
                 or sorted(mono.perm) != list(range(n))
                 or min(mono.xexp + mono.pexp, default=0) < 0
             ):

@@ -35,6 +35,7 @@ import sys
 from .betti import BettiTable
 from .partitions import count_by_length
 from .presets_io import CheckReport, emit, load_preset
+from .series import check_cap
 from .wreath import (
     CLOSED_FORM_PRESETS,
     _wreath_table,
@@ -56,10 +57,8 @@ MAX_SERIES_T = 600
 
 
 def _check_bounds(q_bound: int, t_bound: int, q_flag: str, t_rule: str):
-    if q_bound > MAX_SERIES_Q:
-        raise ValueError(f"{q_flag} {q_bound} is above the cap of {MAX_SERIES_Q}")
-    if t_bound > MAX_SERIES_T:
-        raise ValueError(f"t bound {t_bound} ({t_rule}) is above the cap of {MAX_SERIES_T}")
+    check_cap(f"{q_flag} {q_bound}", q_bound, MAX_SERIES_Q)
+    check_cap(f"t bound {t_bound} ({t_rule})", t_bound, MAX_SERIES_T)
 
 
 def _cmd_series(args) -> int:

@@ -76,15 +76,16 @@ from .linalg import (
 )
 from .presets_io import CheckReport
 from .ratfunc import RatFunc
-from .series import check_count
+from .series import check_cap, check_count
 
 KINDS = ("weyl", "trig", "qweyl")
 TWISTS = ("id", "eps")
 
 
-# Window caps, refused with ValueError before any column is built;
-# timings are medians of 3 fresh processes on a 2-vCPU machine under
-# CPython 3.11.  Sector windows (hh_cohomology_rank_one,
+# Window caps.  A window is a plain int N >= 4, refused by series.check_cap
+# (ValueError) above its cap before any column is built; timings are
+# medians of 3 fresh processes on a 2-vCPU machine under CPython 3.11.
+# Sector windows (hh_cohomology_rank_one,
 # crossed_z2_cohomology, build_cochain_complex): crossed_z2_cohomology
 # ("qweyl") takes 0.08 s at N = 8, 0.16 s at 10, 0.29 s at 12 and 0.59 s
 # at 14; the qweyl eps sector windows (_windowed_dims, under the cap
@@ -99,25 +100,11 @@ class WindowInstability(RuntimeError):
     """Reported dimensions changed between windows N and N-2."""
 
 
-class FilteredWindow:
-    """Filtration bound N (monomials of total degree <= N); ranks are
-    trusted only on the safe margin, degree <= N-2."""
-
-    __slots__ = ("N",)
-
-    def __init__(self, N: int):
-        check_count(N, "window", 4)
-        self.N = N
-
-    def __repr__(self):
-        return f"FilteredWindow({self.N})"
-
-
-def _window(window, cap: int) -> FilteredWindow:
-    win = window if isinstance(window, FilteredWindow) else FilteredWindow(window)
-    if win.N > cap:
-        raise ValueError(f"window {win.N} is above the cap of {cap}")
-    return win
+def _window(N: int, cap: int) -> int:
+    """The filtration bound N (total degree <= N), an int from 4 up to cap."""
+    check_count(N, "window", 4)
+    check_cap(f"window {N}", N, cap)
+    return N
 
 
 def _check_kind(kind: str) -> None:
@@ -159,7 +146,8 @@ class RankOneElement:
         _check_kind(kind)
         clean = {}
         for (a, b), v in terms.items():
-            if not _valid_exponents(kind, a, b):
+            # type(), not isinstance: a bool or a float exponent is refused
+            if type(a) is not int or type(b) is not int or not _valid_exponents(kind, a, b):
                 raise ValueError(f"exponents ({a},{b}) outside the {kind} domain")
             v = _scalar(kind, v)
             if v:
@@ -445,10 +433,10 @@ def build_cochain_complex(kind: str, twist: str, window):
     applied to each d0 column and is identically zero, returned as the
     certificate that consecutive differentials compose to zero.
     """
-    win = _window(window, MAX_SECTOR_WINDOW)
+    N = _window(window, MAX_SECTOR_WINDOW)
     u, w, _, _ = _ae_uw(kind)
     act_u, act_w = _act(kind, u, twist), _act(kind, w, twist)
-    d0, d1 = _koszul_columns(window_keys(kind, win.N), act_u, act_w, _one(kind))
+    d0, d1 = _koszul_columns(window_keys(kind, N), act_u, act_w, _one(kind))
     composite = {}
     for s, col in d0.items():
         m1, m2 = _split(col)
@@ -516,7 +504,7 @@ def _stable(label: str, dims_at, window):
     """dims_at(windows) on the window N, and re-checked at N-2 when that
     window is admissible (windows is (N, N-2), else (N,)); a mismatch
     raises WindowInstability."""
-    N = _window(window, MAX_SECTOR_WINDOW).N
+    N = _window(window, MAX_SECTOR_WINDOW)
     dims, *inner = dims_at((N, N - 2) if N - 2 >= 4 else (N,))
     if inner and inner[0] != dims:
         raise WindowInstability(
@@ -680,7 +668,7 @@ def duality_check(kind: str, window=None) -> CheckReport:
     _check_kind(kind)
     if window is None:
         window = 8 if kind == "weyl" else 6
-    N = _window(window, MAX_DUALITY_WINDOW).N
+    N = _window(window, MAX_DUALITY_WINDOW)
     one = _one(kind)
     u, w, nu_u, nu_w = _ae_uw(kind)
     checks = [(_ae_mul(kind, u, w) == _ae_mul(kind, w, u),

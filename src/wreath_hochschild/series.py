@@ -5,8 +5,9 @@ A BiSeries stores the coefficients of sum_{n,i} c[n][i] q^n t^i for
 products are truncated to the shared bounds.  The q variable counts
 the wreath index n, the t variable counts (co)homological degree.
 
-poly_str, the one polynomial printer, and check_count, the one count rule,
-live here, at the bottom of the table stack, where every layer reaches them.
+poly_str, the one polynomial printer, check_count, the one count rule, and
+check_cap, the one admission rule of every size cap, live here, at the
+bottom of the table stack, where every layer reaches them.
 """
 
 from __future__ import annotations
@@ -207,6 +208,13 @@ def check_count(value, name: str, low: int = 0) -> None:
     if type(value) is not int or value < low:
         kind = {0: "a nonnegative int", 1: "a positive int"}.get(low, f"an int >= {low}")
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_cap(what: str, size: int, cap: int, error=ValueError) -> None:
+    """Refuse, with error, a size above its cap: the one comparison of every
+    size cap, and its one message, "<what> is above the cap of <cap>"."""
+    if size > cap:
+        raise error(f"{what} is above the cap of {cap}")
 
 
 def poly_str(terms, var: str) -> str:

@@ -587,7 +587,7 @@ def test_type_b_sectors_sum_to_the_crossed_product_dims():
     G = GroupAction.generate(B, type_b_generators(A, 2))
     total = [0, 0, 0]
     for cls in G.conjugacy_classes():
-        dims = bruteforce._sector_invariant_dims(B, G, cls[0], 2, bruteforce.DEFAULT_SIZE_CAP)
+        dims = bruteforce._sector_invariant_dims(B, G, cls[0], 2)
         total = [t + d for t, d in zip(total, dims)]
     assert total == [9, 4, 4]
 
@@ -609,7 +609,8 @@ def test_oversized_requests_are_refused_before_anything_is_built(monkeypatch):
                  lambda: homotopy_identity_check(dual, n=12, m=1),
                  # the sectors (dim 3) fit under the cap, the crossed product (dim 6) does not
                  lambda: afls_check(cube, sign, max_level=4)):
-        with pytest.raises(SizeCapExceeded, match="exceeds size cap"):
+        with pytest.raises(SizeCapExceeded, match=r"^bar differential at level \d+: matrix "
+                           r"\d+ x \d+ \(set HH_SIZE_CAP to override\) is above the cap of \d+$"):
             call()
     monkeypatch.setenv("HH_SIZE_CAP", "63")  # level 1 of (Z/2)^2 has 16 x 4 entries
     with pytest.raises(SizeCapExceeded):
@@ -677,6 +678,18 @@ def test_malformed_bar_complex_inputs_are_refused_before_anything_is_built(
     monkeypatch.setattr(FiniteDimAlgebra, "tensor", no_build)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(A, G, H)
+
+
+def test_group_closure_above_1024_elements_is_refused():
+    # S_7 (5040 elements) permuting the idempotents of Q^7, from a 7-cycle and a transposition
+    diagonal = FiniteDimAlgebra([[{i: 1} if i == j else {} for j in range(7)] for i in range(7)],
+                                {i: 1 for i in range(7)})
+    cycle = [{(i + 1) % 7: 1} for i in range(7)]
+    swap = [{1: 1}, {0: 1}] + [{i: 1} for i in range(2, 7)]
+    with pytest.raises(ValueError, match=r"^group closure is above the cap of 1024$"):
+        GroupAction.generate(diagonal, [cycle, swap])
+    # the closure of the 7-cycle alone is admitted
+    assert GroupAction.generate(diagonal, [cycle]).order == 7
 
 
 def test_group_action_refuses_every_repeat():

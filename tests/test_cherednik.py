@@ -117,6 +117,22 @@ def test_ring_operations():
     assert str(ka) == "k x1"
 
 
+@pytest.mark.parametrize("mono", [
+    NormalMonomial((1.5,), (0,), (0,)),
+    NormalMonomial((0,), (0,), (2.0,)),
+    NormalMonomial((True,), (0,), (0,)),
+    NormalMonomial((0, 0), (1.0, 0.0), (0, 0)),
+    NormalMonomial((0, 0), (1, False), (0, 0)),
+    NormalMonomial([0, 0], (1, 0), (0, 0)),
+    NormalMonomial((0, 0), [1, 0], (0, 0)),
+    NormalMonomial((0, 0), (1, 0), [0, 0]),
+], ids=["float x", "float p", "bool x", "float perm", "bool perm", "list x", "list perm",
+        "list p"])
+def test_constructor_refuses_a_monomial_field_that_is_not_a_tuple_of_ints(mono):
+    with pytest.raises(ValueError, match=r"^bad monomial "):
+        CherednikElement(len(mono.perm), [(mono, 1)])  # pairs: a list field is unhashable
+
+
 def test_degree_filtration():
     elem = normal_order("p1 x1 p1 x1", 2)
     top = NormalMonomial((2, 0), (0, 1), (2, 0))

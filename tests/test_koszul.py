@@ -5,7 +5,6 @@ import pytest
 
 from wreath_hochschild import koszul
 from wreath_hochschild.koszul import (
-    FilteredWindow,
     RankOneElement,
     WindowInstability,
     build_cochain_complex,
@@ -159,19 +158,35 @@ def test_koszul_builder_has_the_margin_dims_of_the_resolution(kind, w_is_u):
         assert koszul._margin_dims(d0, d1, chain) == koszul._margin_dims(first, second, chain)
 
 
+WINDOW_CALLS = (lambda N: hh_cohomology_rank_one("weyl", "id", N),
+                lambda N: crossed_z2_cohomology("weyl", N),
+                lambda N: build_cochain_complex("weyl", "id", N),
+                lambda N: duality_check("weyl", N))
+
+
 def test_window_too_small():
-    with pytest.raises(ValueError):
-        FilteredWindow(3)
-    with pytest.raises(ValueError):
-        hh_cohomology_rank_one("weyl", "id", 2)
+    for call in WINDOW_CALLS:
+        with pytest.raises(ValueError, match=r"^window must be an int >= 4, got 2$"):
+            call(2)
 
 
 def test_window_must_be_an_int_of_at_least_4():
-    for N in (6.0, True, "6", None):
-        with pytest.raises(ValueError, match=r"window must be an int >= 4, got "):
-            FilteredWindow(N)
-    with pytest.raises(ValueError, match=r"^window must be an int >= 4, got 3$"):
-        FilteredWindow(3)
+    for call in WINDOW_CALLS:
+        for N in (6.0, True, "6"):
+            with pytest.raises(ValueError, match=r"window must be an int >= 4, got "):
+                call(N)
+        with pytest.raises(ValueError, match=r"^window must be an int >= 4, got 3$"):
+            call(3)
+    with pytest.raises(ValueError, match=r"^window must be an int >= 4, got None$"):
+        hh_cohomology_rank_one("weyl", "id", None)
+
+
+@pytest.mark.parametrize("kind", ["weyl", "trig", "qweyl"])
+@pytest.mark.parametrize("key", [(1.5, 0), (0, 2.0), (True, 0), (0, False)],
+                         ids=["float a", "float b", "bool a", "bool b"])
+def test_rank_one_element_refuses_an_exponent_that_is_not_an_int(kind, key):
+    with pytest.raises(ValueError, match=r"^exponents \(.*\) outside the \w+ domain$"):
+        RankOneElement(kind, {key: 1})
 
 
 def test_cochain_composite_is_zero():
@@ -318,8 +333,7 @@ def test_windows_above_the_cap_are_refused_before_any_column(monkeypatch):
     for call, cap in ((lambda N: hh_cohomology_rank_one("qweyl", "eps", N), sector),
                       (lambda N: crossed_z2_cohomology("qweyl", N), sector),
                       (lambda N: build_cochain_complex("qweyl", "id", N), sector),
-                      (lambda N: duality_check("qweyl", N), dual),
-                      (lambda N: duality_check("weyl", FilteredWindow(N)), dual)):
+                      (lambda N: duality_check("qweyl", N), dual)):
         with pytest.raises(ValueError) as err:
             call(cap + 1)
         assert str(err.value) == f"window {cap + 1} is above the cap of {cap}"

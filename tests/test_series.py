@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from wreath_hochschild.series import BiSeries, check_count
+from wreath_hochschild.series import BiSeries, check_cap, check_count
 
 
 def geometric(q_bound, t_bound, q_exp, t_exp):
@@ -67,6 +67,14 @@ def test_check_count_admits_ints_from_low_up():
     for low in (0, 1, 4):
         for value in (low, low + 1, 10 ** 30):
             assert check_count(value, "x", low) is None
+
+
+def test_check_cap_admits_up_to_the_cap_and_refuses_above_it():
+    assert check_cap("x 300", 300, 300) is None
+    with pytest.raises(ValueError, match=r"^x 301 is above the cap of 300$"):
+        check_cap("x 301", 301, 300)
+    with pytest.raises(RuntimeError, match=r"^y is above the cap of 0$"):
+        check_cap("y", 1, 0, RuntimeError)
 
 
 def test_bound_mismatch_rejected():
