@@ -46,6 +46,8 @@ from .series import check_count
 
 KP_ONE = (1,)
 KP_K = (0, 1)
+KP_MINUS_ONE = (-1,)
+KP_MINUS_K = (0, -1)
 
 
 def _kp(value) -> tuple:
@@ -163,51 +165,30 @@ def _parse_atoms(word, n: int) -> tuple:
     return tuple(atoms)
 
 
-def _is_redex(u, v) -> bool:
-    a, b = u[0], v[0]
-    if a == "p" and b in ("x", "s"):
-        return True
-    if a == "s" and b in ("x", "s"):
-        return True
-    # out-of-order pair inside a commuting block
-    return a == b and a != "s" and u[1] > v[1]
-
-
-def _find_redex(word, rightmost: bool):
-    spots = range(len(word) - 2, -1, -1) if rightmost else range(len(word) - 1)
-    for t in spots:
-        if _is_redex(word[t], word[t + 1]):
-            return t
-    return None
-
-
-def _rewrite(word, t: int, n: int) -> list:
-    """Expand the single relation at position t into a list of (word, coeff)."""
-    u, v = word[t], word[t + 1]
-    pre, post = word[:t], word[t + 2:]
+def _rewrite(u, v, n: int):
+    """The (letters, k-polynomial) terms that replace the adjacent pair u v,
+    or None when the pair is in normal order."""
     a, b = u[0], v[0]
     if a == "p" and b == "x":
         i, j = u[1], v[1]
-        out = [(pre + (v, u) + post, KP_ONE)]
-        if i == j:
-            # p_i x_i = x_i p_i - 1 + sum_{l != i} k s_il
-            out.append((pre + post, _kp(-1)))
-            for l in range(n):
-                if l != i:
-                    out.append((pre + (("s", _transposition(n, i, l)),) + post, KP_K))
-        else:
+        if i != j:
             # p_i x_j = x_j p_i - k s_ij
-            out.append((pre + (("s", _transposition(n, i, j)),) + post, tuple(-c for c in KP_K)))
-        return out
+            return [((v, u), KP_ONE), ((("s", _transposition(n, i, j)),), KP_MINUS_K)]
+        # p_i x_i = x_i p_i - 1 + sum_{l != i} k s_il
+        return [((v, u), KP_ONE), ((), KP_MINUS_ONE)] + [
+            ((("s", _transposition(n, i, l)),), KP_K) for l in range(n) if l != i]
     if a == "p" and b == "s":
         # p_i sigma = sigma p_{sigma^{-1}(i)}
-        return [(pre + (v, ("p", v[1].index(u[1]))) + post, KP_ONE)]
+        return [((v, ("p", v[1].index(u[1]))), KP_ONE)]
     if a == "s" and b == "x":
         # sigma x_i = x_{sigma(i)} sigma
-        return [(pre + (("x", u[1][v[1]]), u) + post, KP_ONE)]
+        return [((("x", u[1][v[1]]), u), KP_ONE)]
     if a == "s" and b == "s":
-        return [(pre + (("s", _compose(u[1], v[1])),) + post, KP_ONE)]
-    return [(pre + (v, u) + post, KP_ONE)]
+        return [((("s", _compose(u[1], v[1])),), KP_ONE)]
+    if a == b and u[1] > v[1]:
+        # out-of-order pair inside a commuting block
+        return [((v, u), KP_ONE)]
+    return None
 
 
 def _monomial_of(word, n: int) -> NormalMonomial:
@@ -239,9 +220,11 @@ def _monomial_word(mono: NormalMonomial, n: int) -> tuple:
 def _reduce_words(pending: dict, n: int, rightmost: bool) -> dict:
     """Rewrite a k-polynomial combination of words into normal monomials.
 
-    No rule lengthens a word, so the words wait in one dict per length and
-    the longest go first: a word is rewritten only after every longer word
-    has added its share to it, not once for each longer word reaching it."""
+    Each word is rewritten at its first pair that _rewrite expands, from
+    the left (from the right if rightmost).  No rule lengthens a word, so
+    the words wait in one dict per length and the longest go first: a word
+    is rewritten only after every longer word has added its share to it,
+    not once for each longer word reaching it."""
     work = [{} for _ in range(max(map(len, pending), default=0) + 1)]
     for word, coeff in pending.items():
         work[len(word)][word] = coeff
@@ -249,11 +232,15 @@ def _reduce_words(pending: dict, n: int, rightmost: bool) -> dict:
     for bucket in reversed(work):
         while bucket:
             word, coeff = bucket.popitem()
-            t = _find_redex(word, rightmost)
-            if t is None:
+            for t in range(len(word) - 2, -1, -1) if rightmost else range(len(word) - 1):
+                terms = _rewrite(word[t], word[t + 1], n)
+                if terms is not None:
+                    break
+            else:
                 _kp_add_into(out, _monomial_of(word, n), coeff)
                 continue
-            for nxt, c in _rewrite(word, t, n):
+            for mid, c in terms:
+                nxt = word[:t] + mid + word[t + 2:]
                 _kp_add_into(work[len(nxt)], nxt, poly_mul(coeff, c))
     return out
 
@@ -275,7 +262,8 @@ class CherednikElement:
         for mono, coeff in items:
             # tuples of ints (type(), not isinstance: bools and floats are refused)
             if (
-                any(type(f) is not tuple or len(f) != n for f in mono)
+                not isinstance(mono, NormalMonomial)
+                or any(type(f) is not tuple or len(f) != n for f in mono)
                 or {*map(type, mono.xexp + mono.perm + mono.pexp)} != {int}
                 or sorted(mono.perm) != list(range(n))
                 or min(mono.xexp + mono.pexp, default=0) < 0
@@ -347,7 +335,7 @@ class CherednikElement:
         for mono, c in self.terms.items():
             v = poly_eval(c, value)
             if v:
-                out[mono] = v
+                out[mono] = exact_scalar(v)
         return out
 
     def __str__(self):
@@ -461,10 +449,9 @@ def _word_alphabet(n: int) -> list:
     return atoms
 
 
-def _word_label(word) -> str:
-    return " ".join(
-        f"{g[0]}{g[1]}" if g[0] in ("x", "p") else f"s{g[1]}{g[2]}" for g in word
-    )
+def _word_label(atoms) -> str:
+    """A parsed word in the tokens the parser reads (s1,10 once n >= 10)."""
+    return " ".join(_fmt_perm(a[1]) if a[0] == "s" else f"{a[0]}{a[1] + 1}" for a in atoms)
 
 
 def _words(alphabet, max_len: int):
@@ -488,9 +475,9 @@ def confluence_check(n: int, max_deg: int) -> CheckReport:
         atoms = tuple(map(atom_of.__getitem__, word))
         left = _normal_form(atoms, n, False)
         if left != _normal_form(atoms, n, True):
-            failure = f"strategies diverge on word {_word_label(word)}"
+            failure = f"strategies diverge on word {_word_label(atoms)}"
         elif left.specialize(0) != crossed_weyl_normal_order(word, n):
-            failure = (f"k = 0 normal form of {_word_label(word)} disagrees "
+            failure = (f"k = 0 normal form of {_word_label(atoms)} disagrees "
                        "with the crossed product")
         if failure:
             break

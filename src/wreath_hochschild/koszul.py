@@ -8,9 +8,9 @@ The algebras are presented by two generators with a single relation:
                                                     functions in q)
 
 A monomial is a key (a, b) of exponents, x^a p^b, X^a p^b or X^a P^b.
-There is one exponent domain per kind (a, b >= 0 for weyl, b >= 0 for
-trig, any a, b for qweyl; _valid_exponents) and one degree for all three,
-|a| + |b|: a window is the domain cut at degree N (window_keys).
+A kind is fixed by which generators it inverts (_INVERTIBLE): an exponent
+of X or P ranges over Z, of x or p over N (_valid_exponents).  The degree
+is |a| + |b|; a window is the domain cut at degree N (window_keys).
 
 Every structure constant of weyl and trig is an integer, so their
 scalars are ints, with Fractions only where a caller brings a
@@ -21,8 +21,8 @@ from two commuting elements of the enveloping algebra,
     w = 1⊗p - p⊗1   (weyl, trig),   w = P⊗P^{-1} - 1   (qweyl),
 
 and two units nu_u, nu_w with swap(u) = -u nu_u and swap(w) = -w nu_w
-under the factor swap a⊗b -> b⊗a.  These four elements are written in
-one table (_ae_uw); every map below is derived from it.
+under the factor swap a⊗b -> b⊗a.  These four elements are read from
+_INVERTIBLE (_ae_uw); every map below is derived from them.
 
 Applying Hom(-, M) for M the algebra itself, or its twist by the order-2
 automorphism eps (x,p -> -x,-p resp. X,P -> inverses), gives a cochain
@@ -124,12 +124,13 @@ def _scalar(kind: str, v):
     return exact_scalar(v)
 
 
+# Which of its generators (x-type, p-type) a kind inverts: X, P but not x, p.
+_INVERTIBLE = {"weyl": (False, False), "trig": (True, False), "qweyl": (True, True)}
+
+
 def _valid_exponents(kind: str, a: int, b: int) -> bool:
-    if kind == "weyl":
-        return a >= 0 and b >= 0
-    if kind == "trig":
-        return b >= 0
-    return True
+    inv_x, inv_p = _INVERTIBLE[kind]
+    return (inv_x or a >= 0) and (inv_p or b >= 0)
 
 
 class RankOneElement:
@@ -145,13 +146,14 @@ class RankOneElement:
     def __init__(self, kind: str, terms: dict):
         _check_kind(kind)
         clean = {}
-        for (a, b), v in terms.items():
-            # type(), not isinstance: a bool or a float exponent is refused
-            if type(a) is not int or type(b) is not int or not _valid_exponents(kind, a, b):
-                raise ValueError(f"exponents ({a},{b}) outside the {kind} domain")
+        for key, v in terms.items():
+            # a pair of ints (type(), not isinstance: bool and float exponents are refused)
+            if (not isinstance(key, tuple) or len(key) != 2 or {*map(type, key)} != {int}
+                    or not _valid_exponents(kind, *key)):
+                raise ValueError(f"exponents {key!r} outside the {kind} domain")
             v = _scalar(kind, v)
             if v:
-                clean[(a, b)] = v
+                clean[key] = v
         self.kind = kind
         self.terms = clean
 
@@ -206,8 +208,7 @@ class RankOneElement:
     def __repr__(self):
         if not self.terms:
             return "0"
-        xg = "x" if self.kind == "weyl" else "X"
-        pg = "P" if self.kind == "qweyl" else "p"
+        xg, pg = (g.upper() if inv else g for g, inv in zip("xp", _INVERTIBLE[self.kind]))
         bits = []
         for (a, b), v in sorted(self.terms.items()):
             factors = []
@@ -291,22 +292,18 @@ def window_keys(kind: str, N: int) -> list:
 
 def _ae_uw(kind: str):
     """The Koszul elements u, w and the units nu_u, nu_w, as enveloping-
-    algebra dicts {(left key, right key): coeff}: the one table per kind."""
-    one = _one(kind)
-    if kind == "weyl":
-        u = {((0, 0), (1, 0)): one, ((1, 0), (0, 0)): -one}
-        w = {((0, 0), (0, 1)): one, ((0, 1), (0, 0)): -one}
-        nu_u = nu_w = {((0, 0), (0, 0)): one}
-    elif kind == "trig":
-        u = {((1, 0), (-1, 0)): one, ((0, 0), (0, 0)): -one}
-        w = {((0, 0), (0, 1)): one, ((0, 1), (0, 0)): -one}
-        nu_u = {((-1, 0), (1, 0)): one}
-        nu_w = {((0, 0), (0, 0)): one}
-    else:
-        u = {((1, 0), (-1, 0)): one, ((0, 0), (0, 0)): -one}
-        w = {((0, 1), (0, -1)): one, ((0, 0), (0, 0)): -one}
-        nu_u = {((-1, 0), (1, 0)): one}
-        nu_w = {((0, -1), (0, 1)): one}
+    algebra dicts {(left key, right key): coeff}, one pair per generator g
+    of the kind (x-type for u, p-type for w): 1⊗g - g⊗1 with unit 1 for a
+    polynomial g, g⊗g^{-1} - 1 with unit g^{-1}⊗g for an invertible one."""
+    one, unit = _one(kind), (0, 0)
+    table = []
+    for g, invertible in zip(((1, 0), (0, 1)), _INVERTIBLE[kind]):
+        if invertible:
+            g_inv = (-g[0], -g[1])
+            table += [{(g, g_inv): one, (unit, unit): -one}, {(g_inv, g): one}]
+        else:
+            table += [{(unit, g): one, (g, unit): -one}, {(unit, unit): one}]
+    u, nu_u, w, nu_w = table
     return u, w, nu_u, nu_w
 
 
@@ -353,36 +350,31 @@ def _laurent_terms(d: dict) -> list:
     return [(k, c.laurent(), c) for k, c in d.items()]
 
 
-_UNIT_POLY = {0: 1}
-
-
 def _qweyl_sum(fs: list, gs: list, place) -> dict:
     """Sum of cf * cg * q^n at key over the term pairs of two qweyl
     dicts given by _laurent_terms, with (key, n) = place(f key, g key).
 
-    Each output entry is added up over integer q-exponents, as a Laurent
-    polynomial {exponent: int}, and built as one RatFunc.  A coefficient
-    outside Z[q, 1/q] is kept apart: the terms it meets are summed per
-    output entry and multiplied by it once.
+    The pairs of Laurent coefficients are added up per output entry over
+    integer q-exponents, as a Laurent polynomial {exponent: int}, built
+    as one RatFunc.  A pair with a coefficient outside Z[q, 1/q] is
+    multiplied out directly and added to its entry.
     """
     sums: dict = {}  # output key -> Laurent polynomial
-    apart: dict = {}  # (output key, non-Laurent factor) -> Laurent polynomial
+    rest: list = []  # (output key, product) for each pair outside Z[q, 1/q]
     for kf, lf, cf in fs:
         for kg, lg, cg in gs:
             key, n = place(kf, kg)
-            if lf is not None and lg is not None:
-                poly = sums.setdefault(key, {})
-            else:
-                rest = cg if lf is not None else cf if lg is not None else cf * cg
-                poly = apart.setdefault((key, rest), {})
-            for s, x in (_UNIT_POLY if lf is None else lf).items():
-                for t, y in (_UNIT_POLY if lg is None else lg).items():
+            if lf is None or lg is None:
+                rest.append((key, cf * cg * RatFunc.q_power(n)))
+                continue
+            poly = sums.setdefault(key, {})
+            for s, x in lf.items():
+                for t, y in lg.items():
                     e = n + s + t
                     poly[e] = poly.get(e, 0) + x * y
-    from_laurent = RatFunc.from_laurent
-    out = {key: v for key, poly in sums.items() if (v := from_laurent(poly))}
-    for (key, rest), poly in apart.items():
-        add_term(out, key, from_laurent(poly) * rest)
+    out = {key: v for key, poly in sums.items() if (v := RatFunc.from_laurent(poly))}
+    for key, v in rest:
+        add_term(out, key, v)
     return out
 
 

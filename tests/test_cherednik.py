@@ -74,10 +74,18 @@ def test_strategy_independence():
 
 
 def test_long_words_are_rewritten_longest_first(monkeypatch):
-    # (p1 x1)^6 at n = 3: a last-in, first-out work list rewrote 69456 words
+    # (p1 x1)^6 at n = 3: a last-in, first-out work list rewrote 69456 words;
+    # only the pairs rewritten count, not the pairs looked at (None)
     calls = []
     rewrite = cherednik._rewrite
-    monkeypatch.setattr(cherednik, "_rewrite", lambda *args: calls.append(1) or rewrite(*args))
+
+    def counting(*args):
+        terms = rewrite(*args)
+        if terms is not None:
+            calls.append(1)
+        return terms
+
+    monkeypatch.setattr(cherednik, "_rewrite", counting)
     assert len(normal_order(" ".join(["p1 x1"] * 6), 3).terms) == 1006
     assert len(calls) <= 25000
 
@@ -131,6 +139,21 @@ def test_ring_operations():
 def test_constructor_refuses_a_monomial_field_that_is_not_a_tuple_of_ints(mono):
     with pytest.raises(ValueError, match=r"^bad monomial "):
         CherednikElement(len(mono.perm), [(mono, 1)])  # pairs: a list field is unhashable
+
+
+@pytest.mark.parametrize("key", [((0,), (0,), (0,)), ((0,), (0,)), 5],
+                         ids=["plain triple", "pair", "int"])
+def test_constructor_refuses_a_key_that_is_not_a_normal_monomial(key):
+    with pytest.raises(ValueError, match=r"^bad monomial "):
+        CherednikElement(1, {key: 1})
+
+
+def test_specialize_is_integer_first():
+    mono = NormalMonomial((0, 0), (0, 1), (0, 0))
+    got = CherednikElement(2, {mono: (0, 2)}).specialize(Fraction(1, 2))
+    assert got == {mono: 1} and type(got[mono]) is int
+    half = CherednikElement(2, {mono: (0, 1)}).specialize(Fraction(1, 2))[mono]
+    assert half == Fraction(1, 2) and type(half) is Fraction
 
 
 def test_degree_filtration():
@@ -189,6 +212,19 @@ def test_confluence_reports():
     for n, d in ((2, 3), (3, 2)):
         rep = confluence_check(n, d)
         assert rep.passed, rep.lines
+
+
+def test_confluence_failure_names_the_word_in_parser_tokens(monkeypatch):
+    oracle = cherednik.crossed_weyl_normal_order
+
+    def wrong_on_s1_10(word, n):
+        return {} if list(word) == [("s", 1, 10)] else oracle(word, n)
+
+    monkeypatch.setattr(cherednik, "crossed_weyl_normal_order", wrong_on_s1_10)
+    rep = confluence_check(10, 1)
+    assert not rep.passed
+    assert rep.lines == ("[FAIL] k = 0 normal form of s1,10 disagrees with the crossed product",)
+    assert normal_order("s1,10", 10) == normal_order([("s", 1, 10)], 10)
 
 
 def test_pbw_reports():

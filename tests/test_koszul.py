@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,12 @@ def test_window_must_be_an_int_of_at_least_4():
 def test_rank_one_element_refuses_an_exponent_that_is_not_an_int(kind, key):
     with pytest.raises(ValueError, match=r"^exponents \(.*\) outside the \w+ domain$"):
         RankOneElement(kind, {key: 1})
+
+
+@pytest.mark.parametrize("key", [5, (1, 2, 3), (1,)], ids=["int", "triple", "single"])
+def test_rank_one_element_refuses_a_key_that_is_not_a_pair(key):
+    with pytest.raises(ValueError, match=rf"^exponents {re.escape(repr(key))} outside the weyl domain$"):
+        RankOneElement("weyl", {key: 1})
 
 
 def test_cochain_composite_is_zero():
