@@ -181,8 +181,12 @@ class FiniteDimAlgebra:
         return FiniteDimAlgebra(table, unit, check=False)
 
     def is_automorphism(self, columns) -> bool:
-        """Does the linear map (columns[i] = image of basis i) preserve
-        multiplication and the unit, and is it invertible?"""
+        """Is the linear map (columns[i] = image of basis i) a map of the
+        algebra to itself, one column per basis element and each over the
+        basis, that preserves multiplication and the unit and is invertible?"""
+        if len(columns) != self.dim or not all(type(k) is int and 0 <= k < self.dim
+                                               for col in columns for k in col):
+            return False
         if apply_columns(columns, self.unit) != self.unit:
             return False
         for i in range(self.dim):
@@ -289,11 +293,14 @@ class RegularBimodule:
 class AutoTwistedBimodule:
     """M = B with the right action twisted by an automorphism phi:
     b.m = bm and m.b = m phi(b).  For phi a group element g this is the
-    sector module Bg of a crossed product."""
+    sector module Bg of a crossed product.  Columns that are not an
+    automorphism of the algebra raise ValueError."""
 
     __slots__ = ("dim", "left", "right", "columns")
 
     def __init__(self, algebra: FiniteDimAlgebra, columns):
+        if not algebra.is_automorphism(columns):
+            raise ValueError("twist is not an algebra automorphism")
         self.dim = algebra.dim
         self.left = algebra.table
         self.columns = columns
@@ -436,6 +443,16 @@ def _d_basis(table, M, key: tuple, k: int) -> dict:
     return out
 
 
+def _check_bimodule(B: FiniteDimAlgebra, M) -> None:
+    """Refuse, with ValueError, a bimodule whose action tables are not
+    left[b][m] and right[m][b] over the bases of B and M."""
+    if (len(M.left) != B.dim or len(M.right) != M.dim
+            or any(len(row) != M.dim for row in M.left)
+            or any(len(row) != B.dim for row in M.right)):
+        raise ValueError(f"bimodule actions are not indexed by the bases of the algebra "
+                         f"(dim {B.dim}) and the module (dim {M.dim})")
+
+
 def chain_keys(B: FiniteDimAlgebra, M, k: int):
     """Deterministic enumeration of the level-k basis keys."""
     return _keys(range(B.dim), M, k)
@@ -448,10 +465,11 @@ def _keys(legs, M, k: int):
 
 
 def bar_columns(B: FiniteDimAlgebra, M, k: int):
-    """Yield (basis key, differential image) across the level-k basis."""
+    """Iterate (basis key, differential image) across the level-k basis;
+    the level and the bimodule are checked on the call, before any column."""
     check_count(k, "level", 1)
-    for key in chain_keys(B, M, k):
-        yield key, _d_basis(B.table, M, key, k)
+    _check_bimodule(B, M)
+    return ((key, _d_basis(B.table, M, key, k)) for key in chain_keys(B, M, k))
 
 
 def bar_apply(B: FiniteDimAlgebra, M, chain: dict, k: int) -> dict:
@@ -495,18 +513,24 @@ def hh_dims(B: FiniteDimAlgebra, M, max_level: int,
     Each rank is read off the rows of the level-k differential, its
     transpose: a level has dim B - 1 times fewer rows than columns, so
     elimination meets fewer, longer vectors.  Where a kernel is needed
-    (the sectors of afls_check, _random_cycles), columns are kept.
+    (the sectors of afls_check, _random_cycles), columns are kept.  A row
+    is keyed by column number, the index of the chain in the enumeration
+    of _keys: that enumeration is lexicographic in the chain tuples, so
+    the numbers order the columns as the tuples do and every pivot and
+    rank is the same, while elimination compares small ints.  M's action
+    tables must be indexed by B's basis and M's (else ValueError).
     """
     check_count(max_level, "max_level")
+    _check_bimodule(B, M)
     _check_bar_cap(B.dim, M.dim, max_level + 1, _resolve_cap(size_cap))
     legs, table = _unit_quotient(B)
     cdims = [len(legs) ** k * M.dim for k in range(max_level + 2)]
     ranks = [0]
     for k in range(1, max_level + 2):
         rows: dict = {}
-        for key in _keys(legs, M, k):
+        for j, key in enumerate(_keys(legs, M, k)):
             for r, c in _d_basis(table, M, key, k).items():
-                rows.setdefault(r, {})[key] = c
+                rows.setdefault(r, {})[j] = c
         ranks.append(rank_of(rows.values()))
     return [cdims[k] - ranks[k] - ranks[k + 1] for k in range(max_level + 1)]
 
@@ -556,13 +580,17 @@ def verify_homolog_i(A: FiniteDimAlgebra, n: int = 2, sigma=None,
     return CheckReport(f"twisted-coefficient reduction n={n}", lhs == rhs, lines)
 
 
-def _random_cycles(B, M, level: int, count: int, rng: random.Random):
+def _random_cycles(B, M, level: int, count: int, rng: random.Random, d):
     """Exact cycles at the given level with small integer coordinates.
 
     Level 0 chains are all cycles.  Above that, cycles are sampled two
     ways: boundaries of random chains one level up, and kernel vectors
     harvested from dependencies among the differential images of a
-    random slice of the basis.
+    random slice of the basis.  d applies the differential to a chain of
+    any level.  The slice's image keys are numbered in first-met order
+    before elimination: its dependency combos are keyed by the slice's
+    chains and, for a given insertion order, do not depend on the keys
+    of the images.
     """
     def random_chain(lv: int) -> dict:
         chain: dict = {}
@@ -576,14 +604,16 @@ def _random_cycles(B, M, level: int, count: int, rng: random.Random):
         return [random_chain(0) for _ in range(count)]
     keys = list(chain_keys(B, M, level))
     rng.shuffle(keys)
-    slice_pairs = [(key, _d_basis(B.table, M, key, level)) for key in keys[:120]]
+    number: dict = {}
+    slice_pairs = [(key, {number.setdefault(r, len(number)): c for r, c in d({key: 1}).items()})
+                   for key in keys[:120]]
     harvested = kernel_combos(slice_pairs)
     out = []
     for t in range(count):
         if harvested and t % 3 == 0:
             cycle = dict(harvested[rng.randrange(len(harvested))])
         else:
-            cycle = bar_apply(B, M, random_chain(level + 1), level + 1)
+            cycle = d(random_chain(level + 1))
         out.append(cycle)
     return out
 
@@ -601,6 +631,8 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
 
     The check samples random exact cycles and evaluates both sides.  The
     size cap is checked on the full differential at level max(m - 1, 1).
+    Each basis chain's differential is computed once per call and kept
+    for the sampling, the cycle test and the right side alike.
     """
     check_count(n, "n", 1)
     check_count(m, "m", 1)
@@ -611,6 +643,16 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
     M = AutoTwistedBimodule(B, [{p: 1} for p in rho])
     rng = random.Random(seed)
     unit_items = list(B.unit.items())
+    images: dict = {}  # basis chain -> its differential; a key's length fixes its level
+
+    def d(chain: dict) -> dict:
+        out: dict = {}
+        for key, c in chain.items():
+            img = images.get(key)
+            if img is None:
+                img = images[key] = _d_basis(B.table, M, key, len(key) - 1)
+            addmul_into(out, img, c)
+        return out
 
     def rotate(chain: dict) -> dict:
         return {tuple(rho[x] for x in key): c for key, c in chain.items()}
@@ -624,8 +666,8 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
 
     level = m - 1
     failures = 0
-    for cycle in _random_cycles(B, M, level, trials, rng):
-        if level and bar_apply(B, M, cycle, level):
+    for cycle in _random_cycles(B, M, level, trials, rng, d):
+        if level and d(cycle):
             raise CertificateError("sampled chain is not a cycle")
         lhs = dict(cycle)
         addmul_into(lhs, rotate(cycle), -1)
@@ -635,7 +677,7 @@ def homotopy_identity_check(A: FiniteDimAlgebra, n: int, m: int,
             sign = -1 if (j * (m - 1)) % 2 else 1
             addmul_into(arg, append_unit(sc), sign)
             sc = s_op(sc)
-        rhs = bar_apply(B, M, arg, m)
+        rhs = d(arg)
         if lhs != rhs:
             failures += 1
     return CheckReport(

@@ -425,6 +425,7 @@ def build_cochain_complex(kind: str, twist: str, window):
     applied to each d0 column and is identically zero, returned as the
     certificate that consecutive differentials compose to zero.
     """
+    _check_kind(kind)
     N = _window(window, MAX_SECTOR_WINDOW)
     u, w, _, _ = _ae_uw(kind)
     act_u, act_w = _act(kind, u, twist), _act(kind, w, twist)
@@ -512,6 +513,7 @@ def hh_cohomology_rank_one(kind: str, twist: str = "id", window=10):
     mismatch raises WindowInstability.  A window above MAX_SECTOR_WINDOW
     raises ValueError.
     """
+    _check_kind(kind)
     return _stable(f"{kind}/{twist}",
                    lambda windows: _windowed_dims(kind, twist, windows), window)
 
@@ -592,6 +594,7 @@ def crossed_z2_cohomology(kind: str, window=10):
     """Hochschild cohomology dimensions of the order-2 crossed product,
     assembled as invariants of the untwisted plus twisted sectors, at
     window N and re-checked at N-2 as for hh_cohomology_rank_one."""
+    _check_kind(kind)
 
     def total(windows):
         sectors = zip(_invariant_sector_dims(kind, "id", windows),

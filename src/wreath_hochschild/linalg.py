@@ -25,9 +25,11 @@ reproducible across runs.
 
 Rational scalars are integer-first: exact_scalar gives an int when the
 value is integral and a Fraction otherwise; a float entry raises
-TypeError.  TrackingEchelon's unit seeds the dependency combo of a field
-row or an empty vector (a rational combo starts from the integer scale);
-it defaults to 1 and must be passed explicitly for other fields.
+TypeError.  A vector of plain ints (most rows of bar complexes and Koszul
+windows) enters elimination as it is, with no denominator to clear.
+TrackingEchelon's unit seeds the dependency combo of a field row or an
+empty vector (a rational combo starts from the integer scale); it
+defaults to 1 and must be passed explicitly for other fields.
 
 addmul_into, add_term (its single-entry form) and apply_columns (a map
 given by its columns, applied to a vector) are shared by the package.
@@ -47,7 +49,10 @@ from fractions import Fraction
 from math import gcd
 
 
-_RATIONAL = (int, Fraction)
+# bool too: a vector led by True is rational, not a field vector whose
+# pivots would be divided into floats.  A set: a field entry's type is
+# then one hash probe, not three failed comparisons.
+_RATIONAL = frozenset((int, Fraction, bool))
 
 
 class CertificateError(RuntimeError):
@@ -135,6 +140,13 @@ def _eliminate(pivots: dict, vec: dict, sign: int, label=None, one=None):
     r = a*r - b*row with a = lead/g, b = r[key]/g and g = gcd(lead, r[key]),
     and scale is multiplied by a.
 
+    A rational vector whose entries are all of type int exactly is
+    copied as it is, with scale 1: the scale pass tests each entry's
+    type, and the pass that rebuilds each entry from its numerator and
+    denominator is skipped.  One entry of another type, even
+    Fraction(n, 1) or a bool, sends the vector through that rebuild, and
+    a vector led by a bool is rational too.
+
     sign selects the combo c carried along, c = a*c + sign*b*combo: none
     for 0, an express combo starting empty for +1, and for -1 the
     dependency combo of the new input label, starting at scale (one for
@@ -147,15 +159,20 @@ def _eliminate(pivots: dict, vec: dict, sign: int, label=None, one=None):
         v = None
     # an exact type test: isinstance would go through the Fraction ABC
     if type(v) in _RATIONAL:
-        scale = 1
+        scale, ints = 1, True
         try:
             for v in vec.values():
-                d = v.denominator
-                if scale % d:
-                    scale = scale // gcd(scale, d) * d
+                if type(v) is not int:
+                    ints = False
+                    d = v.denominator
+                    if scale % d:
+                        scale = scale // gcd(scale, d) * d
         except AttributeError:
             raise _inexact(v) from None
-        r = {k: v.numerator * (scale // v.denominator) for k, v in vec.items() if v}
+        if ints:
+            r = {k: v for k, v in vec.items() if v}
+        else:
+            r = {k: v.numerator * (scale // v.denominator) for k, v in vec.items() if v}
     else:
         if isinstance(v, (float, complex)):
             raise _inexact(v)

@@ -236,6 +236,30 @@ def test_bimodule_actions_are_computed_once_on_first_use(monkeypatch):
     assert tw.right == auto.right
 
 
+@pytest.mark.parametrize("columns", [[{0: 1}, {0: 1}], [{0: 1}], [{0: 1}, {1.0: 1}]],
+                         ids=["x to 1", "one column", "float key"])
+def test_auto_twisted_bimodule_refuses_a_non_automorphism(columns):
+    # x -> 1 on Q[x]/(x^2) gave hh_dims [0, -2, -2]; one column for a
+    # dimension-2 algebra failed later with IndexError
+    dual = FiniteDimAlgebra.truncated_polynomial(2)
+    with pytest.raises(ValueError, match=r"^twist is not an algebra automorphism$"):
+        AutoTwistedBimodule(dual, columns)
+
+
+@pytest.mark.parametrize("b, m", [(3, 2), (2, 3)], ids=["algebra larger", "module larger"])
+def test_a_bimodule_over_another_algebra_is_refused(b, m):
+    # hh_dims(cube, RegularBimodule(dual), 1) raised IndexError, and
+    # hh_dims(dual, RegularBimodule(cube), 1) returned [3, 1]
+    B = FiniteDimAlgebra.truncated_polynomial(b)
+    M = RegularBimodule(FiniteDimAlgebra.truncated_polynomial(m))
+    message = (rf"^bimodule actions are not indexed by the bases of the algebra "
+               rf"\(dim {b}\) and the module \(dim {m}\)$")
+    with pytest.raises(ValueError, match=message):
+        hh_dims(B, M, 1)
+    with pytest.raises(ValueError, match=message):
+        bar_columns(B, M, 1)
+
+
 def test_verify_homolog_i_small():
     A = FiniteDimAlgebra.truncated_polynomial(2)
     rep = verify_homolog_i(A, n=2, max_level=2)
@@ -273,6 +297,22 @@ def test_homotopy_identity_zero_coefficient_chains():
     for n in (2, 3):
         rep = homotopy_identity_check(A, n=n, m=1, trials=50, seed=0)
         assert rep.passed, rep.lines
+
+
+def test_homotopy_identity_computes_each_differential_once(monkeypatch):
+    calls = []
+    d_basis = bruteforce._d_basis
+
+    def counted(table, M, key, k):
+        calls.append(key)
+        return d_basis(table, M, key, k)
+
+    monkeypatch.setattr(bruteforce, "_d_basis", counted)
+    rep = homotopy_identity_check(z2_algebra(), 3, 4, trials=25, seed=2046968324)
+    assert (rep.name, rep.passed, rep.lines) == (
+        "rotation homotopy identity n=3 m=4", True,
+        ("25/25 sampled cycles satisfy the identity",))
+    assert calls and len(calls) == len(set(calls))
 
 
 def sign_action(k: int) -> list[dict]:
@@ -339,7 +379,7 @@ def test_afls_sign_action_small_levels():
 
 
 def test_non_cycle_sample_is_a_certificate_error(monkeypatch, capsys):
-    def not_cycles(B, M, level, count, rng):
+    def not_cycles(B, M, level, count, rng, d):
         # leg 1 is a non-unit group element, so d(1; 0) = e1 - rot(e1) != 0
         return [{(1,) * level + (0,): ONE}]
 

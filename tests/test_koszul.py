@@ -182,6 +182,25 @@ def test_window_must_be_an_int_of_at_least_4():
         hh_cohomology_rank_one("weyl", "id", None)
 
 
+@pytest.mark.parametrize("call", [
+    lambda kind: hh_cohomology_rank_one(kind, "id", 6),
+    lambda kind: crossed_z2_cohomology(kind, 6),
+    lambda kind: build_cochain_complex(kind, "id", 6),
+    lambda kind: duality_check(kind, 6),
+], ids=["hh_cohomology_rank_one", "crossed_z2_cohomology", "build_cochain_complex",
+        "duality_check"])
+@pytest.mark.parametrize("kind", ["foo", "Weyl"])
+def test_an_unknown_kind_is_refused_before_any_column(monkeypatch, call, kind):
+    def no_work(*args):
+        raise AssertionError("a window was built")
+
+    for name in ("_ae_uw", "_complex_columns", "_invariant_sector_dims", "_ae_window",
+                 "window_keys", "_ae_mul", "_window"):
+        monkeypatch.setattr(koszul, name, no_work)
+    with pytest.raises(ValueError, match=rf"^unknown kind '{kind}'$"):
+        call(kind)
+
+
 @pytest.mark.parametrize("kind", ["weyl", "trig", "qweyl"])
 @pytest.mark.parametrize("key", [(1.5, 0), (0, 2.0), (True, 0), (0, False)],
                          ids=["float a", "float b", "bool a", "bool b"])

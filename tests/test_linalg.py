@@ -501,6 +501,58 @@ def test_kernel_matches_monic_field_elimination(vecs, extra, coeffs):
         assert integer_first(got_r) and integer_first(got_c)
 
 
+def entry_family(name):
+    """An entry maker for vectors whose entries are integral but not all
+    plain ints, or all ints but one Fraction(1, 2): none of them may take
+    the all-int entry of elimination."""
+    def make(rng, k, first):
+        n = rng.choice([-3, -2, -1, 1, 2, 3])
+        if name == "fraction_n_1":
+            return Fraction(n)
+        if name == "int_and_fraction_n_1":
+            return Fraction(n) if rng.random() < 0.5 else n
+        if name == "bools":
+            return rng.choice([True, False, n])
+        # one Fraction(1, 2), at the first key of the vector
+        return Fraction(1, 2) if first else n
+    return make
+
+
+@pytest.mark.parametrize("family", ["fraction_n_1", "int_and_fraction_n_1", "bools",
+                                    "one_half"])
+def test_integral_non_int_entries_match_monic_field_elimination(family):
+    make = entry_family(family)
+    rng = random.Random(family)
+    for _ in range(40):
+        vecs = []
+        for _ in range(rng.randint(1, 7)):
+            keys = sorted(rng.sample(range(6), rng.randint(1, 4)))
+            vecs.append({k: make(rng, k, k == keys[0]) for k in keys})
+        ref = MonicElimination()
+        ech, tracked = Echelon(), TrackingEchelon()
+        deps = []
+        for i, v in enumerate(vecs):
+            # the reference keeps explicit zeros (False); elimination drops them
+            want = ref.insert({k: c for k, c in v.items() if c}, i)
+            assert ech.insert(v) is (want is None)
+            got = tracked.insert(v, i)
+            assert got == want
+            if got is not None:
+                assert integer_first(got)
+                deps.append(got)
+        assert rank_of(vecs) == len(ref.pivots)
+        assert kernel_combos(enumerate(vecs)) == deps
+        assert_primitive_pivots(ech)
+        assert_primitive_pivots(tracked)
+        for vec in vecs + [{k: make(rng, k, k == 0) for k in range(6)}]:
+            want_r, want_c = ref.express({k: c for k, c in vec.items() if c})
+            got_r = ech.reduce(vec)
+            assert got_r == want_r and integer_first(got_r)
+            got_r, got_c = tracked.express(vec)
+            assert (got_r, got_c) == (want_r, want_c)
+            assert integer_first(got_r) and integer_first(got_c)
+
+
 def test_kernel_over_rational_functions_matches_monic_elimination():
     rng = random.Random(61)
     one = RatFunc.from_int(1)
