@@ -21,13 +21,11 @@ class BettiTable:
     def __init__(self, dims):
         clean = {}
         for k, v in dict(dims).items():
-            # type(), not isinstance: bools are refused, nothing is truncated
-            if type(k) is not int or type(v) is not int:
-                raise ValueError(f"degree {k!r} and dimension {v!r} must be integers")
-            if k < 0:
-                raise ValueError("degrees must be nonnegative")
-            if v < 0:
-                raise ValueError("dimensions must be nonnegative")
+            # the hot path of every table: one inline test, and check_count,
+            # the one count rule, words the refusal only when it fires
+            if type(k) is not int or type(v) is not int or k < 0 or v < 0:
+                check_count(k, "degree")
+                check_count(v, "dimension")
             if v:
                 clean[k] = v
         self._dims = clean

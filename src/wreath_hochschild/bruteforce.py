@@ -26,9 +26,14 @@ the one admission rule, raising SizeCapExceeded; HH_SIZE_CAP in the
 environment overrides it (a nonnegative integer, else ValueError).  A
 group closure above 1024 elements is refused by the same rule.
 A bimodule is dim and two action tables, left[b][m] = b.m and
-right[m][b] = m.b, read by the differential and never mutated.  Every map
-given by its columns runs through linalg.apply_columns, and every tensor
-product of sparse vectors (A tensor B, TwistedBimodule) through _expand.
+right[m][b] = m.b, read by the differential and never mutated; the three
+bimodules here also record the algebra they are over, and the bar complex
+refuses one over another algebra.  Every map given by its columns runs
+through linalg.apply_columns.  Every tensor product of sparse vectors on
+basis indices (A tensor B, TwistedBimodule) runs through _expand, whose
+keys are base-dim ints; _act_on_chain and the append_unit of
+homotopy_identity_check extend chain keys, which are tuples, so they build
+tuple keys instead.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .linalg import (
     rank_of,
 )
 from .presets_io import CheckReport
-from .series import check_cap, check_count
+from .series import check_cap, check_count, is_permutation
 
 DEFAULT_SIZE_CAP = 10 ** 7
 
@@ -145,8 +150,20 @@ class FiniteDimAlgebra:
 
     @classmethod
     def group_algebra(cls, group_table) -> "FiniteDimAlgebra":
-        """Group algebra from a multiplication table g,h -> group_table[g][h]."""
+        """Group algebra from a multiplication table g,h -> group_table[g][h].
+
+        The table must be square, with int entries (type(), not isinstance:
+        True and 1.0 are refused), and every row and column a permutation of
+        0..m-1, else ValueError before any structure constant is built; with
+        the identity and associativity checked below, that makes it a group."""
         m = len(group_table)
+        span = list(range(m))
+        if (any(len(row) != m for row in group_table)
+                or any(type(g) is not int for row in group_table for g in row)
+                or any(sorted(line) != span
+                       for line in (*group_table, *zip(*group_table)))):
+            raise ValueError("group table must be square, with int entries, and every "
+                             f"row and column a permutation of 0..{m - 1}")
         identity = None
         for e in range(m):
             if all(group_table[e][h] == h and group_table[h][e] == h
@@ -253,17 +270,11 @@ def encode_tuple(t, dim: int) -> int:
     return idx
 
 
-def _is_permutation(sigma, n: int) -> bool:
-    """Is sigma (1-indexed one-line notation) a permutation of 1..n?  Its
-    entries must be ints: True and 2.0 are not read as 1 and 2."""
-    return all(type(i) is int for i in sigma) and sorted(sigma) == list(range(1, n + 1))
-
-
 def slot_permutation(A: FiniteDimAlgebra, n: int, sigma) -> list[int]:
     """Basis permutation of A^(tensor n) with image slot i = source slot
     sigma(i); sigma is 1-indexed, e.g. (2,...,n,1) is the cyclic rotation."""
     check_count(n, "n", 1)
-    if not _is_permutation(sigma, n):
+    if not is_permutation(sigma, n):
         raise ValueError("sigma must be a permutation of 1..n")
     out = []
     for idx in range(A.dim ** n):
@@ -283,9 +294,10 @@ def rotation_permutation(A: FiniteDimAlgebra, n: int) -> list[int]:
 class RegularBimodule:
     """M = B with multiplication as both actions."""
 
-    __slots__ = ("dim", "left", "right")
+    __slots__ = ("algebra", "dim", "left", "right")
 
     def __init__(self, algebra: FiniteDimAlgebra):
+        self.algebra = algebra
         self.dim = algebra.dim
         self.left = self.right = algebra.table
 
@@ -296,11 +308,12 @@ class AutoTwistedBimodule:
     sector module Bg of a crossed product.  Columns that are not an
     automorphism of the algebra raise ValueError."""
 
-    __slots__ = ("dim", "left", "right", "columns")
+    __slots__ = ("algebra", "dim", "left", "right", "columns")
 
     def __init__(self, algebra: FiniteDimAlgebra, columns):
         if not algebra.is_automorphism(columns):
             raise ValueError("twist is not an algebra automorphism")
+        self.algebra = algebra
         self.dim = algebra.dim
         self.left = algebra.table
         self.columns = columns
@@ -317,16 +330,17 @@ class TwistedBimodule:
         a (m_1 ... m_n) c = a_1 m_1 c_2, ..., a_{n-1} m_{n-1} c_n, a_n m_n c_1.
 
     Both tables are read slotwise off the structure constants of A, not
-    through slot_permutation or AutoTwistedBimodule, so the tests can
-    compare the two.
+    through slot_permutation or AutoTwistedBimodule: this is the slotwise
+    reference that the tests compare AutoTwistedBimodule against, while
+    verify_homolog_i builds every rotated bimodule through those two.
     """
 
-    __slots__ = ("dim", "left", "right")
+    __slots__ = ("algebra", "dim", "left", "right")
 
     def __init__(self, base: FiniteDimAlgebra, n: int):
-        check_count(n, "n", 1)
+        self.algebra = tensor_power(base, n)  # refuses an n that is not a positive int
         d, table = base.dim, base.table
-        self.dim = d ** n
+        self.dim = self.algebra.dim
         slots = [decode_index(i, d, n) for i in range(self.dim)]
         self.left = [[_expand([table[x][y] for x, y in zip(bs, ms)], d) for ms in slots]
                      for bs in slots]
@@ -443,14 +457,25 @@ def _d_basis(table, M, key: tuple, k: int) -> dict:
     return out
 
 
+def _same_algebra(A: FiniteDimAlgebra, B: FiniteDimAlgebra) -> bool:
+    """Are A and B one algebra: the same dimension, structure constants and
+    unit?  An equal algebra built separately counts as the same."""
+    return A is B or (A.dim, A.table, A.unit) == (B.dim, B.table, B.unit)
+
+
 def _check_bimodule(B: FiniteDimAlgebra, M) -> None:
     """Refuse, with ValueError, a bimodule whose action tables are not
-    left[b][m] and right[m][b] over the bases of B and M."""
+    left[b][m] and right[m][b] over the bases of B and M, and one that
+    records, in an algebra attribute, an algebra other than B (a bimodule
+    without one, only dim, left and right, gets the shape check alone)."""
     if (len(M.left) != B.dim or len(M.right) != M.dim
             or any(len(row) != M.dim for row in M.left)
             or any(len(row) != B.dim for row in M.right)):
         raise ValueError(f"bimodule actions are not indexed by the bases of the algebra "
                          f"(dim {B.dim}) and the module (dim {M.dim})")
+    over = getattr(M, "algebra", None)
+    if over is not None and not _same_algebra(over, B):
+        raise ValueError("the bimodule is over another algebra than B")
 
 
 def chain_keys(B: FiniteDimAlgebra, M, k: int):
@@ -540,7 +565,7 @@ def hh_dims(B: FiniteDimAlgebra, M, max_level: int,
 
 def _is_n_cycle(sigma, n: int) -> bool:
     """Is sigma (1-indexed one-line notation) one cycle through all of 1..n?"""
-    if not _is_permutation(sigma, n):
+    if not is_permutation(sigma, n):
         return False
     i, length = sigma[0], 1
     while i != 1:
@@ -554,24 +579,22 @@ def verify_homolog_i(A: FiniteDimAlgebra, n: int = 2, sigma=None,
     tensor power with coefficients in the rotated regular bimodule.
 
     Only the regular bimodule is twisted.  sigma defaults to the cyclic
-    rotation (2,...,n,1), whose bimodule TwistedBimodule computes
-    slotwise; any other n-cycle is applied as a slot permutation through
-    AutoTwistedBimodule; any other sigma is refused with ValueError.
-    The two dimension lists must agree level by level.
+    rotation (2,...,n,1); every n-cycle is applied the one way, as a slot
+    permutation through AutoTwistedBimodule, and any other sigma is
+    refused with ValueError.  The two dimension lists must agree level by
+    level.
     """
     check_count(n, "n", 1)
     check_count(max_level, "max_level")
-    if sigma is not None and not _is_n_cycle(sigma, n):
+    if sigma is None:
+        sigma = tuple(range(2, n + 1)) + (1,)
+    if not _is_n_cycle(sigma, n):
         raise ValueError(f"sigma must be an n-cycle (n = {n}), got {sigma!r}")
     cap = _resolve_cap(size_cap)
     _check_bar_cap(A.dim ** n, A.dim ** n, max_level + 1, cap)
     lhs = hh_dims(A, RegularBimodule(A), max_level, cap)
     B = tensor_power(A, n)
-    if sigma is None:
-        twisted = TwistedBimodule(A, n)
-    else:
-        perm = slot_permutation(A, n, sigma)
-        twisted = AutoTwistedBimodule(B, [{p: 1} for p in perm])
+    twisted = AutoTwistedBimodule(B, [{p: 1} for p in slot_permutation(A, n, sigma)])
     rhs = hh_dims(B, twisted, max_level, cap)
     lines = tuple(
         f"level {i}: HH(A)={lhs[i]} HH(tensor power, twisted)={rhs[i]}"
@@ -736,7 +759,7 @@ def afls_check(B: FiniteDimAlgebra, G: GroupAction, max_level: int = 2,
     the normalised complex (hh_dims), the sectors on the full one.
     """
     check_count(max_level, "max_level")
-    if (G.algebra.dim, G.algebra.table, G.algebra.unit) != (B.dim, B.table, B.unit):
+    if not _same_algebra(G.algebra, B):
         raise ValueError("G acts on another algebra than B")
     cap = _resolve_cap(size_cap)
     _check_bar_cap(G.order * B.dim, G.order * B.dim, max_level + 1, cap)

@@ -42,7 +42,7 @@ from typing import NamedTuple
 from .linalg import add_term, exact_scalar
 from .presets_io import CheckReport
 from .ratfunc import poly_add, poly_eval, poly_mul
-from .series import check_count
+from .series import check_count, is_permutation
 
 KP_ONE = (1,)
 KP_K = (0, 1)
@@ -135,10 +135,14 @@ def _parse_atoms(word, n: int) -> tuple:
     Accepted letters: ("x", i), ("p", i), the transposition ("s", i, j),
     a full permutation ("perm", one_line) in 1-based one-line notation,
     or a whitespace-separated string of tokens like "p1 x1 s12" (write
-    s1,10 for a transposition once n >= 10).
+    s1,10 for a transposition once n >= 10).  A word is a string, a tuple
+    or a list, and each letter a nonempty tuple or list; anything else is
+    refused with ValueError, as is every malformed letter.
     """
     if isinstance(word, str):
         word = _tokenize(word, n)
+    elif not isinstance(word, (tuple, list)):
+        raise ValueError(f"a word is a string or a list of generators, got {word!r}")
 
     def index(i) -> bool:
         # type(), not isinstance: True and 1.0 are no generator index
@@ -146,6 +150,8 @@ def _parse_atoms(word, n: int) -> tuple:
 
     atoms = []
     for g in word:
+        if not isinstance(g, (tuple, list)) or not g:
+            raise ValueError(f"unknown generator {g!r}")
         kind = g[0]
         if kind in ("x", "p"):
             if len(g) != 2 or not index(g[1]):
@@ -156,10 +162,9 @@ def _parse_atoms(word, n: int) -> tuple:
                 raise ValueError("generator index out of range")
             atoms.append(("s", _transposition(n, g[1] - 1, g[2] - 1)))
         elif kind == "perm":
-            one = tuple(g[1])
-            if not all(map(index, one)) or sorted(one) != list(range(1, n + 1)):
+            if len(g) != 2 or not is_permutation(g[1], n):
                 raise ValueError("not a permutation in one-line notation")
-            atoms.append(("s", tuple(v - 1 for v in one)))
+            atoms.append(("s", tuple(v - 1 for v in g[1])))
         else:
             raise ValueError(f"unknown generator {g!r}")
     return tuple(atoms)

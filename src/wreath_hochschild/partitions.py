@@ -21,9 +21,8 @@ class Partition:
 
     def __init__(self, parts=()):
         parts = tuple(parts)
-        # type(), not isinstance: 2.5, True and "2" are refused, not converted
-        if any(type(p) is not int or p <= 0 for p in parts):
-            raise ValueError("parts must be positive integers")
+        for p in parts:
+            check_count(p, "part", 1)
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
         self.parts = parts

@@ -67,15 +67,13 @@ def load_preset(name: str) -> AlgebraPreset:
         raise ValueError(f"unknown preset {name!r} (known: {known}, gamma:<nu>, or JSON)")
     if not isinstance(data, dict) or not {"name", "d", "betti"} <= set(data):
         raise ValueError("preset JSON needs keys name, d, betti")
-    # type(), not isinstance: JSON true/false load as bool, an int subclass
-    betti, d = data["betti"], data["d"]
-    if not isinstance(betti, list) or not all(type(b) is int for b in betti):
-        raise ValueError("betti must be a list of integers")
-    if type(d) is not int:
-        raise ValueError("d must be an even integer")
-    # BettiTable rejects negative dims; AlgebraPreset rejects odd d and
+    betti = data["betti"]
+    if not isinstance(betti, list):
+        raise ValueError("betti must be a list of dimensions")
+    # BettiTable refuses each dimension that is not a count; AlgebraPreset,
+    # through check_duality, a d that is not an even positive int and
     # support outside [0, d]
-    return AlgebraPreset(str(data["name"]), d, BettiTable(dict(enumerate(betti))))
+    return AlgebraPreset(str(data["name"]), data["d"], BettiTable(dict(enumerate(betti))))
 
 
 def emit(obj, format: str = "json") -> bytes:

@@ -5,9 +5,10 @@ A BiSeries stores the coefficients of sum_{n,i} c[n][i] q^n t^i for
 products are truncated to the shared bounds.  The q variable counts
 the wreath index n, the t variable counts (co)homological degree.
 
-poly_str, the one polynomial printer, check_count, the one count rule, and
-check_cap, the one admission rule of every size cap, live here, at the
-bottom of the table stack, where every layer reaches them.
+poly_str, the one polynomial printer, check_count, the one count rule,
+is_permutation, the one permutation predicate, and check_cap, the one
+admission rule of every size cap, live here, at the bottom of the table
+stack, where every layer reaches them.
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ class BiSeries:
     __slots__ = ("q_bound", "t_bound", "coeff")
 
     def __init__(self, q_bound: int, t_bound: int, coeff=None):
-        # type(), not isinstance: bools are refused, nothing is truncated
-        if type(q_bound) is not int or type(t_bound) is not int:
-            raise ValueError(f"bounds must be integers, got {q_bound!r}, {t_bound!r}")
-        if q_bound < 0 or t_bound < 0:
-            raise ValueError("bounds must be nonnegative")
+        check_count(q_bound, "q_bound")
+        check_count(t_bound, "t_bound")
         self.q_bound = q_bound
         self.t_bound = t_bound
         if coeff is None:
@@ -208,6 +206,13 @@ def check_count(value, name: str, low: int = 0) -> None:
     if type(value) is not int or value < low:
         kind = {0: "a nonnegative int", 1: "a positive int"}.get(low, f"an int >= {low}")
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def is_permutation(seq, n: int) -> bool:
+    """Is seq a permutation of 1..n in one-line notation, a tuple or list of
+    ints (type(), not isinstance: True and 2.0 are not read as 1 and 2)?"""
+    return (isinstance(seq, (tuple, list)) and all(type(i) is int for i in seq)
+            and sorted(seq) == list(range(1, n + 1)))
 
 
 def check_cap(what: str, size: int, cap: int, error=ValueError) -> None:

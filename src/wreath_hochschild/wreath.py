@@ -218,7 +218,11 @@ def gamma_series(nu: int, q_bound: int, t_bound: int | None = None) -> BiSeries:
 
 def _wreath_table(coh: BettiTable, d: int, n: int, t_bound: int) -> BettiTable:
     """The q^n slice of the product series to t^t_bound: all of the n-th
-    wreath table once t_bound >= d * n, its top degree."""
+    wreath table once t_bound >= d * n, its top degree.  check_duality
+    checks the table and d first, then check_count n, for betti, hilb and
+    deform alike (deformation_parameter_count has asked for n >= 2 before)."""
+    check_duality(coh, d)
+    check_count(n, "n")
     return BettiTable(generating_series_product(coh, d, n, t_bound).q_coefficient(n))
 
 
@@ -230,8 +234,6 @@ def hilb_poincare(surface_coh: BettiTable, n: int) -> BettiTable:
     above degree 2 is refused by the one duality check, check_duality,
     before n is checked, as in deformation_parameter_count.
     """
-    check_duality(surface_coh, 2)
-    check_count(n, "n")
     return _wreath_table(surface_coh, 2, n, 2 * n)
 
 
@@ -245,8 +247,6 @@ def deformation_parameter_count(coh: BettiTable, d: int, n: int) -> int:
     check_duality(coh, d)
     if coh[0] != 1:
         raise ValueError("degree-0 entry must be 1")
-    check_count(n, "n")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_count(n, "n", 2)
     # the count is the degree-2 entry, so t^2 is all the series needs
     return _wreath_table(coh, d, n, 2)[2]

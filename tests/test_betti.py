@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -27,9 +28,16 @@ def test_table_validation():
             assert False
 
 
-@pytest.mark.parametrize("bad", [{0: 1.5}, {0: 2.0}, {0: True}, {1.0: 1}, {False: 1}, {"1": 1}])
-def test_table_refuses_non_int_degrees_and_dims(bad):
-    with pytest.raises(ValueError, match="must be integers"):
+@pytest.mark.parametrize("bad, message", [
+    ({0: 1.5}, "dimension must be a nonnegative int, got 1.5"),
+    ({0: 2.0}, "dimension must be a nonnegative int, got 2.0"),
+    ({0: True}, "dimension must be a nonnegative int, got True"),
+    ({1.0: 1}, "degree must be a nonnegative int, got 1.0"),
+    ({False: 1}, "degree must be a nonnegative int, got False"),
+    ({"1": 1}, "degree must be a nonnegative int, got '1'"),
+])
+def test_table_refuses_non_int_degrees_and_dims(bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         BettiTable(bad)
 
 

@@ -66,6 +66,9 @@ def test_validation_catches_bad_tables():
 def test_group_algebra_needs_identity():
     with pytest.raises(ValueError):
         FiniteDimAlgebra.group_algebra([[0, 0], [0, 0]])
+    # a Latin square passes the table check, so this reaches the identity search
+    with pytest.raises(ValueError, match="^table has no identity element$"):
+        FiniteDimAlgebra.group_algebra([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
 
 
 def test_tensor_product_structure():
@@ -258,6 +261,56 @@ def test_a_bimodule_over_another_algebra_is_refused(b, m):
         hh_dims(B, M, 1)
     with pytest.raises(ValueError, match=message):
         bar_columns(B, M, 1)
+
+
+@pytest.mark.parametrize("B, M", [
+    # k[x]/x^2 with the regular bimodule of Z/2 returned [2, 0, 0], the
+    # answer for Z/2, where k[x]/x^2 with itself gives [2, 1, 1]
+    (FiniteDimAlgebra.truncated_polynomial(2), RegularBimodule(z2_algebra())),
+    # the rotated bimodule of (Z/2)^2 over (k[x]/x^2)^2 returned [2, -2]
+    (tensor_power(FiniteDimAlgebra.truncated_polynomial(2), 2), TwistedBimodule(z2_algebra(), 2)),
+    (FiniteDimAlgebra.truncated_polynomial(2),
+     AutoTwistedBimodule(z2_algebra(), [{0: 1}, {1: -1}])),
+], ids=["regular", "rotated", "twisted"])
+def test_a_bimodule_of_the_right_shape_over_another_algebra_is_refused(B, M):
+    for call in (lambda: hh_dims(B, M, 2), lambda: bar_columns(B, M, 1)):
+        with pytest.raises(ValueError, match="^the bimodule is over another algebra than B$"):
+            call()
+
+
+def test_a_bimodule_over_an_equal_algebra_built_separately_is_admitted():
+    dual = FiniteDimAlgebra.truncated_polynomial(2)
+    assert hh_dims(dual, RegularBimodule(FiniteDimAlgebra.truncated_polynomial(2)), 2) == [2, 1, 1]
+    pair = tensor_power(z2_algebra(), 2)
+    assert hh_dims(pair, TwistedBimodule(z2_algebra(), 2), 1) == [2, 0]
+
+
+def test_a_bimodule_without_an_algebra_keeps_the_shape_check():
+    dual = FiniteDimAlgebra.truncated_polynomial(2)
+
+    class Plain:  # only the documented dim, left and right
+        dim, left, right = dual.dim, dual.table, dual.table
+
+    assert hh_dims(dual, Plain(), 2) == [2, 1, 1]
+    with pytest.raises(ValueError, match="not indexed by the bases"):
+        hh_dims(FiniteDimAlgebra.truncated_polynomial(3), Plain(), 1)
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1], [1, 5]],
+    [[0, 1], [1]],
+    [[0, 1.0], [1, 0]],
+    [[0, True], [True, 0]],
+    [[0, 1], [1, 1]],
+], ids=["entry out of range", "ragged", "float entry", "bool entries", "monoid"])
+def test_group_algebra_refuses_a_table_that_is_not_a_group(monkeypatch, table):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a structure constant was built")
+
+    monkeypatch.setattr(FiniteDimAlgebra, "__init__", no_build)
+    with pytest.raises(ValueError, match=r"^group table must be square, with int entries, and "
+                                         r"every row and column a permutation of 0\.\.1$"):
+        FiniteDimAlgebra.group_algebra(table)
 
 
 def test_verify_homolog_i_small():
@@ -762,6 +815,16 @@ def test_verify_homolog_i_refuses_a_sigma_that_is_not_an_n_cycle(n, sigma):
 def test_slot_permutation_refuses_a_sigma_with_a_non_int_entry(sigma):
     with pytest.raises(ValueError, match=r"^sigma must be a permutation of 1\.\.n$"):
         slot_permutation(FiniteDimAlgebra.truncated_polynomial(2), 2, sigma)
+
+
+@pytest.mark.parametrize("A", [FiniteDimAlgebra.truncated_polynomial(2), z2_algebra()],
+                         ids=["dual", "Z/2"])
+@pytest.mark.parametrize("n, levels", [(2, 3), (3, 2)])
+def test_verify_homolog_i_defaults_to_the_rotation(A, n, levels):
+    rotation = tuple(range(2, n + 1)) + (1,)
+    default = verify_homolog_i(A, n=n, max_level=levels)
+    assert default == verify_homolog_i(A, n=n, sigma=rotation, max_level=levels)
+    assert default.passed
 
 
 def test_verify_homolog_i_admits_every_n_cycle():

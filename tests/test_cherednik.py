@@ -68,6 +68,17 @@ def test_bad_words():
             normal_order([("perm", one_line)], 2)
 
 
+@pytest.mark.parametrize("word", [[5], 5, None, b"x1", [("perm", 5)], [()], [("perm",)]],
+                         ids=["int letter", "int word", "None", "bytes", "perm of an int",
+                              "empty letter", "perm without one-line"])
+@pytest.mark.parametrize("reduce", [normal_order, crossed_weyl_normal_order],
+                         ids=["normal_order", "crossed_weyl_normal_order"])
+def test_a_malformed_word_is_a_value_error(reduce, word):
+    # these raised TypeError or IndexError from inside the parser
+    with pytest.raises(ValueError):
+        reduce(word, 2)
+
+
 def test_strategy_independence():
     for word in ("p1 p2 x1", "p1 x1 p1 x1", "s12 p1 x2 s12"):
         assert normal_order(word, 2, "leftmost") == normal_order(word, 2, "rightmost")

@@ -1,3 +1,5 @@
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -10,10 +12,12 @@ from wreath_hochschild.bruteforce import (
     SizeCapExceeded,
     hh_dims,
 )
+from wreath_hochschild.partitions import Partition
 from wreath_hochschild.presets_io import CheckReport, emit, load_preset, parse
 from wreath_hochschild.series import BiSeries
 from wreath_hochschild.wreath import (
     PRESETS,
+    deformation_parameter_count,
     generating_series_product,
     hh_cohomology_wreath,
 )
@@ -196,14 +200,51 @@ def test_tables_do_not_walk_partitions(monkeypatch, capsys):
 @pytest.mark.parametrize("argv, message", [
     (("deform", "--preset", '{"name": "x", "d": 2, "betti": [2, 0, 1]}', "-n", "3"),
      "degree-0 entry must be 1"),
-    (("deform", "--preset", "qweyl", "-n", "1"), "n must be at least 2"),
-    (("betti", "--preset", "qweyl", "-n", "-1"), "bounds must be nonnegative"),
+    (("deform", "--preset", "qweyl", "-n", "1"), "n must be an int >= 2, got 1"),
+    (("betti", "--preset", "qweyl", "-n", "-1"), "n must be a nonnegative int, got -1"),
     (("hilb", "--betti", "1,0,0", "-n", "-1"), "n must be a nonnegative int, got -1"),
-    (("deform", "--preset", "qweyl", "-n", "-1"), "n must be a nonnegative int, got -1"),
+    (("deform", "--preset", "qweyl", "-n", "-1"), "n must be an int >= 2, got -1"),
     (("hilb", "--betti", "1,0,0,1", "-n", "3"), "table support exceeds the duality dimension"),
 ])
 def test_table_inputs_refused(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def _command(*argv):
+    """The table command's own call, which raises its refusal as ValueError
+    (main prints it as one error: line and exits 2)."""
+    args = cli._PARSER.parse_args(list(argv))
+    return args.func(args)
+
+
+def _preset(d=2, betti=(1, 0, 1)):
+    return load_preset(json.dumps({"name": "u", "d": d, "betti": list(betti)}))
+
+
+# one row per input field: two bad values that used to meet two different
+# copies of the count rule now get one message shape
+@pytest.mark.parametrize("call, values, shape", [
+    (lambda v: _preset(d=v), (2.0, 3), "duality dimension d must be an even positive int"),
+    (lambda v: _preset(betti=(1, v)), (1.5, -1), "dimension must be a nonnegative int"),
+    (lambda v: BettiTable({v: 1}), (1.0, -1), "degree must be a nonnegative int"),
+    (lambda v: BettiTable({0: v}), (True, -2), "dimension must be a nonnegative int"),
+    (lambda v: BiSeries(v, 1), (True, -1), "q_bound must be a nonnegative int"),
+    (lambda v: BiSeries(1, v), (1.0, -1), "t_bound must be a nonnegative int"),
+    (lambda v: Partition((v,)), (2.5, 0), "part must be a positive int"),
+    (lambda v: deformation_parameter_count(PRESETS["qweyl"].betti, 2, v), (1, -1),
+     "n must be an int >= 2"),
+    (lambda v: _command("betti", "--preset", "qweyl", "-n", str(v)), (-1, -2),
+     "n must be a nonnegative int"),
+    (lambda v: _command("hilb", "--betti", "1,0,0", "-n", str(v)), (-1, -2),
+     "n must be a nonnegative int"),
+    (lambda v: _command("deform", "--preset", "qweyl", "-n", str(v)), (1, -1),
+     "n must be an int >= 2"),
+], ids=["json d", "json dims", "degree", "dimension", "q_bound", "t_bound", "part",
+        "deform n", "betti -n", "hilb -n", "deform -n"])
+def test_each_field_has_one_refusal(call, values, shape):
+    for value in values:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{shape}, got {value!r}')}$"):
+            call(value)
 
 
 def test_usage_error_exit_code():

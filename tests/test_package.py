@@ -71,6 +71,12 @@ def test_one_polynomial_printer():
     assert ratfunc.poly_str is series.poly_str
 
 
+def test_one_permutation_predicate():
+    from wreath_hochschild import bruteforce, cherednik
+
+    assert bruteforce.is_permutation is cherednik.is_permutation is series.is_permutation
+
+
 @pytest.mark.parametrize("argv", [
     ["series", "--preset", "qweyl", "--max-q", "3"],
     ["betti", "--preset", "trig", "-n", "2"],
@@ -127,3 +133,21 @@ def test_the_bar_complex_oracle_loads_no_other_chain_level_layer():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["wreath_hochschild.linalg"]
+
+
+@pytest.mark.parametrize("oracle, others", [("koszul", ("bruteforce", "cherednik")),
+                                            ("cherednik", ("bruteforce", "koszul"))])
+def test_the_koszul_and_cherednik_oracles_load_no_other_oracle(oracle, others):
+    # what the oracles share, such as series.is_permutation, lives in the
+    # table layers, so no oracle reaches another through an import
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        f"import wreath_hochschild.{oracle}\n"
+        f"names = ['wreath_hochschild.' + m for m in {others!r}]\n"
+        "print(*[name for name in names if name in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

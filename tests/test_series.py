@@ -34,18 +34,18 @@ def test_mul_truncates():
     assert all(n <= 3 and i <= 2 for n, i, _ in p.terms())
 
 
-@pytest.mark.parametrize("build", [
-    lambda: BiSeries.from_terms(2, 2, [(1, 1, 2.9)]),
-    lambda: BiSeries.from_terms(2, 2, [(1, 1, True)]),
-    lambda: BiSeries.from_terms(2, 2, [(1.0, 1, 1)]),
-    lambda: BiSeries(1, 0, [[1], [1.5]]),
-    lambda: BiSeries(1, 0, [[1], [False]]),
-    lambda: BiSeries(True, 1),
-    lambda: BiSeries(1, 1.0),
+@pytest.mark.parametrize("build, message", [
+    (lambda: BiSeries.from_terms(2, 2, [(1, 1, 2.9)]), "term (1, 1, 2.9) is not integral"),
+    (lambda: BiSeries.from_terms(2, 2, [(1, 1, True)]), "term (1, 1, True) is not integral"),
+    (lambda: BiSeries.from_terms(2, 2, [(1.0, 1, 1)]), "term (1.0, 1, 1) is not integral"),
+    (lambda: BiSeries(1, 0, [[1], [1.5]]), "coefficients must be integers"),
+    (lambda: BiSeries(1, 0, [[1], [False]]), "coefficients must be integers"),
+    (lambda: BiSeries(True, 1), "q_bound must be a nonnegative int, got True"),
+    (lambda: BiSeries(1, 1.0), "t_bound must be a nonnegative int, got 1.0"),
 ], ids=["coefficient 2.9", "coefficient True", "degree 1.0", "table 1.5", "table False",
         "q_bound True", "t_bound 1.0"])
-def test_series_refuses_non_int_entries(build):
-    with pytest.raises(ValueError, match="integ"):
+def test_series_refuses_non_int_entries(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -364,14 +365,15 @@ def test_partition_walk_matches_literal_sum_property(table_d, shifted, n):
 
 
 @pytest.mark.parametrize("n", [1.5, 2.0, True, "3"], ids=["1.5", "2.0", "True", "str"])
-@pytest.mark.parametrize("route", [
-    lambda n: hh_homology_wreath(PRESETS["qweyl"].betti, n),
-    lambda n: hh_cohomology_wreath(PRESETS["qweyl"].betti, 2, n),
-    lambda n: hilb_poincare(BettiTable({0: 1}), n),
-    lambda n: deformation_parameter_count(PRESETS["qweyl"].betti, 2, n),
+@pytest.mark.parametrize("route, kind", [
+    (lambda n: hh_homology_wreath(PRESETS["qweyl"].betti, n), "a nonnegative int"),
+    (lambda n: hh_cohomology_wreath(PRESETS["qweyl"].betti, 2, n), "a nonnegative int"),
+    (lambda n: hilb_poincare(BettiTable({0: 1}), n), "a nonnegative int"),
+    (lambda n: deformation_parameter_count(PRESETS["qweyl"].betti, 2, n), "an int >= 2"),
 ], ids=["homology", "cohomology", "hilb", "deform"])
-def test_walk_routes_refuse_an_n_that_is_not_an_int(route, n):
-    with pytest.raises(ValueError, match=f"^n must be a nonnegative int, got {n!r}$"):
+def test_walk_routes_refuse_an_n_that_is_not_an_int(route, kind, n):
+    message = f"n must be {kind}, got {n!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         route(n)
 
 
