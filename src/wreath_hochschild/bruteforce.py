@@ -31,9 +31,12 @@ bimodules here also record the algebra they are over, and the bar complex
 refuses one over another algebra.  Every map given by its columns runs
 through linalg.apply_columns.  Every tensor product of sparse vectors on
 basis indices (A tensor B, TwistedBimodule) runs through _expand, whose
-keys are base-dim ints; _act_on_chain and the append_unit of
-homotopy_identity_check extend chain keys, which are tuples, so they build
-tuple keys instead.
+keys are base-dim ints.  Chains of the full complex (_d_basis, bar_columns,
+bar_apply, the homotopy identity, the sectors of afls_check) are tuple
+keys, which _act_on_chain and the append_unit of homotopy_identity_check
+extend; hh_dims numbers the chains of the normalised complex instead, as
+mixed-radix ints, and _level_rows builds each level's rows on those
+numbers, face by face, with no tuple.
 """
 
 from __future__ import annotations
@@ -101,6 +104,8 @@ class FiniteDimAlgebra:
 
     def __init__(self, table, unit, check: bool = True):
         self.dim = len(table)
+        if not self.dim:
+            raise ValueError("structure-constant table is empty: an algebra needs a basis")
         self.table = [
             [{k: exact_scalar(v) for k, v in cell.items() if v} for cell in row]
             for row in table
@@ -479,12 +484,9 @@ def _check_bimodule(B: FiniteDimAlgebra, M) -> None:
 
 
 def chain_keys(B: FiniteDimAlgebra, M, k: int):
-    """Deterministic enumeration of the level-k basis keys."""
-    return _keys(range(B.dim), M, k)
-
-
-def _keys(legs, M, k: int):
-    for ls in itertools.product(legs, repeat=k):
+    """Deterministic enumeration of the level-k basis keys, in
+    lexicographic order."""
+    for ls in itertools.product(range(B.dim), repeat=k):
         for mi in range(M.dim):
             yield ls + (mi,)
 
@@ -526,6 +528,44 @@ def _unit_quotient(B: FiniteDimAlgebra):
     return legs, table
 
 
+def _level_rows(legs, table, M, k: int) -> list[dict]:
+    """Rows of the level-k normalised differential: rows[r][j] is the
+    coefficient of level-(k-1) chain r in the image of level-k chain j,
+    chains numbered in mixed radix as hh_dims describes."""
+    size, md = len(legs), M.dim
+    at = {b: p for p, b in enumerate(legs)}
+    rows = [{} for _ in range(size ** (k - 1) * md)]
+
+    def spread(c, r0, j0, count, rstep, jstep):
+        # chains j0, j0 + jstep, ... meet rows r0, r0 + rstep, ... with coefficient c
+        if c:
+            for r, j in zip(range(r0, r0 + count * rstep, rstep),
+                            range(j0, j0 + count * jstep, jstep)):
+                row = rows[r]
+                if j in row:
+                    add_term(row, j, c)
+                else:
+                    row[j] = c
+
+    span, last = size ** (k - 1), -1 if k % 2 else 1
+    for p, b in enumerate(legs):
+        for m in range(md):
+            for m2, c in M.left[b][m].items():  # face 0: l_k acts on m
+                spread(c, m2, p * md + m, span, md, size * md)
+            for m2, c in M.right[m][b].items():  # last face: m acted on by l_1
+                spread(last * c, m2, p * span * md + m, span, md, md)
+    for i in range(1, k):  # inner face i merges the legs at positions pos, pos + 1
+        pos, sign = k - i - 1, -1 if i % 2 else 1
+        low = size ** (k - pos - 2) * md
+        for a, x in enumerate(legs):
+            for b, y in enumerate(legs):
+                for z, c in table[x][y].items():
+                    for h in range(size ** pos):
+                        spread(sign * c, (h * size + at[z]) * low,
+                               ((h * size + a) * size + b) * low, low, 1, 1)
+    return rows
+
+
 def hh_dims(B: FiniteDimAlgebra, M, max_level: int,
             size_cap: int | None = None) -> list[int]:
     """Hochschild homology dimensions HH_0 .. HH_max_level of B with
@@ -538,12 +578,21 @@ def hh_dims(B: FiniteDimAlgebra, M, max_level: int,
     Each rank is read off the rows of the level-k differential, its
     transpose: a level has dim B - 1 times fewer rows than columns, so
     elimination meets fewer, longer vectors.  Where a kernel is needed
-    (the sectors of afls_check, _random_cycles), columns are kept.  A row
-    is keyed by column number, the index of the chain in the enumeration
-    of _keys: that enumeration is lexicographic in the chain tuples, so
-    the numbers order the columns as the tuples do and every pivot and
-    rank is the same, while elimination compares small ints.  M's action
-    tables must be indexed by B's basis and M's (else ValueError).
+    (the sectors of afls_check, _random_cycles), columns are kept.
+
+    A chain (l_1, ..., l_k, m) is numbered in mixed radix: the positions
+    of its legs among the basis of B/k.1 in base dim B - 1, then m in base
+    dim M, the order of chain_keys.  _level_rows walks the
+    differential face by face over those numbers: face 0 from M.left, the
+    inner faces from the projected table of _unit_quotient, the last face
+    from M.right; each face maps a run of column numbers onto a run of
+    row numbers.  A row's entries are keyed by column number, and the row
+    is numbered as its level-(k-1) chain.  The rows enter elimination by
+    leading column, largest first: every stored pivot then leads at or
+    above the new row's lead, so a row whose lead is not yet a pivot is
+    stored with no elimination step.  Only ranks are read, and the rank of a set
+    of rows does not depend on the order they are inserted in.  M's
+    action tables must be indexed by B's basis and M's (else ValueError).
     """
     check_count(max_level, "max_level")
     _check_bimodule(B, M)
@@ -552,11 +601,8 @@ def hh_dims(B: FiniteDimAlgebra, M, max_level: int,
     cdims = [len(legs) ** k * M.dim for k in range(max_level + 2)]
     ranks = [0]
     for k in range(1, max_level + 2):
-        rows: dict = {}
-        for j, key in enumerate(_keys(legs, M, k)):
-            for r, c in _d_basis(table, M, key, k).items():
-                rows.setdefault(r, {})[j] = c
-        ranks.append(rank_of(rows.values()))
+        rows = [row for row in _level_rows(legs, table, M, k) if row]
+        ranks.append(rank_of(sorted(rows, key=min, reverse=True)))
     return [cdims[k] - ranks[k] - ranks[k + 1] for k in range(max_level + 1)]
 
 

@@ -530,6 +530,63 @@ def test_twist_of_shifted_unit_algebra_is_an_automorphism():
     assert B.is_automorphism(SHIFTED_SIGN)
 
 
+def row_cases():
+    dual, Z2 = FiniteDimAlgebra.truncated_polynomial(2), z2_algebra()
+    pair = tensor_power(Z2, 2)
+    rotated = AutoTwistedBimodule(pair, [{p: 1} for p in rotation_permutation(Z2, 2)])
+    cross = crossed_product(GroupAction.generate(dual, [sign_action(2)]))
+    # the unit is e0 + e1 after the change of basis: two nonzero coordinates
+    split = Z2.change_basis([{0: 1, 1: 1}, {0: 1, 1: -1}])
+    assert len(split.unit) == 2
+    return [
+        ("RegularBimodule", Z2, RegularBimodule(Z2)),
+        ("AutoTwistedBimodule of the rotation", pair, rotated),
+        ("TwistedBimodule", pair, TwistedBimodule(Z2, 2)),
+        ("crossed product", cross, RegularBimodule(cross)),
+        ("unit with two coordinates", split, RegularBimodule(split)),
+    ]
+
+
+@pytest.mark.parametrize("label, B, M", row_cases(), ids=[c[0] for c in row_cases()])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_level_rows_are_the_transposed_chain_differentials(label, B, M, k):
+    legs, table = bruteforce._unit_quotient(B)
+    at = {b: p for p, b in enumerate(legs)}
+
+    def number(key):  # mixed radix: leg positions in base len(legs), then the module slot
+        return encode_tuple([at[x] for x in key[:-1]], len(legs)) * M.dim + key[-1]
+
+    expected: dict = {}
+    for key in chain_keys(B, M, k):
+        if all(x in at for x in key[:-1]):
+            for r, c in bruteforce._d_basis(table, M, key, k).items():
+                expected.setdefault(number(r), {})[number(key)] = c
+    rows = bruteforce._level_rows(legs, table, M, k)
+    assert len(rows) == len(legs) ** (k - 1) * M.dim
+    assert {r: row for r, row in enumerate(rows) if row} == expected
+    assert all(all(row.values()) for row in rows)
+
+
+RANDOM_CASE_ALGEBRAS = [FiniteDimAlgebra.truncated_polynomial(k) for k in (1, 2, 3, 4)] + [
+    z2_algebra(), FiniteDimAlgebra.group_algebra([[0, 1, 2], [1, 2, 0], [2, 0, 1]])]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(RANDOM_CASE_ALGEBRAS), st.sampled_from([1, 2]), st.booleans(),
+       st.integers(0, 3))
+def test_hh_dims_is_rank_nullity_of_the_full_complex(A, n, twist, top):
+    """Random small algebras and their tensor squares, with coefficients in
+    the regular bimodule or its slot twist; the full complex of bar_columns
+    is built by _d_basis alone."""
+    B = tensor_power(A, n)
+    M = RegularBimodule(B)
+    if twist:
+        M = AutoTwistedBimodule(B, [{p: 1} for p in slot_permutation(A, n, (n, *range(1, n)))])
+    while top and B.dim ** (top + 2) > 1024:  # the full complex stays small
+        top -= 1
+    assert hh_dims(B, M, top) == full_complex_dims(B, M, top)
+
+
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
@@ -738,8 +795,9 @@ def test_counts_are_refused_before_anything_is_built(monkeypatch, call, message)
     def no_build(*args, **kwargs):
         raise AssertionError("something was built before the count check")
 
-    for name in ("_check_bar_cap", "_unit_quotient", "_d_basis", "crossed_product",
-                 "AutoTwistedBimodule", "slot_permutation", "rotation_permutation"):
+    for name in ("_check_bar_cap", "_unit_quotient", "_d_basis", "_level_rows",
+                 "crossed_product", "AutoTwistedBimodule", "slot_permutation",
+                 "rotation_permutation"):
         monkeypatch.setattr(bruteforce, name, no_build)
     monkeypatch.setattr(FiniteDimAlgebra, "tensor", no_build)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -754,7 +812,10 @@ def test_counts_are_refused_before_anything_is_built(monkeypatch, call, message)
     (lambda A, G, H: afls_check(A, H, 1), "G acts on another algebra than B"),
     (lambda A, G, H: verify_homolog_i(A, n=2, sigma=(1, 2)),
      "sigma must be an n-cycle (n = 2), got (1, 2)"),
-], ids=["repeated_element", "zero_trials", "afls_other_algebra", "homolog_not_a_cycle"])
+    (lambda A, G, H: FiniteDimAlgebra([], {}),
+     "structure-constant table is empty: an algebra needs a basis"),
+], ids=["repeated_element", "zero_trials", "afls_other_algebra", "homolog_not_a_cycle",
+        "empty_table"])
 def test_malformed_bar_complex_inputs_are_refused_before_anything_is_built(
         monkeypatch, call, message):
     A = FiniteDimAlgebra.truncated_polynomial(2)
@@ -764,9 +825,9 @@ def test_malformed_bar_complex_inputs_are_refused_before_anything_is_built(
     def no_build(*args, **kwargs):
         raise AssertionError("something was built before the input check")
 
-    for name in ("_compose", "_check_bar_cap", "_unit_quotient", "_d_basis", "crossed_product",
-                 "AutoTwistedBimodule", "TwistedBimodule", "slot_permutation",
-                 "rotation_permutation"):
+    for name in ("_compose", "_check_bar_cap", "_unit_quotient", "_d_basis", "_level_rows",
+                 "crossed_product", "AutoTwistedBimodule", "TwistedBimodule",
+                 "slot_permutation", "rotation_permutation"):
         monkeypatch.setattr(bruteforce, name, no_build)
     monkeypatch.setattr(FiniteDimAlgebra, "tensor", no_build)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
