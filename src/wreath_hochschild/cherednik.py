@@ -29,7 +29,8 @@ re-checking its monomials or re-coercing its coefficients, and the
 verification suites parse their alphabet once per n and reduce the
 parsed words directly (_normal_form).  multiply still builds its result
 through the checking constructor, which keeps a product of Fraction
-operands integer-first.
+operands integer-first.  Normal forms print (format_element) through
+the package's one polynomial printer, series.signed_sum and power_str.
 """
 
 import random
@@ -42,7 +43,7 @@ from typing import NamedTuple
 from .linalg import add_term, exact_scalar
 from .presets_io import CheckReport
 from .ratfunc import poly_add, poly_eval, poly_mul
-from .series import check_count, is_permutation
+from .series import check_count, is_permutation, power_str, signed_sum
 
 KP_ONE = (1,)
 KP_K = (0, 1)
@@ -613,44 +614,13 @@ def _fmt_perm(perm: tuple) -> str:
 
 
 def _fmt_vars(letter: str, exps: tuple) -> list:
-    parts = []
-    for i, e in enumerate(exps):
-        if e == 1:
-            parts.append(f"{letter}{i + 1}")
-        elif e > 1:
-            parts.append(f"{letter}{i + 1}^{e}")
-    return parts
+    return [power_str(f"{letter}{i + 1}", e) for i, e in enumerate(exps) if e]
 
 
 def _fmt_monomial(mono: NormalMonomial) -> str:
-    parts = _fmt_vars("x", mono.xexp)
-    ps = _fmt_perm(mono.perm)
-    if ps:
-        parts.append(ps)
-    parts.extend(_fmt_vars("p", mono.pexp))
-    return " ".join(parts)
-
-
-def _fmt_coeff(q, j: int, has_mono: bool) -> list:
-    mag = -q if q < 0 else q
-    parts = []
-    if mag != 1 or (j == 0 and not has_mono):
-        parts.append(str(mag))
-    if j == 1:
-        parts.append("k")
-    elif j >= 2:
-        parts.append(f"k^{j}")
-    return parts
-
-
-def _join_signed(chunks: list) -> str:
-    out = []
-    for idx, (sign, body) in enumerate(chunks):
-        if idx == 0:
-            out.append(f"-{body}" if sign == "-" else body)
-        else:
-            out.append(f"{sign} {body}")
-    return " ".join(out)
+    # the identity permutation prints as "" and is left out
+    return " ".join(filter(None, (*_fmt_vars("x", mono.xexp), _fmt_perm(mono.perm),
+                                  *_fmt_vars("p", mono.pexp))))
 
 
 def _display_key(mono: NormalMonomial):
@@ -664,22 +634,17 @@ def _display_key(mono: NormalMonomial):
 
 
 def format_element(elem: CherednikElement) -> str:
-    """Human-readable normal form, e.g. "x1 p1 - 1 + k s12"."""
-    if not elem.terms:
-        return "0"
-    chunks = []
+    """Human-readable normal form, e.g. "x1 p1 - 1 + k s12", through
+    series.signed_sum: a one-term k-polynomial q k^j is the coefficient q
+    of "k^j monomial", a longer one the parenthesised "(k-polynomial)
+    monomial" with coefficient 1."""
+    pairs = []
     for mono in sorted(elem.terms, key=_display_key):
-        coeff = elem.terms[mono]
         ms = _fmt_monomial(mono)
-        live = [(j, q) for j, q in enumerate(coeff) if q]
+        live = [(q, power_str("k", j)) for j, q in enumerate(elem.terms[mono]) if q]
         if len(live) == 1:
-            j, q = live[0]
-            parts = _fmt_coeff(q, j, bool(ms))
-            if ms:
-                parts.append(ms)
-            chunks.append(("-" if q < 0 else "+", " ".join(parts)))
+            q, kj = live[0]
+            pairs.append((q, f"{kj} {ms}".strip()))
         else:
-            inner = [("-" if q < 0 else "+", " ".join(_fmt_coeff(q, j, False))) for j, q in live]
-            body = f"({_join_signed(inner)})"
-            chunks.append(("+", f"{body} {ms}" if ms else body))
-    return _join_signed(chunks)
+            pairs.append((1, f"({signed_sum(live, ' ')}) {ms}".rstrip()))
+    return signed_sum(pairs, " ")

@@ -76,7 +76,7 @@ from .linalg import (
 )
 from .presets_io import CheckReport
 from .ratfunc import RatFunc
-from .series import check_cap, check_count
+from .series import check_cap, check_count, power_str, signed_sum
 
 KINDS = ("weyl", "trig", "qweyl")
 TWISTS = ("id", "eps")
@@ -158,19 +158,12 @@ class RankOneElement:
         self.terms = clean
 
     @classmethod
-    def zero(cls, kind: str) -> "RankOneElement":
-        return cls(kind, {})
-
-    @classmethod
     def one(cls, kind: str) -> "RankOneElement":
         return cls(kind, {(0, 0): 1})
 
     @classmethod
     def monomial(cls, kind: str, a: int, b: int, coeff=1) -> "RankOneElement":
         return cls(kind, {(a, b): coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __eq__(self, other):
         return (isinstance(other, RankOneElement)
@@ -183,42 +176,11 @@ class RankOneElement:
         addmul_into(out, other.terms, 1)
         return RankOneElement(self.kind, out)
 
-    def __neg__(self):
-        return RankOneElement(self.kind, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "RankOneElement":
-        c = _scalar(self.kind, c)
-        return RankOneElement(self.kind, {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, RankOneElement):
-            return multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def degree(self) -> int:
-        """Largest total degree of a monomial in the support."""
-        return max(map(monomial_degree, self.terms), default=0)
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
+        # the signed sum of coefficient*monomial, e.g. "-1 + x p + 3*x^2"
         xg, pg = (g.upper() if inv else g for g, inv in zip("xp", _INVERTIBLE[self.kind]))
-        bits = []
-        for (a, b), v in sorted(self.terms.items()):
-            factors = []
-            if a:
-                factors.append(xg if a == 1 else f"{xg}^{a}")
-            if b:
-                factors.append(pg if b == 1 else f"{pg}^{b}")
-            body = " ".join(factors) if factors else "1"
-            bits.append(f"({v})*{body}")
-        return " + ".join(bits)
+        return signed_sum(((v, f"{power_str(xg, a)} {power_str(pg, b)}".strip())
+                           for (a, b), v in sorted(self.terms.items())), "*")
 
 
 def monomial_degree(key: tuple) -> int:

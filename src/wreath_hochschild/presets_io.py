@@ -82,7 +82,9 @@ def emit(obj, format: str = "json") -> bytes:
     Formats: json (round-trips via parse), csv (rows (n, i, dim) for a
     series, (degree, dim) for a table; a series' truncation bounds are not
     written, so parse recovers its terms but not its bounds), plain
-    (human-readable).
+    (human-readable).  A CheckReport has no csv form (its name and lines
+    are free text that parse could not read back): csv for a report is
+    refused with ValueError.
     """
     if format not in ("json", "csv", "plain"):
         raise ValueError(f"unknown format {format!r}")
@@ -91,6 +93,8 @@ def emit(obj, format: str = "json") -> bytes:
     if isinstance(obj, BettiTable):
         return _emit_table(obj, format)
     if isinstance(obj, CheckReport):
+        if format == "csv":
+            raise ValueError("a CheckReport has no csv format: emit it as json or plain")
         return _emit_report(obj, format)
     raise TypeError(f"cannot emit {type(obj).__name__}")
 
@@ -138,10 +142,6 @@ def _emit_report(r: CheckReport, format: str) -> bytes:
             "lines": list(r.lines),
         }
         return _json_bytes(doc)
-    if format == "csv":
-        lines = ["name,passed"]
-        lines.append(f"{r.name},{int(r.passed)}")
-        return ("\n".join(lines) + "\n").encode()
     status = "PASS" if r.passed else "FAIL"
     lines = [f"{status} {r.name}"] + ["  " + ln for ln in r.lines]
     return ("\n".join(lines) + "\n").encode()

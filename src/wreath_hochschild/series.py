@@ -5,10 +5,14 @@ A BiSeries stores the coefficients of sum_{n,i} c[n][i] q^n t^i for
 products are truncated to the shared bounds.  The q variable counts
 the wreath index n, the t variable counts (co)homological degree.
 
-poly_str, the one polynomial printer, check_count, the one count rule,
-is_permutation, the one permutation predicate, and check_cap, the one
-admission rule of every size cap, live here, at the bottom of the table
-stack, where every layer reaches them.
+signed_sum, the one printer of a signed sum of (coefficient, body)
+pairs, with power_str, its one power rule, check_count, the one count
+rule, is_permutation, the one permutation predicate, and check_cap, the
+one admission rule of every size cap, live here, at the bottom of the
+table stack, where every layer reaches them.  Every polynomial the
+package prints goes through signed_sum: poly_str (the series tables and
+the RatFunc scalars) is one call to it, and so are the Cherednik normal
+forms and the Koszul elements.
 """
 
 from __future__ import annotations
@@ -222,22 +226,42 @@ def check_cap(what: str, size: int, cap: int, error=ValueError) -> None:
         raise error(f"{what} is above the cap of {cap}")
 
 
-def poly_str(terms, var: str) -> str:
-    """Render (degree, coefficient) pairs, in ascending degree, as a
-    polynomial in var; zero coefficients are skipped, and nothing is "0"."""
+def power_str(var: str, e: int) -> str:
+    """var to the power e: "" for e == 0, var for 1, "var^e" otherwise."""
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+
+def signed_sum(terms, times: str) -> str:
+    """Render (coefficient, body) pairs as a signed sum.
+
+    A zero coefficient is skipped, an empty body prints the coefficient
+    alone, 1 and -1 print as the body's sign, any other coefficient as
+    coefficient, times, body, in parentheses if it prints as a sum (the
+    RatFunc 1 + q); a term printed with a leading "-" joins the sum as
+    " - ", and the empty sum is "0"."""
     out = ""
-    for i, c in terms:
+    for c, body in terms:
         if not c:
             continue
-        if i == 0:
+        if not body:
             term = str(c)
+        elif c == 1 or c == -1:
+            term = body if c == 1 else f"-{body}"
         else:
-            mono = var if i == 1 else f"{var}^{i}"
-            term = mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}"
+            term = str(c)
+            if " " in term and term[0] != "(":
+                term = f"({term})"
+            term += times + body
         if not out:
             out = term
-        elif term.startswith("-"):
+        elif term[0] == "-":
             out += f" - {term[1:]}"
         else:
             out += f" + {term}"
     return out or "0"
+
+
+def poly_str(terms, var: str) -> str:
+    """Render (degree, coefficient) pairs, in ascending degree, as a
+    polynomial in var; zero coefficients are skipped, and nothing is "0"."""
+    return signed_sum([(c, power_str(var, i)) for i, c in terms if c], "*")

@@ -3,6 +3,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreath_hochschild import koszul
 from wreath_hochschild.koszul import (
@@ -514,6 +516,33 @@ def test_qweyl_action_sums_over_q_exponents_as_the_term_by_term_product():
     f = {((0, 0), (0, 0)): half, ((1, 0), (-1, 0)): -half}
     assert koszul._act("qweyl", f, "id")({(0, 0): one}) == {}
     assert koszul._act("qweyl", f, "id")({(0, 0): half, (0, 1): one}) != {}
+
+
+def _qweyl_product(*keys):
+    """Key and q-exponent of the qweyl product of the monomials keys, left to
+    right, each step one _mono_mul read through laurent()."""
+    key, n = keys[0], 0
+    for k in keys[1:]:
+        ((key, c),) = koszul._mono_mul("qweyl", *key, *k).items()
+        ((e, one),) = c.laurent().items()
+        assert one == 1
+        n += e
+    return key, n
+
+
+EXPONENT = st.integers(-5, 5)
+QWEYL_KEY = st.tuples(EXPONENT, EXPONENT)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(QWEYL_KEY, QWEYL_KEY, QWEYL_KEY, QWEYL_KEY)
+def test_qweyl_placements_follow_the_monomial_product(l1, r1, l2, r2):
+    # P^b X^c = q^{-bc} X^c P^b is written in _mono_mul, _act_place and _ae_place:
+    # the sector action (l1⊗r1).l2 is l1 l2 r1, and the enveloping product
+    # (l1⊗r1)(l2⊗r2) is l1 l2 ⊗ r2 r1
+    assert koszul._act_place((l1, r1), l2) == _qweyl_product(l1, l2, r1)
+    (left, n1), (right, n2) = _qweyl_product(l1, l2), _qweyl_product(r2, r1)
+    assert koszul._ae_place((l1, r1), (l2, r2)) == ((left, right), n1 + n2)
 
 
 def test_rank_of_the_qweyl_d0_window_divides_nothing(monkeypatch):

@@ -1,12 +1,16 @@
 import importlib
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import wreath_hochschild as wh
-from wreath_hochschild import ratfunc, series
+from wreath_hochschild import cherednik, koszul, ratfunc, series
+from wreath_hochschild.cherednik import CherednikElement, NormalMonomial, normal_order
+from wreath_hochschild.koszul import RankOneElement
+from wreath_hochschild.ratfunc import RatFunc
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -69,10 +73,57 @@ def test_dir_lists_every_name_and_an_unknown_name_is_an_attribute_error():
 
 def test_one_polynomial_printer():
     assert ratfunc.poly_str is series.poly_str
+    # normal forms and Koszul elements print through the one signed-sum printer
+    assert cherednik.signed_sum is koszul.signed_sum is series.signed_sum
+    assert cherednik.power_str is koszul.power_str is series.power_str
+
+
+def _element(terms):
+    """A rank-2 Cherednik element from {(xexp, perm, pexp): k-polynomial}."""
+    return CherednikElement(2, {NormalMonomial(*m): c for m, c in terms.items()})
+
+
+ONE, S12 = ((0, 0), (0, 1), (0, 0)), ((0, 0), (1, 0), (0, 0))
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: normal_order("p1 x1 p1 x1", 2),
+     "x1^2 p1^2 - 3 x1 p1 + k x1 s12 p1 + k x1 s12 p2 + k x2 s12 p1 + (1 + k^2) - 2 k s12"),
+    (lambda: _element({((1, 0), (0, 1), (0, 0)): (Fraction(-1, 2),),
+                       ((0, 0), (1, 0), (0, 1)): (Fraction(3, 4), Fraction(-1, 3)),
+                       ONE: (0, Fraction(-5, 2))}),
+     "-1/2 x1 + (3/4 - 1/3 k) s12 p2 - 5/2 k"),
+    (lambda: _element({ONE: (Fraction(-1, 2), 0, 1)}), "(-1/2 + k^2)"),
+    (lambda: _element({ONE: (0, 0, -1)}), "-k^2"),
+    (lambda: _element({ONE: (0, 0, 0, 1)}), "k^3"),
+    (lambda: _element({S12: (0, 0, -1)}), "-k^2 s12"),
+    (lambda: normal_order("p1 x10", 10), "x10 p1 - k s1,10"),
+    (lambda: normal_order("p1 x11 s1,11", 11), "x11 s1,11 p11 - k"),
+    (lambda: RankOneElement("weyl", {(0, 0): -1, (1, 1): 1, (2, 0): 3}), "-1 + x p + 3*x^2"),
+    (lambda: RankOneElement("weyl", {(0, 1): Fraction(-1, 2), (1, 0): Fraction(3, 2)}),
+     "-1/2*p + 3/2*x"),
+    (lambda: RankOneElement("trig", {(-1, 0): -2, (1, 2): 1, (0, 1): -1}),
+     "-2*X^-1 - p + X p^2"),
+    (lambda: RankOneElement("qweyl", {(-1, -1): RatFunc((1, 1)), (0, 0): RatFunc((0, -1)),
+                                      (1, 2): RatFunc.q_power(-1), (3, 3): -1}),
+     "(1 + q)*X^-1 P^-1 - q + (1)/(q)*X P^2 - X^3 P^3"),
+    (lambda: RankOneElement("qweyl", {}), "0"),
+], ids=["word n=2", "fractions, negative first", "lone k-polynomial", "lone -k^2", "lone k^3",
+        "-k^2 s12", "n=10", "n=11", "weyl", "weyl fractions", "trig", "qweyl", "zero"])
+def test_printer_output_is_pinned(build, text):
+    assert str(build()) == text
+
+
+def test_signed_sum_rules():
+    assert series.signed_sum([], "*") == series.signed_sum([(0, "x")], "*") == "0"
+    assert series.signed_sum([(-2, ""), (1, "x"), (-1, "y"), (-3, "z"), (4, "w")], "*") == \
+        "-2 + x - y - 3*z + 4*w"
+    assert series.signed_sum([(-1, "k"), (Fraction(1, 2), "k^2")], " ") == "-k + 1/2 k^2"
+    assert [series.power_str("t", e) for e in (0, 1, 2, -1)] == ["", "t", "t^2", "t^-1"]
 
 
 def test_one_permutation_predicate():
-    from wreath_hochschild import bruteforce, cherednik
+    from wreath_hochschild import bruteforce
 
     assert bruteforce.is_permutation is cherednik.is_permutation is series.is_permutation
 

@@ -188,6 +188,16 @@ def test_emit_rejects_unknown():
         assert False
 
 
+def test_a_report_has_no_csv_format():
+    # a name and lines are free text: csv wrote "x, y,1" for the name "x, y",
+    # dropped the lines, and parse could not read it back
+    report = CheckReport("x, y", True, ("[pass] one line",))
+    with pytest.raises(ValueError, match=r"^a CheckReport has no csv format: emit it as json or plain$"):
+        emit(report, "csv")
+    assert parse(emit(report, "json")) == report
+    assert emit(report, "plain") == b"PASS x, y\n  [pass] one line\n"
+
+
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
