@@ -50,8 +50,9 @@ from .wreath import (
 Z2_COMPANIONS = {"weyl": "z2_weyl", "trig": "z2_trig", "qweyl": "z2_qweyl"}
 
 # Size caps, refused before any work.  Every table command reads the product
-# series, which costs about q^2 * t per factor: one fresh process on a 2-vCPU
-# machine takes about 2.6 s for betti --preset qweyl -n 300 (q^300, t^600).
+# series, which costs about q^2 shift-adds of a packed t-row per factor: one
+# fresh process on a 2-vCPU machine takes about 0.45 s for betti --preset
+# qweyl -n 300 (q^300, t^600).
 MAX_SERIES_Q = 300
 MAX_SERIES_T = 600
 

@@ -5,6 +5,25 @@ A BiSeries stores the coefficients of sum_{n,i} c[n][i] q^n t^i for
 products are truncated to the shared bounds.  The q variable counts
 the wreath index n, the t variable counts (co)homological degree.
 
+The one Euler-product kernel, _apply_factor_rows, works on packed rows:
+the q^n row is one int, sum_i c[n][i] * 2^(B*i) (Kronecker substitution),
+so one copy of a factor 1 + s q^a t^b costs one shift-add per row, and a
+long power one multiply-shift-add per term of its truncated expansion.
+wreath._euler_product packs the rows of 1 and applies every factor to
+them; BiSeries.apply_factor packs its rows, applies one factor and reads
+them back.  The slot width B is the bit length of a bound on every value
+the kernel stores, plus a sign bit, rounded up to 1, 2, 4 or 8 bytes (whole
+bytes above that).  For factors of total |power| M applied to 1 the bound
+is p_M(Q), the coefficient of q^Q in prod_m (1 - q^m)^(-M), which
+majorises the product at t = 1; _slot_width computes it, the one Kronecker
+bound, which the partition walk reads too.  Coefficients are signed and a
+row is the exact integer, with no carry rule.  Every t exponent is >= 0,
+so no slot reads a slot above it: a row that outgrows t_bound + 1 slots is
+cut back to them, as its balanced residue modulo 2^(B*(t_bound + 1)), which
+keeps small t bounds cheap.  A row is read back in balanced form: adding
+half a slot to every slot leaves each slot its coefficient + 2^(B - 1), in
+[0, 2^B), with no borrow between slots, so each slot reads from the bytes.
+
 signed_sum, the one printer of a signed sum of (coefficient, body)
 pairs, with power_str, its one power rule, check_count, the one count
 rule, is_permutation, the one permutation predicate, and check_cap, the
@@ -18,6 +37,8 @@ forms and the Koszul elements.
 from __future__ import annotations
 
 import math
+import sys
+from operator import mul
 
 
 class BiSeries:
@@ -128,62 +149,34 @@ class BiSeries:
 
         sign must be +1 or -1.  A negative power with q_exp == 0 is
         rejected: the geometric expansion would not terminate in q.
+        The rows are packed, the one Euler-product kernel applies the
+        factor, and the rows are read back; the slot width holds the
+        largest |coefficient| of self times the sum of the |coefficients|
+        of the factor's truncated expansion, which bounds every value the
+        kernel stores.
         """
-        out = BiSeries(self.q_bound, self.t_bound, self.coeff)
-        out._apply_factor_in_place(sign, q_exp, t_exp, power)
+        q_bound, t_bound = self.q_bound, self.t_bound
+        # the terms u^r that fit, r <= e; the kernel refuses a bad factor
+        e = abs(power)
+        if q_exp > 0:
+            e = min(e, q_bound // q_exp) if power > 0 else q_bound // q_exp
+        if t_exp > 0:
+            e = min(e, t_bound // t_exp)
+        # sum of |coefficients| of (1 + s u)^power to u^e
+        norm = (sum(math.comb(power, r) for r in range(e + 1)) if power >= 0
+                else math.comb(-power + e, e))
+        big = max((abs(c) for row in self.coeff for c in row), default=0)
+        width = _signed_width((big * norm).bit_length())
+        rows = _pack_rows(self.coeff, width)
+        _apply_factor_rows(rows, width, t_bound, sign, q_exp, t_exp, power)
+        return BiSeries._of_rows(q_bound, t_bound, _unpack_rows(rows, width, t_bound))
+
+    @classmethod
+    def _of_rows(cls, q_bound: int, t_bound: int, coeff) -> "BiSeries":
+        """A series on coeff, lists of ints of the right shape, taken as they are."""
+        out = cls.__new__(cls)
+        out.q_bound, out.t_bound, out.coeff = q_bound, t_bound, coeff
         return out
-
-    def _apply_factor_in_place(self, sign: int, q_exp: int, t_exp: int, power: int):
-        """The Euler-product kernel: apply_factor on self's own rows.
-
-        Each of the |power| passes multiplies or divides by one copy of
-        1 + sign * u with u = q^q_exp t^t_exp.  Multiplying updates
-        c[n][i] += sign * c[n - q_exp][i - t_exp] with n descending, so
-        every source row is read before it is changed; dividing solves
-        the same relation for the old row, c[n][i] -= sign * c[n - q_exp][i - t_exp],
-        with n ascending, so every source row is already divided.  A power
-        longer than the truncated expansion of the factor (only r terms u^r
-        fit in the bounds) is applied as that expansion in one descending
-        sweep instead, so the cost never grows with |power| beyond r.
-        """
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if q_exp < 0 or t_exp < 0:
-            raise ValueError("exponents must be nonnegative")
-        if power < 0 and q_exp == 0:
-            raise ValueError("negative power requires q_exp >= 1")
-        if q_exp > self.q_bound or t_exp > self.t_bound:
-            return
-        c = self.coeff
-        if q_exp:
-            r_max = self.q_bound // q_exp
-            if t_exp:
-                r_max = min(r_max, self.t_bound // t_exp)
-            if abs(power) > r_max:
-                # (1 + s u)^e = sum_r comb(e, r) s^r u^r, and for e < 0
-                # comb(-e - 1 + r, r) (-s)^r u^r; here every r <= r_max < |e|
-                coef = [math.comb(power, r) * sign ** r if power > 0
-                        else math.comb(-power - 1 + r, r) * (-sign) ** r
-                        for r in range(r_max + 1)]
-                for n in range(self.q_bound, q_exp - 1, -1):
-                    dst = c[n]
-                    for r in range(1, min(r_max, n // q_exp) + 1):
-                        f, lo = coef[r], r * t_exp
-                        dst[lo:] = [x + f * y for x, y in zip(dst[lo:], c[n - r * q_exp])]
-                return
-        # target rows in update order; each new row is built before it is
-        # stored, so a pass with q_exp == 0 reads the row as it was
-        rows = range(q_exp, self.q_bound + 1)
-        if power > 0:
-            rows = rows[::-1]
-        add = (sign > 0) == (power > 0)
-        for _ in range(abs(power)):
-            for n in rows:
-                dst, src = c[n], c[n - q_exp]
-                if add:
-                    dst[t_exp:] = [x + y for x, y in zip(dst[t_exp:], src)]
-                else:
-                    dst[t_exp:] = [x - y for x, y in zip(dst[t_exp:], src)]
 
     def restrict(self, q_bound: int, t_bound: int) -> "BiSeries":
         """Truncate to smaller bounds."""
@@ -202,6 +195,147 @@ class BiSeries:
                 parts.append(f"q^{n}*({poly})" if n else poly)
         body = " + ".join(parts) if parts else "0"
         return f"BiSeries[q<={self.q_bound}, t<={self.t_bound}]({body})"
+
+
+def _slot_width(colours: int, n: int) -> int:
+    """Bit length of p_M(n) (at least 1), M = colours, from the recurrence
+    n p_M(n) = M sum_k sigma(k) p_M(n-k), sigma(k) the sum of the divisors of k.
+
+    The one Kronecker bound: p_M(n) is the coefficient of q^n in the
+    majorant prod_m (1 - q^m)^(-M), so it bounds every coefficient of the
+    partition walk over a table of total dimension M and every value the
+    Euler-product kernel stores for factors of total |power| M.  Sharing
+    the bound does not couple the two answers: a width that is too small
+    corrupts the walk's unsigned slots and the product's balanced slots
+    in different ways, and verify wreath compares the two routes."""
+    sigma = [0] * (n + 1)
+    for j in range(1, n + 1):
+        for k in range(j, n + 1, j):
+            sigma[k] += j
+    del sigma[0]
+    counts = [1]
+    for m in range(1, n + 1):
+        # sum_k sigma(k) p_M(m - k) for k = 1 .. m
+        counts.append(colours * sum(map(mul, sigma, reversed(counts))) // m)
+    return max(1, counts[n].bit_length())
+
+
+def _signed_width(bits: int) -> int:
+    """Slot width for signed values of at most bits bits: one sign bit more,
+    rounded up to 1, 2, 4 or 8 bytes, or to whole bytes above 8, so that a
+    row reads back from its bytes."""
+    size = bits // 8 + 1
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
+    return 8 * size
+
+
+# memoryview formats of the little-endian signed slots a row's bytes cast to
+_NATIVE_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
+
+
+def _bias(width: int, slots: int) -> int:
+    """sum_{i < slots} 2^(width - 1) * 2^(width*i): half a slot in every slot."""
+    return int.from_bytes((1 << width - 1).to_bytes(width // 8, "little") * slots, "little")
+
+
+def _pack_rows(coeff, width: int) -> list[int]:
+    """Each row c[0..T] as the one int sum_i c[i] * 2^(width*i); every
+    |c[i]| must be below 2^(width - 1).  The slots are written in two's
+    complement, which is the balanced slot with its top bit flipped."""
+    size = width // 8
+    bias = _bias(width, len(coeff[0]))
+    return [(int.from_bytes(b"".join(c.to_bytes(size, "little", signed=True) for c in row),
+                            "little") ^ bias) - bias for row in coeff]
+
+
+def _unpack_rows(rows, width: int, t_bound: int) -> list[list[int]]:
+    """The coefficient lists of packed rows, t^0 .. t^t_bound, read in
+    balanced form.  Adding half a slot to every slot makes each slot its
+    coefficient + 2^(width - 1), in [0, 2^width), with no borrow between
+    slots; flipping each slot's top bit then leaves the coefficient in
+    width-bit two's complement, so each slot is read from the bytes alone."""
+    size = width // 8
+    nbytes = size * (t_bound + 1)
+    bias = _bias(width, t_bound + 1)
+    fmt = _NATIVE_SIGNED.get(size)
+    out = []
+    for row in rows:
+        raw = ((row + bias) ^ bias).to_bytes(nbytes, "little")
+        out.append(memoryview(raw).cast(fmt).tolist() if fmt else
+                   [int.from_bytes(raw[j:j + size], "little", signed=True)
+                    for j in range(0, nbytes, size)])
+    return out
+
+
+def _cut(row: int, bits: int) -> int:
+    """row modulo 2^bits, as the residue in [-2^(bits - 1), 2^(bits - 1)):
+    a packed row cut back to its slots below bit bits, exact while each of
+    those slots holds a coefficient below half a slot in absolute value."""
+    half = 1 << bits - 1
+    return ((row + half) & ((half << 1) - 1)) - half
+
+
+def _apply_factor_rows(rows: list, width: int, t_bound: int,
+                       sign: int, q_exp: int, t_exp: int, power: int) -> None:
+    """The Euler-product kernel: multiply packed rows (rows[n] the q^n row,
+    packed as by _pack_rows) by (1 + sign * q^q_exp * t^t_exp)^power, in
+    place, truncated at q^(len(rows) - 1) and t^t_bound.
+
+    With u = q^q_exp t^t_exp, one copy of 1 + sign * u is one shift-add
+    per row: multiplying updates row[n] += sign * row[n - q_exp] << width *
+    t_exp with n descending, so every source row is read before it is
+    changed; dividing solves the same relation for the old row with n
+    ascending, so every source row is already divided.  A power longer than
+    the truncated expansion of the factor (only r terms u^r fit in the
+    bounds) is applied as that expansion in one descending sweep instead,
+    one multiply-shift-add per term, so the cost never grows with |power|
+    beyond r.  A row that outgrows t_bound + 1 slots is cut back to them
+    (_cut).  The caller picks width so that every stored |coefficient| is
+    below 2^(width - 1).
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if q_exp < 0 or t_exp < 0:
+        raise ValueError("exponents must be nonnegative")
+    if power < 0 and q_exp == 0:
+        raise ValueError("negative power requires q_exp >= 1")
+    q_bound = len(rows) - 1
+    if q_exp > q_bound or t_exp > t_bound:
+        return
+    shift = width * t_exp
+    top = width * (t_bound + 1)
+    if q_exp:
+        r_max = q_bound // q_exp
+        if t_exp:
+            r_max = min(r_max, t_bound // t_exp)
+        if abs(power) > r_max:
+            # (1 + s u)^e = sum_r comb(e, r) s^r u^r, and for e < 0
+            # comb(-e - 1 + r, r) (-s)^r u^r; here every r <= r_max < |e|
+            coef = [math.comb(power, r) * sign ** r if power > 0
+                    else math.comb(-power - 1 + r, r) * (-sign) ** r
+                    for r in range(r_max + 1)]
+            for n in range(q_bound, q_exp - 1, -1):
+                row = rows[n]
+                for r in range(1, min(r_max, n // q_exp) + 1):
+                    row += coef[r] * rows[n - r * q_exp] << r * shift
+                if row.bit_length() >= top:
+                    row = _cut(row, top)
+                rows[n] = row
+            return
+    # target rows in update order; each new row is built before it is
+    # stored, so a pass with q_exp == 0 reads the row as it was
+    order = range(q_exp, q_bound + 1)
+    if power > 0:
+        order = order[::-1]
+    add = (sign > 0) == (power > 0)
+    for _ in range(abs(power)):
+        for n in order:
+            src = rows[n - q_exp] << shift
+            row = rows[n] + src if add else rows[n] - src
+            if row.bit_length() >= top:
+                row = _cut(row, top)
+            rows[n] = row
 
 
 def check_count(value, name: str, low: int = 0) -> None:

@@ -25,14 +25,20 @@ partitions of n, and M the total dimension of the table: every entry is
 nonnegative, shifts keep dimensions and dim S^p <= C(M+p-1, p), so no
 coefficient exceeds the total at t = 1, which is at most the sum over the
 partitions of n of prod_i C(M+p_i-1, p_i) = p_M(n).
-The product route runs the Euler-product kernel of BiSeries in place on
-one coefficient table.
+The product route packs its q-rows the same way, with signed slots:
+_euler_product starts from the rows of 1, applies every (m, factor) with
+the Euler-product kernel of series.py and reads the rows back once.  Its
+slot width is the bit length of p_M(Q), M the total |power| of the
+factors, plus a sign bit: the same bound, series._slot_width, which bounds
+the product's coefficients because prod_m (1 - q^m)^(-M) majorises it at
+t = 1.
 """
 
 from __future__ import annotations
 
 from .betti import AlgebraPreset, BettiTable, check_duality, super_sym_powers
-from .series import BiSeries, check_count
+from .series import (BiSeries, _apply_factor_rows, _signed_width, _slot_width,
+                     _unpack_rows, check_count)
 
 PRESETS: dict[str, AlgebraPreset] = {
     # flat polynomial-type algebras, all with duality dimension 2
@@ -55,19 +61,6 @@ def gamma_preset(nu: int) -> AlgebraPreset:
 def surface_preset(b0: int, b1: int, b2: int) -> AlgebraPreset:
     """User-supplied d=2 table (the orbifold / Hilbert-scheme use case)."""
     return AlgebraPreset("surface", 2, BettiTable({0: b0, 1: b1, 2: b2}))
-
-
-def _slot_width(colours: int, n: int) -> int:
-    """Bit length of p_M(n) (at least 1), M = colours, from the recurrence
-    n p_M(n) = M sum_k sigma(k) p_M(n-k), sigma(k) the sum of the divisors of k."""
-    sigma = [0] * (n + 1)
-    for j in range(1, n + 1):
-        for k in range(j, n + 1, j):
-            sigma[k] += j
-    counts = [1]
-    for m in range(1, n + 1):
-        counts.append(colours * sum(sigma[k] * counts[m - k] for k in range(1, m + 1)) // m)
-    return max(1, counts[n].bit_length())
 
 
 def _sym_power_terms(table: BettiTable, shift: int, n: int) -> tuple[int, int, list[int]]:
@@ -159,11 +152,12 @@ def _euler_product(factors, q_bound: int, t_bound: int) -> BiSeries:
     """Expand prod_{m=1..q_bound} prod (1 + sign q^m t^{slope*m + offset})^power
     over the (sign, slope, offset, power) factors, truncated at the bounds
     (factors with m > q_bound cannot contribute)."""
-    out = BiSeries.one(q_bound, t_bound)
+    width = _signed_width(_slot_width(sum(abs(f[3]) for f in factors), q_bound))
+    rows = [1] + [0] * q_bound
     for m in range(1, q_bound + 1):
         for sign, slope, offset, power in factors:
-            out._apply_factor_in_place(sign, m, slope * m + offset, power)
-    return out
+            _apply_factor_rows(rows, width, t_bound, sign, m, slope * m + offset, power)
+    return BiSeries._of_rows(q_bound, t_bound, _unpack_rows(rows, width, t_bound))
 
 
 def generating_series_product(

@@ -2,8 +2,11 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wreath_hochschild.series import BiSeries, check_cap, check_count
+from wreath_hochschild import wreath
+from wreath_hochschild.series import BiSeries, _slot_width, check_cap, check_count
 
 
 def geometric(q_bound, t_bound, q_exp, t_exp):
@@ -216,6 +219,95 @@ def test_apply_factor_long_power_matches_passes():
             for _ in range(abs(power)):
                 short = short.apply_factor(sign, 2, 1, 1 if power > 0 else -1)
             assert s.apply_factor(sign, 2, 1, power) == short
+
+
+def binomial(e, r):
+    # e (e - 1) ... (e - r + 1) / r!, for any integer e
+    num = den = 1
+    for j in range(r):
+        num *= e - j
+        den *= j + 1
+    return num // den
+
+
+def truncated_expansion(q_bound, t_bound, sign, q_exp, t_exp, power):
+    # (1 + sign u)^power = sum_r binomial(power, r) sign^r u^r, u = q^q_exp t^t_exp
+    if q_exp == t_exp == 0:
+        return BiSeries.from_terms(q_bound, t_bound, [(0, 0, (1 + sign) ** power)])
+    terms, r = [], 0
+    while r * q_exp <= q_bound and r * t_exp <= t_bound and (power < 0 or r <= power):
+        terms.append((r * q_exp, r * t_exp, binomial(power, r) * sign ** r))
+        r += 1
+    return BiSeries.from_terms(q_bound, t_bound, terms)
+
+
+def dense_euler_product(factors, q_bound, t_bound):
+    out = BiSeries.one(q_bound, t_bound)
+    for m in range(1, q_bound + 1):
+        for sign, slope, offset, power in factors:
+            out = truncated_expansion(q_bound, t_bound, sign, m, slope * m + offset, power) * out
+    return out
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def euler_factors(draw):
+    slope = draw(st.integers(0, 3))
+    # the t exponent slope * m + offset is >= 0 from m = 1 on
+    return (draw(st.sampled_from((1, -1))), slope, draw(st.integers(-slope, 3)),
+            draw(st.integers(-6, 6)))
+
+
+@PROPERTY
+@given(st.lists(euler_factors(), max_size=4), st.integers(0, 12), st.integers(0, 30))
+def test_euler_product_matches_the_dense_product_property(factors, q_bound, t_bound):
+    want = dense_euler_product(factors, q_bound, t_bound)
+    assert wreath._euler_product(factors, q_bound, t_bound) == want
+
+
+@st.composite
+def signed_series_and_factor(draw):
+    q_bound, t_bound = draw(st.integers(0, 8)), draw(st.integers(0, 12))
+    coefficient = st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80))
+    terms = draw(st.lists(st.tuples(st.integers(0, q_bound), st.integers(0, t_bound),
+                                    coefficient), max_size=12))
+    q_exp = draw(st.integers(0, q_bound + 1))
+    power = draw(st.integers(-6 if q_exp else 0, 6))
+    factor = (draw(st.sampled_from((1, -1))), q_exp, draw(st.integers(0, t_bound + 1)), power)
+    return BiSeries.from_terms(q_bound, t_bound, terms), factor
+
+
+@PROPERTY
+@given(signed_series_and_factor())
+def test_apply_factor_matches_the_dense_product_property(case):
+    s, (sign, q_exp, t_exp, power) = case
+    before = BiSeries(s.q_bound, s.t_bound, s.coeff)
+    want = truncated_expansion(s.q_bound, s.t_bound, sign, q_exp, t_exp, power) * s
+    assert s.apply_factor(sign, q_exp, t_exp, power) == want
+    assert s == before
+
+
+def coloured_partition_counts(colours, n_max):
+    # p_M(0..n_max): partitions into parts of M colours, one colour at a time
+    counts = [1] + [0] * n_max
+    for _ in range(colours):
+        for part in range(1, n_max + 1):
+            for n in range(part, n_max + 1):
+                counts[n] += counts[n - part]
+    return counts
+
+
+# p_M(q_bound) has 7 or 15 bits (the sign bit fills its last byte) or 8 or
+# 16 (it needs the sign bit of a byte more)
+@pytest.mark.parametrize("colours, q_bound", [(2, 7), (4, 11), (1, 16), (4, 12), (6, 9)])
+def test_euler_product_reads_p_M_at_the_width_bound(colours, q_bound):
+    # (1 - q^m)^(-M) at slope 0 and offset 0 puts p_M(n) itself in slot t^0
+    want = coloured_partition_counts(colours, q_bound)
+    assert _slot_width(colours, q_bound) == want[-1].bit_length()
+    s = wreath._euler_product([(-1, 0, 0, -colours)], q_bound, 3)
+    assert s.coeff == [[c, 0, 0, 0] for c in want]
 
 
 def test_apply_factor_error_checks():

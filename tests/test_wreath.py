@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreath_hochschild import wreath
+from wreath_hochschild import betti, cli, series, wreath
 from wreath_hochschild.betti import AlgebraPreset, BettiTable, super_sym_powers
 from wreath_hochschild.partitions import count_by_length, partitions
 from wreath_hochschild.series import BiSeries
@@ -329,13 +329,50 @@ def test_partition_route_uses_no_product_code(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the partition sum reached product-route code")
 
-    for name in ("__mul__", "apply_factor", "_apply_factor_in_place"):
+    for name in ("__mul__", "apply_factor"):
         monkeypatch.setattr(BiSeries, name, forbidden)
-    for name in ("_euler_product", "generating_series_product"):
+    for name in ("_apply_factor_rows", "_pack_rows", "_unpack_rows"):
+        monkeypatch.setattr(series, name, forbidden)
+    for name in ("_euler_product", "generating_series_product", "_apply_factor_rows",
+                 "_unpack_rows"):
         monkeypatch.setattr(wreath, name, forbidden)
     qweyl = PRESETS["qweyl"]
     assert hh_cohomology_wreath(qweyl.betti, 2, 6)[2] == 3
     assert generating_series_sum(qweyl.betti, 2, 4).get(1, 1) == 2
+
+
+_TABLE_COMMANDS = (
+    ["series", "--preset", "qweyl", "--max-q", "6"],
+    ["betti", "--preset", "z2_qweyl", "-n", "6"],
+    ["hilb", "--betti", "1,2,1", "-n", "6"],
+    ["deform", "--preset", "qweyl", "-n", "6"],
+)
+
+
+def _cli_out(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, ""), argv
+    return out
+
+
+def test_product_route_uses_no_partition_code(monkeypatch, capsys):
+    qweyl = PRESETS["qweyl"]
+    walk = generating_series_sum(qweyl.betti, 2, 6)
+    gamma_walk = generating_series_sum(gamma_preset(4).betti, 2, 6)
+    outputs = [(argv, _cli_out(capsys, argv)) for argv in _TABLE_COMMANDS]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the product route reached partition-sum code")
+
+    for name in ("_partition_sum", "_sym_power_terms", "super_sym_powers"):
+        monkeypatch.setattr(wreath, name, forbidden)
+    monkeypatch.setattr(betti, "super_sym_powers", forbidden)
+    assert generating_series_product(qweyl.betti, 2, 6) == walk
+    assert closed_form("PA_q", 6) == walk
+    assert gamma_series(4, 6) == gamma_walk
+    for argv, out in outputs:
+        assert _cli_out(capsys, argv) == out, argv
 
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
