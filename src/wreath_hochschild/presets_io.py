@@ -42,15 +42,16 @@ def load_preset(name: str) -> AlgebraPreset:
     """Resolve a preset by catalog name, gamma:<nu>, or a JSON file/string.
 
     JSON schema: {"name": str, "d": even int, "betti": [b0, b1, ...]}
-    with list index equal to degree.
+    with list index equal to degree.  The nu of gamma:<nu> is a plain
+    decimal int, by parse's rule str(int(s)) == s ("gamma:03" is refused).
     """
     if name in PRESETS:
         return PRESETS[name]
     if name.startswith("gamma:"):
         try:
-            nu = int(name.split(":", 1)[1])
+            nu = _int(name.split(":", 1)[1])
         except ValueError:
-            raise ValueError(f"bad gamma preset {name!r}: expected gamma:<int>")
+            raise ValueError(f"bad gamma preset {name!r}: expected gamma:<int>") from None
         return gamma_preset(nu)
     import json  # the catalog and gamma presets above never load it
 

@@ -9,17 +9,21 @@ The one Euler-product kernel, _apply_factor_rows, works on packed rows:
 the q^n row is one int, sum_i c[n][i] * 2^(B*i) (Kronecker substitution),
 so one copy of a factor 1 + s q^a t^b costs one shift-add per row, and a
 long power one multiply-shift-add per term of its truncated expansion.
-wreath._euler_product packs the rows of 1 and applies every factor to
-them; BiSeries.apply_factor packs its rows, applies one factor and reads
-them back.  The slot width B is the bit length of a bound on every value
-the kernel stores, plus a sign bit, rounded up to 1, 2, 4 or 8 bytes (whole
-bytes above that).  For factors of total |power| M applied to 1 the bound
-is p_M(Q), the coefficient of q^Q in prod_m (1 - q^m)^(-M), which
-majorises the product at t = 1; _slot_width computes it, the one Kronecker
-bound, which the partition walk reads too.  Coefficients are signed and a
-row is the exact integer, with no carry rule.  Every t exponent is >= 0,
-so no slot reads a slot above it: a row that outgrows t_bound + 1 slots is
-cut back to them, as its balanced residue modulo 2^(B*(t_bound + 1)), which
+_euler_product, the product route of every wreath table, closed form and
+gamma series, starts from the rows of 1, applies every (m, factor) and
+reads the rows back once; BiSeries.apply_factor packs its rows, applies
+one factor and reads them back.  Both build their result as
+BiSeries(q_bound, t_bound), _euler_product before any row, so every bound
+passes check_count, and then set its coefficients from the rows.  The
+slot width B is the bit length of a bound on every value the kernel
+stores, plus a sign bit, rounded up to 1, 2, 4 or 8 bytes (whole bytes
+above that).  For factors of total |power| M applied to 1 the bound is
+p_M(Q), the coefficient of q^Q in prod_m (1 - q^m)^(-M), which majorises
+the product at t = 1; _slot_width computes it, the one Kronecker bound,
+which the partition walk reads too.  Coefficients are signed and a row is
+the exact integer, with no carry rule.  Every t exponent is >= 0, so no
+slot reads a slot above it: a row that outgrows t_bound + 1 slots is cut
+back to them, as its balanced residue modulo 2^(B*(t_bound + 1)), which
 keeps small t bounds cheap.  A row is read back in balanced form: adding
 half a slot to every slot leaves each slot its coefficient + 2^(B - 1), in
 [0, 2^B), with no borrow between slots, so each slot reads from the bytes.
@@ -46,19 +50,12 @@ class BiSeries:
 
     __slots__ = ("q_bound", "t_bound", "coeff")
 
-    def __init__(self, q_bound: int, t_bound: int, coeff=None):
+    def __init__(self, q_bound: int, t_bound: int):
         check_count(q_bound, "q_bound")
         check_count(t_bound, "t_bound")
         self.q_bound = q_bound
         self.t_bound = t_bound
-        if coeff is None:
-            self.coeff = [[0] * (t_bound + 1) for _ in range(q_bound + 1)]
-        else:
-            if len(coeff) != q_bound + 1 or any(len(r) != t_bound + 1 for r in coeff):
-                raise ValueError("coefficient table shape does not match bounds")
-            if any(type(c) is not int for row in coeff for c in row):
-                raise ValueError("coefficients must be integers")
-            self.coeff = [list(row) for row in coeff]
+        self.coeff = [[0] * (t_bound + 1) for _ in range(q_bound + 1)]
 
     @classmethod
     def one(cls, q_bound: int, t_bound: int) -> "BiSeries":
@@ -167,15 +164,10 @@ class BiSeries:
                 else math.comb(-power + e, e))
         big = max((abs(c) for row in self.coeff for c in row), default=0)
         width = _signed_width((big * norm).bit_length())
-        rows = _pack_rows(self.coeff, width)
+        rows = [sum(c << width * i for i, c in enumerate(row)) for row in self.coeff]
         _apply_factor_rows(rows, width, t_bound, sign, q_exp, t_exp, power)
-        return BiSeries._of_rows(q_bound, t_bound, _unpack_rows(rows, width, t_bound))
-
-    @classmethod
-    def _of_rows(cls, q_bound: int, t_bound: int, coeff) -> "BiSeries":
-        """A series on coeff, lists of ints of the right shape, taken as they are."""
-        out = cls.__new__(cls)
-        out.q_bound, out.t_bound, out.coeff = q_bound, t_bound, coeff
+        out = BiSeries(q_bound, t_bound)
+        out.coeff = _unpack_rows(rows, width, t_bound)
         return out
 
     def restrict(self, q_bound: int, t_bound: int) -> "BiSeries":
@@ -234,21 +226,6 @@ def _signed_width(bits: int) -> int:
 _NATIVE_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 
-def _bias(width: int, slots: int) -> int:
-    """sum_{i < slots} 2^(width - 1) * 2^(width*i): half a slot in every slot."""
-    return int.from_bytes((1 << width - 1).to_bytes(width // 8, "little") * slots, "little")
-
-
-def _pack_rows(coeff, width: int) -> list[int]:
-    """Each row c[0..T] as the one int sum_i c[i] * 2^(width*i); every
-    |c[i]| must be below 2^(width - 1).  The slots are written in two's
-    complement, which is the balanced slot with its top bit flipped."""
-    size = width // 8
-    bias = _bias(width, len(coeff[0]))
-    return [(int.from_bytes(b"".join(c.to_bytes(size, "little", signed=True) for c in row),
-                            "little") ^ bias) - bias for row in coeff]
-
-
 def _unpack_rows(rows, width: int, t_bound: int) -> list[list[int]]:
     """The coefficient lists of packed rows, t^0 .. t^t_bound, read in
     balanced form.  Adding half a slot to every slot makes each slot its
@@ -257,7 +234,7 @@ def _unpack_rows(rows, width: int, t_bound: int) -> list[list[int]]:
     width-bit two's complement, so each slot is read from the bytes alone."""
     size = width // 8
     nbytes = size * (t_bound + 1)
-    bias = _bias(width, t_bound + 1)
+    bias = int.from_bytes((1 << width - 1).to_bytes(size, "little") * (t_bound + 1), "little")
     fmt = _NATIVE_SIGNED.get(size)
     out = []
     for row in rows:
@@ -279,8 +256,8 @@ def _cut(row: int, bits: int) -> int:
 def _apply_factor_rows(rows: list, width: int, t_bound: int,
                        sign: int, q_exp: int, t_exp: int, power: int) -> None:
     """The Euler-product kernel: multiply packed rows (rows[n] the q^n row,
-    packed as by _pack_rows) by (1 + sign * q^q_exp * t^t_exp)^power, in
-    place, truncated at q^(len(rows) - 1) and t^t_bound.
+    the int sum_i c[n][i] * 2^(width*i)) by (1 + sign * q^q_exp *
+    t^t_exp)^power, in place, truncated at q^(len(rows) - 1) and t^t_bound.
 
     With u = q^q_exp t^t_exp, one copy of 1 + sign * u is one shift-add
     per row: multiplying updates row[n] += sign * row[n - q_exp] << width *
@@ -336,6 +313,21 @@ def _apply_factor_rows(rows: list, width: int, t_bound: int,
             if row.bit_length() >= top:
                 row = _cut(row, top)
             rows[n] = row
+
+
+def _euler_product(factors, q_bound: int, t_bound: int) -> BiSeries:
+    """Expand prod_{m=1..q_bound} prod (1 + sign q^m t^{slope*m + offset})^power
+    over the (sign, slope, offset, power) factors, truncated at the bounds
+    (factors with m > q_bound cannot contribute).  The series is built
+    first, so the bounds pass check_count before any row is."""
+    out = BiSeries(q_bound, t_bound)
+    width = _signed_width(_slot_width(sum(abs(f[3]) for f in factors), q_bound))
+    rows = [1] + [0] * q_bound
+    for m in range(1, q_bound + 1):
+        for sign, slope, offset, power in factors:
+            _apply_factor_rows(rows, width, t_bound, sign, m, slope * m + offset, power)
+    out.coeff = _unpack_rows(rows, width, t_bound)
+    return out
 
 
 def check_count(value, name: str, low: int = 0) -> None:

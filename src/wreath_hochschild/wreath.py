@@ -25,20 +25,14 @@ partitions of n, and M the total dimension of the table: every entry is
 nonnegative, shifts keep dimensions and dim S^p <= C(M+p-1, p), so no
 coefficient exceeds the total at t = 1, which is at most the sum over the
 partitions of n of prod_i C(M+p_i-1, p_i) = p_M(n).
-The product route packs its q-rows the same way, with signed slots:
-_euler_product starts from the rows of 1, applies every (m, factor) with
-the Euler-product kernel of series.py and reads the rows back once.  Its
-slot width is the bit length of p_M(Q), M the total |power| of the
-factors, plus a sign bit: the same bound, series._slot_width, which bounds
-the product's coefficients because prod_m (1 - q^m)^(-M) majorises it at
-t = 1.
+The product route is series._euler_product, whose packed rows the series
+docstring describes; its slot width reads the same bound, _slot_width.
 """
 
 from __future__ import annotations
 
 from .betti import AlgebraPreset, BettiTable, check_duality, super_sym_powers
-from .series import (BiSeries, _apply_factor_rows, _signed_width, _slot_width,
-                     _unpack_rows, check_count)
+from .series import BiSeries, _euler_product, _slot_width, check_count
 
 PRESETS: dict[str, AlgebraPreset] = {
     # flat polynomial-type algebras, all with duality dimension 2
@@ -146,18 +140,6 @@ def generating_series_sum(
             if deg <= t_bound:
                 out.coeff[n][deg] = dim
     return out
-
-
-def _euler_product(factors, q_bound: int, t_bound: int) -> BiSeries:
-    """Expand prod_{m=1..q_bound} prod (1 + sign q^m t^{slope*m + offset})^power
-    over the (sign, slope, offset, power) factors, truncated at the bounds
-    (factors with m > q_bound cannot contribute)."""
-    width = _signed_width(_slot_width(sum(abs(f[3]) for f in factors), q_bound))
-    rows = [1] + [0] * q_bound
-    for m in range(1, q_bound + 1):
-        for sign, slope, offset, power in factors:
-            _apply_factor_rows(rows, width, t_bound, sign, m, slope * m + offset, power)
-    return BiSeries._of_rows(q_bound, t_bound, _unpack_rows(rows, width, t_bound))
 
 
 def generating_series_product(

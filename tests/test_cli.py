@@ -17,7 +17,9 @@ from wreath_hochschild.presets_io import CheckReport, emit, load_preset, parse
 from wreath_hochschild.series import BiSeries
 from wreath_hochschild.wreath import (
     PRESETS,
+    closed_form,
     deformation_parameter_count,
+    gamma_series,
     generating_series_product,
     hh_cohomology_wreath,
 )
@@ -205,6 +207,16 @@ def test_tables_do_not_walk_partitions(monkeypatch, capsys):
     (("hilb", "--betti", "1,0,0", "-n", "-1"), "n must be a nonnegative int, got -1"),
     (("deform", "--preset", "qweyl", "-n", "-1"), "n must be an int >= 2, got -1"),
     (("hilb", "--betti", "1,0,0,1", "-n", "3"), "table support exceeds the duality dimension"),
+    # the product route builds its series before any row, so BiSeries refuses the bounds
+    (("series", "--preset", "weyl", "--max-q", "-1"), "q_bound must be a nonnegative int, got -1"),
+    (("series", "--preset", "weyl", "--max-q", "3", "--max-t", "-1"),
+     "t_bound must be a nonnegative int, got -1"),
+    # nu is read by parse's integer rule, and a well-spelt bad nu reaches check_count
+    (("deform", "--preset", "gamma:1_0", "-n", "2"),
+     "bad gamma preset 'gamma:1_0': expected gamma:<int>"),
+    (("betti", "--preset", "gamma:03", "-n", "2"),
+     "bad gamma preset 'gamma:03': expected gamma:<int>"),
+    (("betti", "--preset", "gamma:-1", "-n", "2"), "nu must be a positive int, got -1"),
 ])
 def test_table_inputs_refused(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -230,6 +242,12 @@ def _preset(d=2, betti=(1, 0, 1)):
     (lambda v: BettiTable({0: v}), (True, -2), "dimension must be a nonnegative int"),
     (lambda v: BiSeries(v, 1), (True, -1), "q_bound must be a nonnegative int"),
     (lambda v: BiSeries(1, v), (1.0, -1), "t_bound must be a nonnegative int"),
+    (lambda v: generating_series_product(PRESETS["weyl"].betti, 2, v), (-1, True, 2.0),
+     "q_bound must be a nonnegative int"),
+    (lambda v: generating_series_product(PRESETS["weyl"].betti, 2, 3, v), (-1, True, 2.0),
+     "t_bound must be a nonnegative int"),
+    (lambda v: closed_form("PA", v), (-1, True, 2.0), "q_bound must be a nonnegative int"),
+    (lambda v: gamma_series(3, 3, v), (-1, True, 2.0), "t_bound must be a nonnegative int"),
     (lambda v: Partition((v,)), (2.5, 0), "part must be a positive int"),
     (lambda v: deformation_parameter_count(PRESETS["qweyl"].betti, 2, v), (1, -1),
      "n must be an int >= 2"),
@@ -239,8 +257,9 @@ def _preset(d=2, betti=(1, 0, 1)):
      "n must be a nonnegative int"),
     (lambda v: _command("deform", "--preset", "qweyl", "-n", str(v)), (1, -1),
      "n must be an int >= 2"),
-], ids=["json d", "json dims", "degree", "dimension", "q_bound", "t_bound", "part",
-        "deform n", "betti -n", "hilb -n", "deform -n"])
+], ids=["json d", "json dims", "degree", "dimension", "q_bound", "t_bound",
+        "product q_bound", "product t_bound", "closed form q_bound", "gamma series t_bound",
+        "part", "deform n", "betti -n", "hilb -n", "deform -n"])
 def test_each_field_has_one_refusal(call, values, shape):
     for value in values:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{shape}, got {value!r}')}$"):

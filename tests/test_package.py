@@ -13,6 +13,7 @@ from wreath_hochschild.koszul import RankOneElement
 from wreath_hochschild.ratfunc import RatFunc
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 # the package's public names, one set per owning submodule
 PUBLIC = {
@@ -202,3 +203,29 @@ def test_the_koszul_and_cherednik_oracles_load_no_other_oracle(oracle, others):
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_the_benchmark_tracer_installs_and_runs():
+    # perfbench/spans.py wraps package functions and methods by name, so a
+    # renamed or deleted one fails install here, not in a traced benchmark run
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path[:0] = [{SRC!r}, {PERFBENCH!r}]\n"
+        "import spans\n"
+        "tracer = spans.Tracer()\n"
+        "spans.install(tracer)\n"
+        "from wreath_hochschild import cli\n"
+        "from wreath_hochschild.bruteforce import FiniteDimAlgebra, verify_homolog_i\n"
+        "with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):\n"
+        "    assert cli.main(['betti', '--preset', 'qweyl', '-n', '3']) == 0\n"
+        "report = verify_homolog_i(FiniteDimAlgebra.truncated_polynomial(2), n=2, max_level=1)\n"
+        "assert report.passed, report.lines\n"
+        "tracer.fold()\n"
+        "metrics = tracer.metrics()\n"
+        "print(*[layer for layer in ('cli', 'bruteforce', 'linalg')\n"
+        "        if metrics[layer + '.self_s'] > 0])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["cli", "bruteforce", "linalg"]

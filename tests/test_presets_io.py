@@ -43,6 +43,12 @@ def test_load_rejects_bad_input():
         "no_such_preset",
         "gamma:x",
         "gamma:0",
+        # nu is written as emit writes an int, str(int(s)) == s
+        "gamma:1_0",
+        "gamma:+3",
+        "gamma: 3",
+        "gamma:03",
+        "gamma:3 ",
         '{"name": "u", "d": 3, "betti": [1]}',      # odd d
         '{"name": "u", "d": 2, "betti": [1, 0, 0, 7]}',  # support beyond d
         '{"name": "u", "d": 2, "betti": [1, -1]}',  # negative dim

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreath_hochschild import wreath
+from wreath_hochschild import series
 from wreath_hochschild.series import BiSeries, _slot_width, check_cap, check_count
 
 
@@ -41,12 +41,10 @@ def test_mul_truncates():
     (lambda: BiSeries.from_terms(2, 2, [(1, 1, 2.9)]), "term (1, 1, 2.9) is not integral"),
     (lambda: BiSeries.from_terms(2, 2, [(1, 1, True)]), "term (1, 1, True) is not integral"),
     (lambda: BiSeries.from_terms(2, 2, [(1.0, 1, 1)]), "term (1.0, 1, 1) is not integral"),
-    (lambda: BiSeries(1, 0, [[1], [1.5]]), "coefficients must be integers"),
-    (lambda: BiSeries(1, 0, [[1], [False]]), "coefficients must be integers"),
     (lambda: BiSeries(True, 1), "q_bound must be a nonnegative int, got True"),
     (lambda: BiSeries(1, 1.0), "t_bound must be a nonnegative int, got 1.0"),
-], ids=["coefficient 2.9", "coefficient True", "degree 1.0", "table 1.5", "table False",
-        "q_bound True", "t_bound 1.0"])
+], ids=["coefficient 2.9", "coefficient True", "degree 1.0", "q_bound True",
+        "t_bound 1.0"])
 def test_series_refuses_non_int_entries(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
@@ -203,7 +201,7 @@ def test_apply_factor_matches_dense_product():
     for sign, q_exp, t_exp, power in cases:
         s = BiSeries.from_terms(5, 6, [(rng.randrange(6), rng.randrange(7),
                                         rng.randrange(-5, 6)) for _ in range(8)])
-        before = BiSeries(5, 6, s.coeff)
+        before = BiSeries.from_terms(5, 6, s.terms())
         want = s * expanded_factor(5, 6, sign, q_exp, t_exp, power)
         assert s.apply_factor(sign, q_exp, t_exp, power) == want, (sign, q_exp, t_exp, power)
         assert s == before
@@ -264,7 +262,7 @@ def euler_factors(draw):
 @given(st.lists(euler_factors(), max_size=4), st.integers(0, 12), st.integers(0, 30))
 def test_euler_product_matches_the_dense_product_property(factors, q_bound, t_bound):
     want = dense_euler_product(factors, q_bound, t_bound)
-    assert wreath._euler_product(factors, q_bound, t_bound) == want
+    assert series._euler_product(factors, q_bound, t_bound) == want
 
 
 @st.composite
@@ -283,7 +281,7 @@ def signed_series_and_factor(draw):
 @given(signed_series_and_factor())
 def test_apply_factor_matches_the_dense_product_property(case):
     s, (sign, q_exp, t_exp, power) = case
-    before = BiSeries(s.q_bound, s.t_bound, s.coeff)
+    before = BiSeries.from_terms(s.q_bound, s.t_bound, s.terms())
     want = truncated_expansion(s.q_bound, s.t_bound, sign, q_exp, t_exp, power) * s
     assert s.apply_factor(sign, q_exp, t_exp, power) == want
     assert s == before
@@ -306,7 +304,7 @@ def test_euler_product_reads_p_M_at_the_width_bound(colours, q_bound):
     # (1 - q^m)^(-M) at slope 0 and offset 0 puts p_M(n) itself in slot t^0
     want = coloured_partition_counts(colours, q_bound)
     assert _slot_width(colours, q_bound) == want[-1].bit_length()
-    s = wreath._euler_product([(-1, 0, 0, -colours)], q_bound, 3)
+    s = series._euler_product([(-1, 0, 0, -colours)], q_bound, 3)
     assert s.coeff == [[c, 0, 0, 0] for c in want]
 
 
