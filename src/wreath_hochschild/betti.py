@@ -143,9 +143,16 @@ class AlgebraPreset(_Record):
         super().__init__(name, d, betti)
 
 
+def check_table(table) -> None:
+    """Refuse, with TypeError, a table that is not a BettiTable."""
+    if not isinstance(table, BettiTable):
+        raise TypeError(f"table must be a BettiTable, got {type(table).__name__}")
+
+
 def check_duality(table: BettiTable, d: int) -> None:
-    """Refuse a duality dimension d that is not an even positive int, and a
-    cohomology table supported above degree d."""
+    """check_table, then refuse a duality dimension d that is not an even
+    positive int, and a table supported above degree d."""
+    check_table(table)
     # type(), not isinstance: 2.0 and True are refused, not read as ints
     if type(d) is not int or d <= 0 or d % 2:
         raise ValueError(f"duality dimension d must be an even positive int, got {d!r}")
@@ -153,33 +160,37 @@ def check_duality(table: BettiTable, d: int) -> None:
         raise ValueError("table support exceeds the duality dimension")
 
 
+def _packed_sym_powers(table: BettiTable, pmax: int, width) -> tuple[int, list[int]]:
+    """(B, rows): B = width(M), M the total dimension of the checked table,
+    rows[p] the z^p term of prod_{j even} (1 - z t^j)^(-m_j) prod_{j odd}
+    (1 + z t^j)^(m_j) as sum dim * 2^(B*degree).  Each factor has constant
+    term 1 and no negative term: no slot exceeds its dim S^p <= C(M+p-1, p)."""
+    check_table(table)
+    bits = width(table.total_dim)
+    rows = [1] + [0] * pmax
+    for j, m in table.dims().items():
+        factor = ([math.comb(m, r) for r in range(1, min(m, pmax) + 1)] if j % 2
+                  else [math.comb(m + r - 1, r) for r in range(1, pmax + 1)])
+        step = bits * j
+        for p in range(pmax, 0, -1):  # p descending: rows[p - r] is still old
+            row = rows[p]
+            for r, c in enumerate(factor[:p], 1):
+                row += c * rows[p - r] << step * r
+            rows[p] = row
+    return bits, rows
+
+
+def _unpacked(row: int, width: int) -> BettiTable:
+    """The table of sum dim * 2^(width*degree), every dim below 2^width."""
+    mask = (1 << width) - 1
+    return BettiTable({k: row >> width * k & mask
+                       for k in range((row.bit_length() - 1) // width + 1)})
+
+
 def super_sym_powers(table: BettiTable, pmax: int):
-    """Graded dimensions of the super symmetric powers S^0 .. S^pmax.
-
-    Expands prod_{j even} (1 - z t^j)^(-m_j) * prod_{j odd} (1 + z t^j)^(m_j)
-    and reads off the coefficient of z^p, exactly: no degree is truncated.
-
-    Returns a list of BettiTable, index p in 0..pmax.
-    """
+    """The super symmetric powers S^0 .. S^pmax, as BettiTables: the exact
+    rows of _packed_sym_powers, read at the width of C(M+pmax-1, pmax)."""
     check_count(pmax, "pmax")
-    # rows[p] = t-polynomial {degree: coeff} multiplying z^p
-    rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(pmax)]
-    for j in sorted(table.dims()):
-        m = table[j]
-        # factor[r] = coefficient of z^r t^(r j) in this degree's factor
-        if j % 2 == 0:
-            factor = [math.comb(m + r - 1, r) for r in range(pmax + 1)]
-        else:
-            factor = [math.comb(m, r) for r in range(min(m, pmax) + 1)]
-        new_rows: list[dict[int, int]] = [{} for _ in range(pmax + 1)]
-        for p1, poly1 in enumerate(rows):
-            if not poly1:
-                continue
-            for p2, c2 in enumerate(factor[:pmax + 1 - p1]):
-                target = new_rows[p1 + p2]
-                d2 = p2 * j
-                for d1, c1 in poly1.items():
-                    d = d1 + d2
-                    target[d] = target.get(d, 0) + c1 * c2
-        rows = new_rows
-    return [BettiTable(row) for row in rows]
+    width, rows = _packed_sym_powers(
+        table, pmax, lambda m: (math.comb(m + pmax - 1, pmax) if m else 1).bit_length())
+    return [_unpacked(row, width) for row in rows]

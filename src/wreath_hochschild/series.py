@@ -11,22 +11,22 @@ so one copy of a factor 1 + s q^a t^b costs one shift-add per row, and a
 long power one multiply-shift-add per term of its truncated expansion.
 _euler_product, the product route of every wreath table, closed form and
 gamma series, starts from the rows of 1, applies every (m, factor) and
-reads the rows back once; BiSeries.apply_factor packs its rows, applies
-one factor and reads them back.  Both build their result as
-BiSeries(q_bound, t_bound), _euler_product before any row, so every bound
-passes check_count, and then set its coefficients from the rows.  The
-slot width B is the bit length of a bound on every value the kernel
-stores, plus a sign bit, rounded up to 1, 2, 4 or 8 bytes (whole bytes
-above that).  For factors of total |power| M applied to 1 the bound is
-p_M(Q), the coefficient of q^Q in prod_m (1 - q^m)^(-M), which majorises
-the product at t = 1; _slot_width computes it, the one Kronecker bound,
-which the partition walk reads too.  Coefficients are signed and a row is
-the exact integer, with no carry rule.  Every t exponent is >= 0, so no
-slot reads a slot above it: a row that outgrows t_bound + 1 slots is cut
-back to them, as its balanced residue modulo 2^(B*(t_bound + 1)), which
-keeps small t bounds cheap.  A row is read back in balanced form: adding
-half a slot to every slot leaves each slot its coefficient + 2^(B - 1), in
-[0, 2^B), with no borrow between slots, so each slot reads from the bytes.
+reads the rows back once; BiSeries.apply_factor does so for one factor.
+Both build their result as BiSeries(q_bound, t_bound), _euler_product
+before any row, so every bound passes check_count, and then set its
+coefficients from the rows.  The slot width B is the bit length of a
+bound on every value the kernel stores, plus a sign bit, rounded up to 1,
+2, 4 or 8 bytes (whole bytes above that).  For factors of total |power| M
+applied to 1 the bound is p_M(Q), the coefficient of q^Q in
+prod_m (1 - q^m)^(-M), which majorises the product at t = 1; _slot_width
+computes it, the one Kronecker bound, which the walk reads too.
+Coefficients are signed and a row is the exact integer, with no carry
+rule.  Every t exponent is >= 0, so no slot reads a slot above it: a row
+that outgrows t_bound + 1 slots is cut back to them, as its balanced
+residue modulo 2^(B*(t_bound + 1)), which keeps small t bounds cheap.  A
+row is read back in balanced form: adding half a slot to every slot
+leaves each slot its coefficient + 2^(B - 1), in [0, 2^B), with no borrow
+between slots, so each slot reads from the bytes.
 
 signed_sum, the one printer of a signed sum of (coefficient, body)
 pairs, with power_str, its one power rule, check_count, the one count
@@ -146,11 +146,11 @@ class BiSeries:
 
         sign must be +1 or -1.  A negative power with q_exp == 0 is
         rejected: the geometric expansion would not terminate in q.
-        The rows are packed, the one Euler-product kernel applies the
-        factor, and the rows are read back; the slot width holds the
-        largest |coefficient| of self times the sum of the |coefficients|
-        of the factor's truncated expansion, which bounds every value the
-        kernel stores.
+        A row is packed as its positive part minus its negated negative
+        part, each joined from slot bytes in linear time; the kernel applies
+        the factor and the rows are read back.  The slot width holds max |c|
+        of self times the sum of the |coefficients| of the factor's truncated
+        expansion, a bound on every value the kernel stores.
         """
         q_bound, t_bound = self.q_bound, self.t_bound
         # the terms u^r that fit, r <= e; the kernel refuses a bad factor
@@ -164,7 +164,13 @@ class BiSeries:
                 else math.comb(-power + e, e))
         big = max((abs(c) for row in self.coeff for c in row), default=0)
         width = _signed_width((big * norm).bit_length())
-        rows = [sum(c << width * i for i, c in enumerate(row)) for row in self.coeff]
+        size = width // 8
+        zero = bytes(size)
+        rows = [int.from_bytes(b"".join([c.to_bytes(size, "little") if c > 0 else zero
+                                         for c in row]), "little")
+                - int.from_bytes(b"".join([(-c).to_bytes(size, "little") if c < 0 else zero
+                                           for c in row]), "little")
+                for row in self.coeff]
         _apply_factor_rows(rows, width, t_bound, sign, q_exp, t_exp, power)
         out = BiSeries(q_bound, t_bound)
         out.coeff = _unpack_rows(rows, width, t_bound)

@@ -12,26 +12,24 @@ product, as the CLI table commands do; the partition sum is the oracle,
 behind hh_homology_wreath, hh_cohomology_wreath and generating_series_sum.
 
 The partition sum is a depth-first walk over (part size i, multiplicity p),
-largest part first.  Every partition is one leaf, no subtree is shared and
-nothing is memoised, so the sum stays a literal enumeration and never
-regroups into the factor-by-factor shape of the product it checks.  A
-t-polynomial on the walk is one integer, sum dim * 2^(B*degree) (Kronecker
-substitution): a step of the walk is one integer multiply, and a degree
-shift is a bit shift.  Evaluation at 2^B is a ring homomorphism, so the
-packed sum of the leaves is the packed total, however large the products on
-the way; the total unpacks exactly when its coefficients are below 2^B.
-They are, with B the bit length of p_M(n), the number of M-coloured
-partitions of n, and M the total dimension of the table: every entry is
-nonnegative, shifts keep dimensions and dim S^p <= C(M+p-1, p), so no
-coefficient exceeds the total at t = 1, which is at most the sum over the
-partitions of n of prod_i C(M+p_i-1, p_i) = p_M(n).
-The product route is series._euler_product, whose packed rows the series
-docstring describes; its slot width reads the same bound, _slot_width.
+largest first, sizes 2 and 1 closed in the loop.  Every partition is one
+leaf with its own product; no subtree is shared and nothing is memoised, so
+the sum stays a literal enumeration, never regrouped into the shape of the
+product it checks.  A t-polynomial is one integer, sum dim * 2^(B*degree)
+(Kronecker substitution).  A leaf with l parts is shifted by d(n - l), the
+sum of d(i - 1) over its parts, so it goes unshifted into bucket l, and each
+bucket is shifted once.  Evaluation at 2^B is a ring homomorphism, so the
+total unpacks exactly if its coefficients are below 2^B, as they are for B
+the bit length of p_M(n), M the total dimension: entries are nonnegative and
+dim S^p <= C(M+p-1, p), so no coefficient exceeds the total at t = 1, at
+most the sum over partitions of n of prod_i C(M+p_i-1, p_i) = p_M(n).
+The product route, series._euler_product, sizes its slots by the same
+bound, _slot_width.
 """
 
 from __future__ import annotations
 
-from .betti import AlgebraPreset, BettiTable, check_duality, super_sym_powers
+from .betti import AlgebraPreset, BettiTable, _packed_sym_powers, _unpacked, check_duality
 from .series import BiSeries, _euler_product, _slot_width, check_count
 
 PRESETS: dict[str, AlgebraPreset] = {
@@ -58,47 +56,33 @@ def surface_preset(b0: int, b1: int, b2: int) -> AlgebraPreset:
 
 
 def _sym_power_terms(table: BettiTable, shift: int, n: int) -> tuple[int, int, list[int]]:
-    """(B, shift, packed): the slot width B for n and the super symmetric
-    powers S^0 .. S^n of table, each packed as sum dim * 2^(B*degree).
-
-    One expansion serves every part size: for an even s, S^p(V[s]) =
-    S^p(V)[p*s], so the shift * (i - 1) of a part of size i is applied by
-    the walk, which adds it up over the parts of each partition."""
+    """(B, shift, packed): the slot width B for n and the rows S^0 .. S^n of
+    _packed_sym_powers at width B.  S^p(V[s]) = S^p(V)[p*s] for an even s,
+    so one expansion serves every part size."""
     check_count(n, "n")
-    width = _slot_width(table.total_dim, n)
-    return width, shift, [sum(v << width * k for k, v in s.dims().items())
-                          for s in super_sym_powers(table, n)]
+    width, packed = _packed_sym_powers(table, n, lambda m: _slot_width(m, n))
+    return width, shift, packed
 
 
 def _partition_sum(powers: tuple[int, int, list[int]], n: int) -> BettiTable:
     """Sum over partitions of n of the tensor product over part sizes i of
     S^p(table[shift * (i - 1)]), p the multiplicity of i (powers as from
-    _sym_power_terms, for any bound >= n >= 0).
-
-    A depth-first walk chooses the multiplicity of each part size, largest
-    size first, and carries down the running packed product of the
-    unshifted powers and the bit shift that the chosen parts add up to
-    (shift * (i - 1) degrees for each part of size i); parts of size 1 take
-    whatever remains, so every leaf is a partition of n and every partition
-    is one leaf.  No subtree is shared between partitions and nothing is
-    memoised.  The packed total unpacks slot by slot: each coefficient is
-    at most p_M(n) <= p_M(bound) < 2^B."""
+    _sym_power_terms, bound >= n >= 0), by the walk of the module docstring."""
     width, shift, packed = powers
+    buckets = [0] * (n + 1)
 
-    def walk(rest: int, size: int, prod: int, lift: int) -> int:
-        size = min(size, rest)
-        if size <= 1:
-            return (prod * packed[rest] if rest else prod) << lift
-        out = walk(rest, size - 1, prod, lift)
-        for p in range(rest // size, 0, -1):
-            out += walk(rest - p * size, size - 1, prod * packed[p],
-                        lift + width * shift * p * (size - 1))
-        return out
+    def walk(rest, size, prod, parts):
+        # p twos and rest - 2p ones close the partition
+        for p in range(rest // 2 + 1):
+            ones = rest - 2 * p
+            buckets[parts + p + ones] += prod * packed[p] * packed[ones]
+        for i in range(min(size, rest), 2, -1):
+            for p in range(1, rest // i + 1):
+                walk(rest - p * i, i - 1, prod * packed[p], parts + p)
 
-    total = walk(n, n, 1, 0)
-    mask = (1 << width) - 1
-    top = (total.bit_length() - 1) // width
-    return BettiTable({k: total >> width * k & mask for k in range(top + 1)})
+    walk(n, n, 1, 0)
+    step = width * shift
+    return _unpacked(sum(b << step * (n - parts) for parts, b in enumerate(buckets)), width)
 
 
 def hh_homology_wreath(hom: BettiTable, n: int) -> BettiTable:

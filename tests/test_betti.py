@@ -3,7 +3,10 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wreath_hochschild import betti
 from wreath_hochschild.betti import BettiTable, super_sym_powers
 
 
@@ -45,6 +48,13 @@ def test_table_refuses_non_int_degrees_and_dims(bad, message):
 def test_super_sym_powers_refuse_a_pmax_that_is_not_a_nonnegative_int(pmax):
     with pytest.raises(ValueError, match=f"^pmax must be a nonnegative int, got {pmax!r}$"):
         super_sym_powers(BettiTable({0: 1}), pmax)
+
+
+@pytest.mark.parametrize("table", [{0: 1}, [1, 2, 1], None], ids=["dict", "list", "None"])
+def test_super_sym_powers_refuse_a_table_that_is_not_a_betti_table(table):
+    message = f"table must be a BettiTable, got {type(table).__name__}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        super_sym_powers(table, 2)
 
 
 def test_shift():
@@ -121,6 +131,45 @@ def test_sym_powers_total_dim_against_direct_count():
                 deg = sum(b[0] for b in combo)
                 table[deg] = table.get(deg, 0) + 1
             assert super_sym_powers(v, p)[p] == table
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.integers(0, 4), st.integers(0, 2), max_size=4), st.integers(0, 6))
+def test_sym_powers_match_the_super_multisets_property(dims, pmax):
+    # an independent count: multisets of a graded basis, even vectors
+    # repeated at will and odd ones at most once
+    basis = [(d, i) for d, m in dims.items() for i in range(m)]
+    powers = super_sym_powers(BettiTable(dims), pmax)
+    assert len(powers) == pmax + 1
+    for p, power in enumerate(powers):
+        table = {}
+        for combo in _super_multisets(basis, p):
+            deg = sum(b[0] for b in combo)
+            table[deg] = table.get(deg, 0) + 1
+        assert power == table
+
+
+def test_sym_powers_width_is_met_with_equality(monkeypatch):
+    # dim S^P of M even degree-0 vectors is C(M+P-1, P), the largest value
+    # the expansion reaches: super_sym_powers reads its rows at exactly that
+    # bit length, and a width one bit short misreads the row
+    core, widths = betti._packed_sym_powers, []
+
+    def spy(table, pmax, width):
+        out = core(table, pmax, width)
+        widths.append(out[0])
+        return out
+
+    monkeypatch.setattr(betti, "_packed_sym_powers", spy)
+    for m in range(1, 7):
+        for p in range(41):
+            want = math.comb(m + p - 1, p)
+            assert super_sym_powers(BettiTable({0: m}), p)[p] == {0: want}
+            assert widths.pop() == want.bit_length()
+            if want > 1:
+                short = want.bit_length() - 1
+                _, rows = core(BettiTable({0: m}), p, lambda _m: short)
+                assert betti._unpacked(rows[p], short) != {0: want}
 
 
 def _super_multisets(basis, p, start=0):

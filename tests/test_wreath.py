@@ -72,6 +72,21 @@ def test_the_table_is_checked_before_n():
             bad()
 
 
+@pytest.mark.parametrize("table", [{0: 1}, [1, 2, 1]], ids=["dict", "list"])
+@pytest.mark.parametrize("call", [
+    lambda t: generating_series_product(t, 2, 3),
+    lambda t: generating_series_sum(t, 2, 3),
+    lambda t: hh_cohomology_wreath(t, 2, 3),
+    lambda t: hh_homology_wreath(t, 3),
+    lambda t: hilb_poincare(t, 3),
+    lambda t: deformation_parameter_count(t, 2, 3),
+], ids=["product", "sum", "cohomology", "homology", "hilb", "deform"])
+def test_table_entry_points_refuse_a_table_that_is_not_a_betti_table(call, table):
+    message = f"table must be a BettiTable, got {type(table).__name__}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call(table)
+
+
 def test_homology_wreath_examples():
     assert hh_homology_wreath(BettiTable({0: 1}), 3) == {0: 3}
     hom = BettiTable({0: 1, 1: 2, 2: 1})
@@ -325,6 +340,13 @@ def test_empty_table_and_smallest_n():
     assert generating_series_sum(empty, 2, 3) == generating_series_product(empty, 2, 3)
 
 
+def test_partition_walk_equals_the_product_slice_at_n_40():
+    for preset in [*PRESETS.values(), gamma_preset(4)]:
+        slice40 = generating_series_product(preset.betti, preset.d, 40, 40 * preset.d)
+        assert hh_cohomology_wreath(preset.betti, preset.d, 40) == BettiTable(
+            slice40.q_coefficient(40)), preset.name
+
+
 def test_partition_route_uses_no_product_code(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the partition sum reached product-route code")
@@ -364,9 +386,12 @@ def test_product_route_uses_no_partition_code(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("the product route reached partition-sum code")
 
-    for name in ("_partition_sum", "_sym_power_terms", "super_sym_powers"):
+    for name in ("_partition_sum", "_sym_power_terms", "_packed_sym_powers"):
         monkeypatch.setattr(wreath, name, forbidden)
-    monkeypatch.setattr(betti, "super_sym_powers", forbidden)
+    for name in ("super_sym_powers", "_packed_sym_powers"):
+        monkeypatch.setattr(betti, name, forbidden)
+    # wreath binds no super_sym_powers of its own; one that it gains is forbidden too
+    monkeypatch.setattr(wreath, "super_sym_powers", forbidden, raising=False)
     assert generating_series_product(qweyl.betti, 2, 6) == walk
     assert closed_form("PA_q", 6) == walk
     assert gamma_series(4, 6) == gamma_walk
