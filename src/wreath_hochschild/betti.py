@@ -72,6 +72,7 @@ class BettiTable:
         return BettiTable({k + s: v for k, v in self._dims.items()})
 
     def add(self, other: "BettiTable") -> "BettiTable":
+        check_table(other)
         out = dict(self._dims)
         for k, v in other._dims.items():
             out[k] = out.get(k, 0) + v
@@ -80,6 +81,7 @@ class BettiTable:
     __add__ = add
 
     def tensor(self, other: "BettiTable") -> "BettiTable":
+        check_table(other)
         out: dict[int, int] = {}
         for k1, v1 in self._dims.items():
             for k2, v2 in other._dims.items():

@@ -30,13 +30,13 @@ right[m][b] = m.b, read by the differential and never mutated; the three
 bimodules here also record the algebra they are over, and the bar complex
 refuses one over another algebra.  Every map given by its columns runs
 through linalg.apply_columns.  Every tensor product of sparse vectors on
-basis indices (A tensor B, TwistedBimodule) runs through _expand, whose
-keys are base-dim ints.  Chains of the full complex (_d_basis, bar_columns,
-bar_apply, the homotopy identity, the sectors of afls_check) are tuple
-keys, which _act_on_chain and the append_unit of homotopy_identity_check
-extend; hh_dims numbers the chains of the normalised complex instead, as
-mixed-radix ints, and _level_rows builds each level's rows on those
-numbers, face by face, with no tuple.
+basis indices runs through _tensor, keyed by the tuple of factor keys:
+_expand reads each key as a base-dim int (A tensor B, TwistedBimodule),
+and _act_on_chain keeps the tuples, since the chains of the full complex
+(_d_basis, bar_columns, bar_apply, the homotopy identity, the sectors of
+afls_check) are tuple keys.  hh_dims numbers the chains of the normalised
+complex instead, as mixed-radix ints, and _level_rows builds each level's
+rows on those numbers, face by face, with no tuple.
 """
 
 from __future__ import annotations
@@ -95,24 +95,30 @@ class FiniteDimAlgebra:
 
     table[i][j] is the sparse coordinate vector of (basis i) * (basis j);
     unit is the coordinate vector of 1; entries are stored as ints where
-    integral, as Fractions otherwise.  Validation checks the unit law and
-    associativity on all basis triples unless check=False (used by the
-    combinators, whose output is associative by construction).
+    integral, as Fractions otherwise.  Validation checks that each of them
+    is a dict over the basis keys, then the unit law and associativity on
+    all basis triples, unless check=False (used by the combinators, whose
+    output is an associative algebra on the basis by construction).
     """
 
     __slots__ = ("dim", "table", "unit")
 
     def __init__(self, table, unit, check: bool = True):
-        self.dim = len(table)
-        if not self.dim:
+        self.dim = dim = len(table)
+        if not dim:
             raise ValueError("structure-constant table is empty: an algebra needs a basis")
+        if any(len(row) != dim for row in table):
+            raise ValueError("structure-constant table must be square")
+        if check:
+            for i, row in enumerate(table):
+                for j, cell in enumerate(row):
+                    _check_coordinates(cell, dim, f"structure constant ({i},{j})")
+            _check_coordinates(unit, dim, "unit")
         self.table = [
             [{k: exact_scalar(v) for k, v in cell.items() if v} for cell in row]
             for row in table
         ]
         self.unit = {k: exact_scalar(v) for k, v in unit.items() if v}
-        if any(len(row) != self.dim for row in self.table):
-            raise ValueError("structure-constant table must be square")
         if check:
             self._validate()
 
@@ -223,14 +229,27 @@ class FiniteDimAlgebra:
         return f"FiniteDimAlgebra(dim={self.dim})"
 
 
-def _expand(vectors, radix: int) -> dict:
-    """Tensor product of sparse vectors: the key k_1, ..., k_r of the
-    product c_1 ... c_r of entries is the integer with digits k_1 ... k_r
-    in base radix (k_1 may exceed it)."""
-    out = {0: 1}
+def _check_coordinates(vec, dim: int, where: str) -> None:
+    """Refuse, with ValueError naming where it stands, a vec that is not a
+    dict over the basis keys 0..dim-1."""
+    if not isinstance(vec, dict) or not all(type(k) is int and 0 <= k < dim for k in vec):
+        raise ValueError(f"{where} must be a dict over the basis keys 0..{dim - 1}, "
+                         f"got {vec!r}")
+
+
+def _tensor(vectors) -> dict:
+    """Tensor product of sparse vectors: the key of the product c_1 ... c_r
+    of entries is the tuple (k_1, ..., k_r) of their keys."""
+    out = {(): 1}
     for vec in vectors:
-        out = {key * radix + k: c * v for key, c in out.items() for k, v in vec.items()}
+        out = {key + (k,): c * v for key, c in out.items() for k, v in vec.items()}
     return out
+
+
+def _expand(vectors, radix: int) -> dict:
+    """_tensor with each key read as the integer with digits k_1 ... k_r in
+    base radix (k_1 may exceed it)."""
+    return {encode_tuple(key, radix): c for key, c in _tensor(vectors).items()}
 
 
 def _compose(a, b):
@@ -760,15 +779,7 @@ def _act_on_chain(cols, chain: dict) -> dict:
     """An algebra automorphism (as columns) applied to every chain slot."""
     moved: dict = {}
     for key, c in chain.items():
-        expanded = {(): c}
-        for x in key:
-            expanded = {
-                kk + (y,): cc * v
-                for kk, cc in expanded.items()
-                for y, v in cols[x].items()
-            }
-        for kk, cc in expanded.items():
-            add_term(moved, kk, cc)
+        addmul_into(moved, _tensor([cols[x] for x in key]), c)
     return moved
 
 

@@ -440,6 +440,9 @@ def spherical_idempotent(n: int) -> CherednikElement:
 
 def spherical_product(a: CherednikElement) -> CherednikElement:
     """Compress an element to the spherical subalgebra: e a e."""
+    if not isinstance(a, CherednikElement):
+        raise TypeError(f"spherical_product expects a CherednikElement, "
+                        f"got {type(a).__name__}")
     e = spherical_idempotent(a.n)
     return multiply(multiply(e, a), e)
 

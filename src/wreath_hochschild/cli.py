@@ -8,6 +8,10 @@ Subcommands
     cherednik  normal-order a word in the rational Cherednik algebra
     verify     run the verification suites, exit 0 iff everything passes
 
+The command line reads text by the package's rules in presets_io: every
+integer argument, each --betti cell included, by _int, every --format
+from _FORMATS, and a JSON preset by load_preset, which refuses a repeated
+key.
 Exit codes: 0 success, 1 verification failure (including an internal
 certificate that did not hold), 2 usage error.  Error messages go to
 standard error.  A verification suite that raises is reported as a
@@ -34,7 +38,7 @@ import sys
 
 from .betti import BettiTable
 from .partitions import count_by_length
-from .presets_io import CheckReport, emit, load_preset
+from .presets_io import _FORMATS, CheckReport, _int, emit, load_preset
 from .series import check_cap
 from .wreath import (
     CLOSED_FORM_PRESETS,
@@ -87,7 +91,7 @@ def _cmd_betti(args) -> int:
 
 def _cmd_hilb(args) -> int:
     try:
-        dims = [int(v) for v in args.betti.split(",")]
+        dims = [_int(v) for v in args.betti.split(",")]
     except ValueError:
         raise ValueError(f"--betti expects comma-separated integers, got {args.betti!r}")
     table = BettiTable(dict(enumerate(dims)))
@@ -301,39 +305,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="generating series of a preset")
     p.add_argument("--preset", required=True)
     p.add_argument("--group", choices=("A", "B"), default="A")
-    p.add_argument("--max-q", type=int, default=6)
-    p.add_argument("--max-t", type=int, default=None,
+    p.add_argument("--max-q", type=_int, default=6)
+    p.add_argument("--max-t", type=_int, default=None,
                    help="defaults to d * max-q")
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    p.add_argument("--format", choices=_FORMATS, default="plain")
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("betti", help="cohomology table of the n-th wreath product")
     p.add_argument("--preset", required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    p.add_argument("-n", type=_int, required=True)
+    p.add_argument("--format", choices=_FORMATS, default="plain")
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("hilb", help="orbifold Poincare polynomial of a symmetric power")
     p.add_argument("--betti", required=True, help="comma-separated b0,b1,b2")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    p.add_argument("-n", type=_int, required=True)
+    p.add_argument("--format", choices=_FORMATS, default="plain")
     p.set_defaults(func=_cmd_hilb)
 
     p = sub.add_parser("deform", help="deformation parameter count")
     p.add_argument("--preset", required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int, required=True)
     p.set_defaults(func=_cmd_deform)
 
     p = sub.add_parser("cherednik", help="rational Cherednik algebra tools")
     csub = p.add_subparsers(dest="action", required=True)
     c = csub.add_parser("reduce", help="normal-order a generator word")
-    c.add_argument("-n", type=int, required=True)
+    c.add_argument("-n", type=_int, required=True)
     c.add_argument("word")
     c.set_defaults(func=_cmd_cherednik)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", choices=("all",) + tuple(_SUITES))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -2,7 +2,10 @@
 
 Output is deterministic: terms are emitted in sorted order, JSON keys are
 sorted, and every emitted payload carries a schema tag so parse() can
-reconstruct the value.  The plain format is presentation-only.
+reconstruct the value.  The plain format is presentation-only.  The
+package's text rules live here, for parse, load_preset and the command line
+alike: _int reads an integer as emit writes one, _once a JSON object that
+names no key twice, and _FORMATS lists the formats emit writes.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from .wreath import PRESETS, gamma_preset
 _SERIES_SCHEMA = "wreath-hochschild/series-v1"
 _TABLE_SCHEMA = "wreath-hochschild/table-v1"
 _REPORT_SCHEMA = "wreath-hochschild/report-v1"
+_FORMATS = ("plain", "json", "csv")
 
 
 class CheckReport(_Record):
@@ -42,9 +46,12 @@ def load_preset(name: str) -> AlgebraPreset:
     """Resolve a preset by catalog name, gamma:<nu>, or a JSON file/string.
 
     JSON schema: {"name": str, "d": even int, "betti": [b0, b1, ...]}
-    with list index equal to degree.  The nu of gamma:<nu> is a plain
-    decimal int, by parse's rule str(int(s)) == s ("gamma:03" is refused).
+    with list index equal to degree, and no key named twice (parse's
+    _once).  The nu of gamma:<nu> is a plain decimal int, by parse's rule
+    str(int(s)) == s ("gamma:03" is refused).
     """
+    if not isinstance(name, str):
+        raise TypeError(f"load_preset expects a str, got {type(name).__name__}")
     if name in PRESETS:
         return PRESETS[name]
     if name.startswith("gamma:"):
@@ -56,11 +63,11 @@ def load_preset(name: str) -> AlgebraPreset:
     import json  # the catalog and gamma presets above never load it
 
     if name.lstrip().startswith("{"):
-        data = json.loads(name)
+        data = json.loads(name, object_pairs_hook=_once)
     elif os.path.exists(name):
         try:
             with open(name, "rb") as fh:
-                data = json.load(fh)
+                data = json.load(fh, object_pairs_hook=_once)
         except OSError as exc:
             raise ValueError(f"cannot read preset file {name!r}: {exc.strerror}") from None
     else:
@@ -87,7 +94,7 @@ def emit(obj, format: str = "json") -> bytes:
     are free text that parse could not read back): csv for a report is
     refused with ValueError.
     """
-    if format not in ("json", "csv", "plain"):
+    if format not in _FORMATS:
         raise ValueError(f"unknown format {format!r}")
     if isinstance(obj, BiSeries):
         return _emit_series(obj, format)
@@ -169,6 +176,8 @@ def parse(data: bytes):
     emit never writes a repeat, so a payload that names one JSON key,
     degree or (n, i) term twice is refused too.
     """
+    if not isinstance(data, (bytes, bytearray)):
+        raise TypeError(f"parse expects bytes, got {type(data).__name__}")
     text = data.decode()
     stripped = text.lstrip()
     if stripped.startswith("{"):

@@ -98,6 +98,9 @@ class BiSeries:
         return all(c == 0 for row in self.coeff for c in row)
 
     def _check_bounds(self, other: "BiSeries"):
+        if not isinstance(other, BiSeries):
+            raise TypeError(f"a BiSeries combines only with a BiSeries, "
+                            f"got {type(other).__name__}")
         if self.q_bound != other.q_bound or self.t_bound != other.t_bound:
             raise ValueError("series bounds do not match")
 

@@ -57,6 +57,14 @@ def test_super_sym_powers_refuse_a_table_that_is_not_a_betti_table(table):
         super_sym_powers(table, 2)
 
 
+@pytest.mark.parametrize("combine", [BettiTable.add, BettiTable.__add__, BettiTable.tensor],
+                         ids=["add", "+", "tensor"])
+def test_a_table_combines_only_with_a_table(combine):
+    # a dict operand used to end in AttributeError ('dict' object has no attribute '_dims')
+    with pytest.raises(TypeError, match="^table must be a BettiTable, got dict$"):
+        combine(BettiTable({0: 1}), {0: 1})
+
+
 def test_shift():
     t = BettiTable({0: 1, 1: 2})
     assert t.shift(4) == {4: 1, 5: 2}

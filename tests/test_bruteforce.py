@@ -313,6 +313,21 @@ def test_group_algebra_refuses_a_table_that_is_not_a_group(monkeypatch, table):
         FiniteDimAlgebra.group_algebra(table)
 
 
+@pytest.mark.parametrize("table, unit, message", [
+    ([[{0: 1}]], {3: 1}, "unit must be a dict over the basis keys 0..0, got {3: 1}"),
+    ([[1]], {0: 1}, "structure constant (0,0) must be a dict over the basis keys 0..0, got 1"),
+    ([[{5: 1}]], {0: 1},
+     "structure constant (0,0) must be a dict over the basis keys 0..0, got {5: 1}"),
+    ([[{0: 1}, {1: 1}], [{1: 1}, {True: 1}]], {0: 1},
+     "structure constant (1,1) must be a dict over the basis keys 0..1, got {True: 1}"),
+], ids=["unit key 3", "int cell", "cell key 5", "bool key"])
+def test_structure_constants_outside_the_basis_are_refused(table, unit, message):
+    # these raised IndexError, AttributeError, "unit is not a left identity",
+    # and read True as the key 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FiniteDimAlgebra(table, unit)
+
+
 def test_verify_homolog_i_small():
     A = FiniteDimAlgebra.truncated_polynomial(2)
     rep = verify_homolog_i(A, n=2, max_level=2)

@@ -260,6 +260,12 @@ def test_spherical_idempotent():
     assert spherical_product(normal_order("s12", 2)) == e
 
 
+def test_spherical_product_refuses_an_operand_that_is_not_an_element():
+    # it ended in AttributeError ('int' object has no attribute 'n')
+    with pytest.raises(TypeError, match="^spherical_product expects a CherednikElement, got int$"):
+        spherical_product(5)
+
+
 def test_formatting():
     e = spherical_idempotent(2)
     assert str(e) == "1/2 + 1/2 s12"

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from pathlib import Path
@@ -13,7 +14,7 @@ from wreath_hochschild.bruteforce import (
     hh_dims,
 )
 from wreath_hochschild.partitions import Partition
-from wreath_hochschild.presets_io import CheckReport, emit, load_preset, parse
+from wreath_hochschild.presets_io import _FORMATS, CheckReport, _int, emit, load_preset, parse
 from wreath_hochschild.series import BiSeries
 from wreath_hochschild.wreath import (
     PRESETS,
@@ -264,6 +265,70 @@ def test_each_field_has_one_refusal(call, values, shape):
     for value in values:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{shape}, got {value!r}')}$"):
             call(value)
+
+
+# every integer the command line reads, with {} standing for a value of 3,
+# and what the command prints for it
+_VERIFY_WREATH = (Path(__file__).parent / "data" / "verify_wreath.txt").read_text()
+INTEGER_ARGS = [
+    (("series", "--preset", "weyl", "--max-q", "{}"),
+     "series truncated at q^3, t^6\nq^0: 1\nq^1: 1\nq^2: 1 + t^2\nq^3: 1 + t^2 + t^4\n"),
+    (("series", "--preset", "weyl", "--max-q", "3", "--max-t", "{}"),
+     "series truncated at q^3, t^3\nq^0: 1\nq^1: 1\nq^2: 1 + t^2\nq^3: 1 + t^2\n"),
+    (("betti", "--preset", "weyl", "-n", "{}"), "1 + t^2 + t^4\n"),
+    (("hilb", "--betti", "1,0,0", "-n", "{}"), "1 + t^2 + t^4\n"),
+    (("hilb", "--betti", "{},0,0", "-n", "2"), "6 + 3*t^2\n"),
+    (("deform", "--preset", "qweyl", "-n", "{}"), "3\n"),
+    (("cherednik", "reduce", "-n", "{}", "p1 x1"), "x1 p1 - 1 + k s12 + k s13\n"),
+    (("verify", "wreath", "--seed", "{}"), _VERIFY_WREATH),
+]
+_INTEGER_IDS = ["series --max-q", "series --max-t", "betti -n", "hilb -n", "hilb --betti",
+                "deform -n", "cherednik reduce -n", "verify --seed"]
+
+
+def _exit_and_stdout(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, out", INTEGER_ARGS, ids=_INTEGER_IDS)
+def test_integer_arguments_read_the_canonical_spelling(capsys, argv, out):
+    assert _exit_and_stdout(capsys, [a.format("3") for a in argv]) == (0, out)
+
+
+# int() reads each spelling as 10 or 3
+@pytest.mark.parametrize("value", ["1_0", "+3", " 3", "03", "\uff13"],
+                         ids=["underscore", "plus", "space", "leading zero", "full-width"])
+@pytest.mark.parametrize("argv", [argv for argv, _ in INTEGER_ARGS], ids=_INTEGER_IDS)
+def test_integer_arguments_refuse_every_other_spelling(capsys, argv, value):
+    assert _exit_and_stdout(capsys, [a.format(value) for a in argv]) == (2, "")
+
+
+def test_a_preset_that_names_a_key_twice_is_refused(capsys, tmp_path):
+    payload = '{"name": "a", "d": 4, "d": 2, "betti": [1, 0, 3]}'  # json keeps the last d
+    path = tmp_path / "preset.json"
+    path.write_text(payload)
+    for preset in (payload, str(path)):
+        assert run(capsys, "deform", "--preset", preset, "-n", "2") == (
+            2, "", "error: payload names 'd' twice\n")
+        with pytest.raises(ValueError, match="^payload names 'd' twice$"):
+            load_preset(preset)
+
+
+def test_the_parser_reads_by_the_package_text_rules():
+    actions, parsers = [], [cli._PARSER]
+    while parsers:
+        for action in parsers.pop()._actions:
+            actions.append(action)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert not [a.dest for a in actions if a.type is int]
+    assert {a.type for a in actions} == {None, _int}
+    formats = [a for a in actions if "--format" in a.option_strings]
+    assert len(formats) == 3 and all(a.choices is _FORMATS for a in formats)
 
 
 def test_usage_error_exit_code():

@@ -13,6 +13,16 @@ from wreath_hochschild.series import BiSeries
 from wreath_hochschild.wreath import closed_form
 
 
+@pytest.mark.parametrize("read, value, message", [
+    (load_preset, None, "load_preset expects a str, got NoneType"),
+    (parse, '{"schema": "wreath-hochschild/table-v1", "dims": {}}', "parse expects bytes, got str"),
+], ids=["load_preset None", "parse str"])
+def test_the_text_readers_refuse_a_value_of_another_type(read, value, message):
+    # these ended in AttributeError (no startswith, no decode)
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        read(value)
+
+
 def test_load_catalog_presets():
     p = load_preset("qweyl")
     assert p.d == 2 and p.betti == {0: 1, 1: 2, 2: 1}

@@ -29,6 +29,14 @@ def test_one_and_zero():
     assert one - one == zero
 
 
+@pytest.mark.parametrize("combine", [lambda s: s + 1, lambda s: s - 1, lambda s: s * 1],
+                         ids=["+", "-", "*"])
+def test_a_series_combines_only_with_a_series(combine):
+    # an int operand used to end in AttributeError ('int' object has no attribute 'q_bound')
+    with pytest.raises(TypeError, match="^a BiSeries combines only with a BiSeries, got int$"):
+        combine(BiSeries.one(3, 3))
+
+
 def test_mul_truncates():
     s = BiSeries.from_terms(3, 2, [(1, 1, 1), (3, 2, 4)])
     p = s * s
